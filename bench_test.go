@@ -869,10 +869,13 @@ func BenchmarkMaskSearch(b *testing.B) {
 	demands := routing.RandomDemands(g, f.Scale.RouteDemands, 3, 9, 907)
 	rt := opt.Route(demands)
 	sys := &experiments.RouteNetSystem{Opt: opt, Routing: rt}
+	b.ReportAllocs()
 	b.ResetTimer()
+	evals := routenet.DenseEvals()
 	for i := 0; i < b.N; i++ {
 		mask.Search(sys, mask.Options{Iterations: 20, Seed: int64(i)})
 	}
+	b.ReportMetric(float64(routenet.DenseEvals()-evals)/float64(b.N), "dense_evals/op")
 	b.ReportMetric(maskBenchWorkers(), "eval_workers")
 }
 
@@ -885,10 +888,13 @@ func BenchmarkMaskSearchSerial(b *testing.B) {
 	demands := routing.RandomDemands(g, f.Scale.RouteDemands, 3, 9, 907)
 	rt := opt.Route(demands)
 	sys := &experiments.RouteNetSystem{Opt: opt, Routing: rt}
+	b.ReportAllocs()
 	b.ResetTimer()
+	evals := routenet.DenseEvals()
 	for i := 0; i < b.N; i++ {
 		mask.Search(sys, mask.Options{Iterations: 20, Seed: int64(i), Workers: 1})
 	}
+	b.ReportMetric(float64(routenet.DenseEvals()-evals)/float64(b.N), "dense_evals/op")
 	b.ReportMetric(1, "eval_workers")
 }
 

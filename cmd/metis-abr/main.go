@@ -43,7 +43,7 @@ func main() {
 	} else {
 		fmt.Println("training Pensieve teacher…")
 		agent = pensieve.NewAgent(2, false)
-		pensieve.Pretrain(agent, env, *episodes, 5)
+		pensieve.Pretrain(agent, env, *episodes, 5, w)
 		agent.A2C.Train(env, 2*(*episodes), 50, 6)
 
 		fmt.Println("distilling with Metis (DAgger + Equation 1 resampling + CCP)…")

@@ -216,7 +216,7 @@ func (f *Fixture) Pensieve() *pensieve.Agent {
 		if f.loadCached("pensieve", f.agent) {
 			return
 		}
-		f.agent = scenarios.TrainPensieve(f.EnvHSDPA(), f.Scale.PretrainEps, f.Scale.FinetuneEps, f.Scale.VideoChunks+2)
+		f.agent = scenarios.TrainPensieve(f.EnvHSDPA(), f.Scale.PretrainEps, f.Scale.FinetuneEps, f.Scale.VideoChunks+2, f.Workers)
 		f.TeachersTrained++
 		f.saveCached("pensieve", f.agent)
 	})

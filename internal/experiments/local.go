@@ -99,7 +99,7 @@ func Fig11(f *Fixture) *Fig11Result {
 	test := f.EnvHSDPATest()
 	run := func(modified bool) []pensieve.CurvePoint {
 		a := pensieve.NewAgent(2, modified)
-		pensieve.Pretrain(a, train, s.PretrainEps/2, 5)
+		pensieve.Pretrain(a, train, s.PretrainEps/2, 5, f.Workers)
 		return pensieve.Train(a, train, pensieve.TrainOptions{
 			Episodes:     s.FinetuneEps,
 			EvalEvery:    s.FinetuneEps / 4,

@@ -107,7 +107,7 @@ func TestDistillPensieveEndToEnd(t *testing.T) {
 		Traces: trace.HSDPA(10, 400, 7),
 	})
 	agent := pensieve.NewAgent(2, false)
-	pensieve.Pretrain(agent, env, 200, 5)
+	pensieve.Pretrain(agent, env, 200, 5, 0)
 
 	res, err := DistillPolicy(env, agent, DistillConfig{
 		MaxLeaves: 100, Iterations: 2, EpisodesPerIter: 10,

@@ -1,6 +1,7 @@
 // Package parallel is the shared concurrency substrate of the reproduction.
 // Every parallel hot path — CART split search (internal/metis/dtree), DAgger
-// trajectory collection, SPSA mask-search evaluation (internal/metis/mask),
+// trajectory collection, the Pensieve pretraining demonstrations
+// (internal/pensieve), SPSA mask-search evaluation (internal/metis/mask),
 // and the perturbed-input batches of the LIME/LEMNA baselines — runs on the
 // primitives here rather than hand-rolled goroutines, so they all share the
 // same determinism contract:

@@ -6,9 +6,11 @@ package pensieve
 
 import (
 	"math/rand"
+	"sync"
 
 	"repro/internal/abr"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/rl"
 )
 
@@ -51,13 +53,14 @@ func NewAgent(seed int64, modified bool) *Agent {
 // TrainStandard runs the standard teacher recipe: behavior-cloning pretraining
 // followed by A2C fine-tuning, with both phase lengths scaled by scale
 // (scale 1 ≈ 300 pretrain episodes + 2000 fine-tune episodes, a few seconds).
+// Pretraining rolls its demonstrations out on every core.
 func TrainStandard(a *Agent, env *abr.Env, scale float64, seed int64) {
 	pre := int(300 * scale)
 	ft := int(2000 * scale)
 	if pre < 1 {
 		pre = 1
 	}
-	Pretrain(a, env, pre, seed)
+	Pretrain(a, env, pre, seed, 0)
 	if ft > 0 {
 		a.A2C.Train(env, ft, env.Config().Video.NumChunks+2, seed+1)
 	}
@@ -87,29 +90,15 @@ func (a *Agent) Selector() abr.Selector {
 // and fine-tuning with A2C reaches a state-dependent, competitive teacher in
 // seconds, which is what the Metis experiments need. The critic is fitted to
 // the observed discounted returns at the same time.
-func Pretrain(a *Agent, env *abr.Env, episodes int, seed int64) {
-	mpc := &abr.RobustMPC{}
+//
+// The demonstrations do not depend on the agent, so up to workers
+// goroutines (0 = GOMAXPROCS, 1 = serial) roll them out ahead of the
+// updates on environment clones; the updates consume them in episode
+// order, so the trained agent is bit-identical for every worker count.
+func Pretrain(a *Agent, env *abr.Env, episodes int, seed int64, workers int) {
 	opt := nn.NewAdam(1e-3)
 	copt := nn.NewAdam(1e-3)
-	numChunks := env.Config().Video.NumChunks
-	for ep := 0; ep < episodes; ep++ {
-		mpc.Reset()
-		env.Reset(seed + int64(ep))
-		type sample struct {
-			state  []float64
-			action int
-			reward float64
-		}
-		var traj []sample
-		for {
-			st := append([]float64(nil), env.State()...)
-			act := mpc.Select(env.Observe())
-			_, r, done := env.Step(act)
-			traj = append(traj, sample{state: st, action: act, reward: r})
-			if done {
-				break
-			}
-		}
+	forEachDemonstration(env, episodes, seed, parallel.Workers(workers), func(traj []demoStep) {
 		// Supervised actor update and Monte-Carlo critic fit.
 		a.Actor.ZeroGrad()
 		a.Critic.ZeroGrad()
@@ -130,8 +119,108 @@ func Pretrain(a *Agent, env *abr.Env, episodes int, seed int64) {
 		a.Critic.ClipGrad(5)
 		opt.Step(a.Actor)
 		copt.Step(a.Critic)
+	})
+}
+
+// demoStep is one robustMPC decision of a demonstration episode.
+type demoStep struct {
+	state  []float64
+	action int
+	reward float64
+}
+
+// demonstrate rolls robustMPC over the episode env.Reset(seed) selects.
+func demonstrate(env *abr.Env, seed int64) []demoStep {
+	mpc := &abr.RobustMPC{}
+	env.Reset(seed)
+	var traj []demoStep
+	for {
+		st := append([]float64(nil), env.State()...)
+		act := mpc.Select(env.Observe())
+		_, r, done := env.Step(act)
+		traj = append(traj, demoStep{state: st, action: act, reward: r})
+		if done {
+			return traj
+		}
 	}
-	_ = numChunks
+}
+
+// forEachDemonstration calls consume with the demonstration of each episode
+// (reset with seed+ep) in episode order, on the caller's goroutine. With
+// one worker it rolls each episode out on env just before consuming it.
+// Otherwise workers goroutines roll episodes out on clones of env, at most
+// 2·workers episodes ahead of consume. It returns once they have all
+// exited; a panic in a rollout is re-raised on the caller's goroutine.
+func forEachDemonstration(env *abr.Env, episodes int, seed int64, workers int, consume func([]demoStep)) {
+	if workers <= 1 || episodes <= 1 {
+		for ep := 0; ep < episodes; ep++ {
+			consume(demonstrate(env, seed+int64(ep)))
+		}
+		return
+	}
+	window := 2 * workers
+	ready := make([]chan []demoStep, episodes)
+	for i := range ready {
+		ready[i] = make(chan []demoStep, 1)
+	}
+	var (
+		mu       sync.Mutex
+		advanced = sync.NewCond(&mu)
+		consumed int  // episodes handed to consume
+		stopped  bool // a rollout panicked or the consumer returned
+	)
+	stop := func() {
+		mu.Lock()
+		stopped = true
+		mu.Unlock()
+		advanced.Broadcast()
+	}
+	failed := make(chan any, 1)
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		defer func() {
+			if r := recover(); r != nil {
+				failed <- r
+			}
+		}()
+		envs := parallel.Pool(env.CloneEnv().(*abr.Env), workers, func() *abr.Env { return env.CloneEnv().(*abr.Env) })
+		parallel.ForEachWorker(workers, episodes, func(w, ep int) {
+			defer func() {
+				if r := recover(); r != nil {
+					stop()
+					panic(r)
+				}
+			}()
+			// Episodes are handed out in order, so the gate never holds
+			// back the episode consume waits for.
+			mu.Lock()
+			for ep >= consumed+window && !stopped {
+				advanced.Wait()
+			}
+			skip := stopped
+			mu.Unlock()
+			if !skip {
+				ready[ep] <- demonstrate(envs[w], seed+int64(ep))
+			}
+		})
+	}()
+	defer func() {
+		stop()
+		<-exited
+	}()
+	for ep := 0; ep < episodes; ep++ {
+		select {
+		case traj := <-ready[ep]:
+			mu.Lock()
+			consumed = ep + 1
+			mu.Unlock()
+			advanced.Broadcast()
+			consume(traj)
+		case r := <-failed:
+			panic(r)
+		}
+	}
 }
 
 // CurvePoint is one evaluation sample of a training curve.

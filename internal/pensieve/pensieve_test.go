@@ -1,6 +1,7 @@
 package pensieve
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestTrainingImprovesQoE(t *testing.T) {
 	env := trainEnv()
 	a := NewAgent(2, false)
 	before := meanQoE(env, a, 10)
-	Pretrain(a, env, 300, 11)
+	Pretrain(a, env, 300, 11, 0)
 	after := meanQoE(env, a, 10)
 	if after <= before {
 		t.Fatalf("training did not improve QoE: before %.3f after %.3f", before, after)
@@ -116,7 +117,7 @@ func TestRandomStateValid(t *testing.T) {
 func TestAgentSaveLoadRoundtrip(t *testing.T) {
 	env := trainEnv()
 	a := NewAgent(5, true)
-	Pretrain(a, env, 50, 9)
+	Pretrain(a, env, 50, 9, 0)
 	data, err := a.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -138,4 +139,48 @@ func TestAgentSaveLoadRoundtrip(t *testing.T) {
 	}
 	// The loaded agent must remain trainable.
 	back.A2C.Train(env, 10, 50, 11)
+}
+
+// TestPretrainWorkerInvariant pins the rolled-ahead demonstrations: the
+// pretrained agent is byte-identical for every worker count, including
+// counts above the look-ahead window's smallest size.
+func TestPretrainWorkerInvariant(t *testing.T) {
+	env := trainEnv()
+	var ref []byte
+	for _, workers := range []int{1, 2, 5} {
+		a := NewAgent(4, false)
+		Pretrain(a, env, 12, 21, workers)
+		b, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = b
+		} else if !bytes.Equal(ref, b) {
+			t.Fatalf("Pretrain with %d workers differs from the serial agent", workers)
+		}
+	}
+}
+
+// TestDemonstrationsStopWithConsumer checks that a consumer that gives up
+// part way (here by panicking) releases the look-ahead workers: the call
+// returns, with the panic, only after they have exited.
+func TestDemonstrationsStopWithConsumer(t *testing.T) {
+	env := trainEnv()
+	seen := 0
+	func() {
+		defer func() {
+			if r := recover(); r != "stop" {
+				t.Fatalf("recovered %v, want the consumer's panic", r)
+			}
+		}()
+		forEachDemonstration(env, 40, 3, 3, func([]demoStep) {
+			if seen++; seen == 4 {
+				panic("stop")
+			}
+		})
+	}()
+	if seen != 4 {
+		t.Fatalf("consumer saw %d episodes, want 4", seen)
+	}
 }

@@ -157,6 +157,8 @@ func (m *Model) PredictDelays(g *topo.Graph, demands []routing.Demand, paths []t
 		}
 	}
 	delays := make([]float64, len(paths))
+	conns := int64(NumConnections(paths))
+	denseEvals.Add(int64(numLinks+2*len(paths)) + Rounds*(2*conns+int64(numLinks)))
 	for pi := range paths {
 		raw := m.Readout.Forward(hP[pi])[0]
 		// Softplus keeps predictions positive; scale to milliseconds.
@@ -278,45 +280,9 @@ func (o *Optimizer) Route(demands []routing.Demand) *routing.Routing {
 // distribution over its candidate paths implied by masked model predictions.
 // temperature controls sharpness (default 1 if ≤0). The mask indexes r's
 // connections; the candidate path reuses the mask entries of the links it
-// shares with the chosen path and weight 1 elsewhere.
+// shares with the chosen path and weight 1 elsewhere. It evaluates one
+// demand through Choices; use a Choices directly to evaluate every demand
+// under many masks.
 func (o *Optimizer) ChoiceDistribution(r *routing.Routing, i int, mask []float64, temperature float64) []float64 {
-	if temperature <= 0 {
-		temperature = 1
-	}
-	d := r.Demands[i]
-	cands := o.Graph.CandidatePaths(d.Src, d.Dst, 1)
-	off := ConnectionOffsets(r.Paths)
-	chosenMask := map[int]float64{}
-	if mask != nil {
-		for pos, id := range r.Paths[i] {
-			chosenMask[id] = mask[off[i]+pos]
-		}
-	}
-	scores := make([]float64, len(cands))
-	saved := r.Paths[i]
-	for ci, cand := range cands {
-		r.Paths[i] = cand
-		var candMask []float64
-		if mask != nil {
-			candMask = make([]float64, NumConnections(r.Paths))
-			noff := ConnectionOffsets(r.Paths)
-			for pj, p := range r.Paths {
-				for pos, id := range p {
-					w := 1.0
-					if pj == i {
-						if mv, ok := chosenMask[id]; ok {
-							w = mv
-						}
-					} else {
-						w = mask[off[pj]+pos]
-					}
-					candMask[noff[pj]+pos] = w
-				}
-			}
-		}
-		pred := o.Model.PredictDelays(o.Graph, r.Demands, r.Paths, candMask)
-		scores[ci] = -pred[i] / temperature
-	}
-	r.Paths[i] = saved
-	return nn.Softmax(scores, nil)
+	return NewChoices(o.Model, o.Graph, r).Distribution(i, mask, temperature)
 }

@@ -98,7 +98,7 @@ func (sc abrScenario) Train(cfg scenario.Config) (scenario.Teacher, error) {
 	}
 	t := &abrTeacher{agent: pensieve.NewAgent(seedPensieveAgent, false), params: p}
 	if !cfg.LoadCachedTeacher("abr", sc.Fingerprint(cfg), t.agent) {
-		t.agent = TrainPensieve(t.train(), p.PretrainEps, p.FinetuneEps, p.VideoChunks+2)
+		t.agent = TrainPensieve(t.train(), p.PretrainEps, p.FinetuneEps, p.VideoChunks+2, cfg.Workers)
 		if err := cfg.SaveCachedTeacher("abr", sc.Fingerprint(cfg), t.agent); err != nil {
 			return nil, err
 		}

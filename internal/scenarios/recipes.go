@@ -77,10 +77,12 @@ func ABREnvs(numTraces, traceSeconds, videoChunks int) (train, fcc, heldout *abr
 
 // TrainPensieve trains the Pensieve teacher with the canonical recipe:
 // supervised pretraining toward a robust-MPC-like target, then A2C
-// fine-tuning on the same environment.
-func TrainPensieve(env *abr.Env, pretrainEps, finetuneEps, maxSteps int) *pensieve.Agent {
+// fine-tuning on the same environment. workers bounds the goroutines that
+// roll the pretraining demonstrations out; the agent is the same for any
+// count.
+func TrainPensieve(env *abr.Env, pretrainEps, finetuneEps, maxSteps, workers int) *pensieve.Agent {
 	agent := pensieve.NewAgent(seedPensieveAgent, false)
-	pensieve.Pretrain(agent, env, pretrainEps, seedPretrain)
+	pensieve.Pretrain(agent, env, pretrainEps, seedPretrain, workers)
 	agent.A2C.Train(env, finetuneEps, maxSteps, seedFinetune)
 	return agent
 }

@@ -14,12 +14,16 @@ import (
 // RouteNetSystem adapts the closed-loop RouteNet* optimizer to the
 // critical-connection search: the output is the concatenation, over demands,
 // of the candidate-path choice distributions under the masked model
-// (discrete, compared with KL divergence).
+// (discrete, compared with KL divergence). Opt and Routing are read on the
+// first Output; a system whose routing changes afterwards must be rebuilt.
 type RouteNetSystem struct {
 	Opt     *routenet.Optimizer
 	Routing *routing.Routing
 	// Temperature sharpens/softens the choice distributions (default 1).
 	Temperature float64
+
+	// choices holds the incremental evaluation state, built on first use.
+	choices *routenet.Choices
 }
 
 // NumConnections implements mask.System.
@@ -30,28 +34,26 @@ func (s *RouteNetSystem) NumConnections() int {
 // Discrete implements mask.System.
 func (s *RouteNetSystem) Discrete() bool { return true }
 
-// Output implements mask.System.
+// Output implements mask.System: one recorded base pass under the mask plus
+// one incremental replay per alternative candidate (see routenet.Choices).
 func (s *RouteNetSystem) Output(m []float64) []float64 {
-	var out []float64
-	for i := range s.Routing.Demands {
-		out = append(out, s.Opt.ChoiceDistribution(s.Routing, i, m, s.Temperature)...)
+	if s.choices == nil {
+		s.choices = routenet.NewChoices(s.Opt.Model, s.Opt.Graph, s.Routing)
 	}
+	out := make([]float64, s.choices.Len())
+	s.choices.Distributions(m, s.Temperature, out)
 	return out
 }
 
 // CloneSystem implements mask.ClonableSystem so the SPSA perturbation pairs
-// of the critical-connection search can be evaluated concurrently. The model
-// is deep-copied (its forward passes reuse scratch buffers) and the routing's
-// path assignment is copied because ChoiceDistribution temporarily swaps
-// candidate paths in place; the graph is shared — its candidate-path cache
+// of the critical-connection search can be evaluated concurrently. The clone
+// gets its own model copy and its own evaluation scratch; the routing is
+// only read, so it is shared, and so is the graph — its candidate-path cache
 // is lock-guarded.
 func (s *RouteNetSystem) CloneSystem() mask.System {
 	return &RouteNetSystem{
-		Opt: &routenet.Optimizer{Model: s.Opt.Model.Clone(), Graph: s.Opt.Graph},
-		Routing: &routing.Routing{
-			Demands: s.Routing.Demands,
-			Paths:   append([]topo.Path(nil), s.Routing.Paths...),
-		},
+		Opt:         &routenet.Optimizer{Model: s.Opt.Model.Clone(), Graph: s.Opt.Graph},
+		Routing:     s.Routing,
 		Temperature: s.Temperature,
 	}
 }

@@ -120,7 +120,8 @@ func studentBytes(t *testing.T, rep *scenario.Report) []byte {
 // TestPipelineDeterminism is the engine-level worker-invariance contract:
 // the same scenario at the same scale must produce a bit-identical student
 // for any worker count — for both student forms (a mask-search student and
-// a distilled-tree student).
+// a distilled-tree student), including the incremental RouteNet* search and
+// the Pensieve teacher whose demonstrations are rolled out ahead.
 func TestPipelineDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -128,6 +129,8 @@ func TestPipelineDeterminism(t *testing.T) {
 	}{
 		{name: "jobs", workers: []int{1, 3}},
 		{name: "auto-lrla", workers: []int{1, 4}},
+		{name: "routenet", workers: []int{1, 3}},
+		{name: "abr", workers: []int{1, 3}},
 	} {
 		var ref []byte
 		for _, w := range tc.workers {

@@ -151,6 +151,10 @@ type ModelConfig struct {
 type sample struct {
 	rows    [][]float64
 	actions []int
+	// deploy is the worker's deploy count when the batch was observed: a
+	// sample from before the latest refit or rollback was served by a
+	// generation that no longer serves.
+	deploy int64
 }
 
 // Engine is the slice of a serving engine the monitor needs: model lookup
@@ -283,7 +287,7 @@ func (m *Monitor) Observe(model string, rows [][]float64, actions []int) {
 	if cap := m.opts.ScoreCap; cap > 0 && n > cap {
 		n = cap
 	}
-	s := &sample{rows: make([][]float64, n), actions: append([]int(nil), actions[:n]...)}
+	s := &sample{rows: make([][]float64, n), actions: append([]int(nil), actions[:n]...), deploy: w.deploys.Load()}
 	flat := make([]float64, n*len(rows[0]))
 	for i, row := range rows[:n] {
 		dst := flat[i*len(row) : (i+1)*len(row) : (i+1)*len(row)]
@@ -348,6 +352,9 @@ type worker struct {
 
 	sampled, dropped, scored         atomic.Int64
 	disagreements, refits, rollbacks atomic.Int64
+	// deploys counts the reloads this worker applied (refits and
+	// rollbacks); Observe stamps it on every sample.
+	deploys atomic.Int64
 
 	// Controller state below is owned by the scorer goroutine.
 
@@ -425,11 +432,18 @@ func (w *worker) loop() {
 // sampled == scored + dropped holds once the queue drains.
 func (w *worker) score(s *sample) {
 	defer w.scored.Add(1)
+	// The fidelity window measures the generation that serves now. Batches
+	// still queued from before the latest reload were answered by the one
+	// it replaced, so they would judge a probation by its parent's answers.
+	// (A predict racing the reload itself may be stamped either way.)
+	current := s.deploy == w.deploys.Load()
 	for i, row := range s.rows {
 		out := w.cfg.Teacher.Query(row)
 		ta := argmax(out)
 		agree := ta == s.actions[i]
-		w.est.Record(agree)
+		if current {
+			w.est.Record(agree)
+		}
 		w.scoredRows++
 		if !agree {
 			w.disagreements.Add(1)
@@ -516,6 +530,7 @@ func (w *worker) refit(baseline float64) {
 		w.cooldown()
 		return
 	}
+	w.deploys.Add(1)
 	if err := w.readLiveArtifact(); err != nil {
 		logf("shadow: %s: cannot re-read live artifact: %v", w.cfg.Model, err)
 	}
@@ -549,12 +564,13 @@ func (w *worker) checkProbation() {
 		w.rollback()
 		return
 	}
-	logf("shadow: %s: gen %d accepted (fidelity %.4f ≥ %.4f)", w.cfg.Model, w.generation, fid, w.baseline)
+	// Persist first, so the accept line reports a finished acceptance.
 	if w.cfg.SaveCorpus != nil {
 		if err := w.cfg.SaveCorpus(w.cfg.Corpus); err != nil {
 			logf("shadow: %s: corpus persist failed: %v", w.cfg.Model, err)
 		}
 	}
+	logf("shadow: %s: gen %d accepted (fidelity %.4f ≥ %.4f)", w.cfg.Model, w.generation, fid, w.baseline)
 }
 
 // rollback restores the archived parent artifact and hot-reloads it back
@@ -571,6 +587,7 @@ func (w *worker) rollback() {
 		w.cooldown()
 		return
 	}
+	w.deploys.Add(1)
 	if err := w.readLiveArtifact(); err != nil {
 		logf("shadow: %s: cannot re-read live artifact: %v", w.cfg.Model, err)
 	}

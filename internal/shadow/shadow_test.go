@@ -349,6 +349,39 @@ func TestShadowOverflowDrops(t *testing.T) {
 	}
 }
 
+// TestStaleSamplesSkipFidelity pins what the fidelity window measures: a
+// batch observed before the latest reload was answered by the generation
+// that reload replaced, so scoring it counts it but leaves the window alone.
+func TestStaleSamplesSkipFidelity(t *testing.T) {
+	truth := func(x []float64) int {
+		if x[0] > 0.5 {
+			return 1
+		}
+		return 0
+	}
+	e, _ := newServed(t, "toy", gridTable(t, 10, truth), 1)
+	m := NewMonitor(e, Options{Rate: 1, Seed: 1, Window: 4})
+	if err := m.Enroll(ModelConfig{Model: "toy", Teacher: funcTeacher{f: truth}}); err != nil {
+		t.Fatal(err)
+	}
+	w := m.workers["toy"]
+	rows := [][]float64{{0.2, 0.3}, {0.8, 0.1}}
+	m.Observe("toy", rows, []int{0, 1})
+	w.deploys.Add(1) // a refit or rollback reloads before the batch is scored
+	m.Observe("toy", rows, []int{0, 1})
+	w.score(<-w.queue)
+	if got := w.est.Rows(); got != 0 {
+		t.Fatalf("stale batch recorded %d rows into the fidelity window", got)
+	}
+	w.score(<-w.queue)
+	if got := w.est.Rows(); got != 2 {
+		t.Fatalf("current batch recorded %d rows, want 2", got)
+	}
+	if got := w.scored.Load(); got != 2 {
+		t.Fatalf("scored %d batches, want 2", got)
+	}
+}
+
 // --- the full loop -------------------------------------------------------
 
 // TestShadowRefitRollbackEndToEnd drives the whole continuous-distillation

@@ -10,9 +10,14 @@ import (
 // mmap maps size bytes of f shared and read-write: both peers see each
 // other's stores, and the mapping outlives the descriptor (f is closed right
 // after mapping) and the file name (the creator unlinks once both sides are
-// mapped).
+// mapped). Slots are touched at random, so read-ahead is advised off.
 func mmap(f *os.File, size int) ([]byte, error) {
-	return syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	data, err := syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, err
+	}
+	adviseRandom(data)
+	return data, nil
 }
 
 func munmap(data []byte) error {

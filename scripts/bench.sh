@@ -33,12 +33,23 @@ echo "running benchmarks (benchtime=${BENCHTIME})…" >&2
 # the trajectory alongside wall clock.
 go test -run '^$' -bench "$BENCHES" -benchtime "$BENCHTIME" -benchmem -timeout 3600s "$@" . | tee "$RAW" >&2
 
+# Host facts every record carries: the commit measured ("-dirty" when the
+# tree has uncommitted changes), the cores the host exposes, and the
+# GOMAXPROCS the benchmarks ran with (the -N suffix go test appends to each
+# benchmark name, which is absent when it is 1).
+COMMIT="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+if [ "$COMMIT" != unknown ] && [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+  COMMIT="${COMMIT}-dirty"
+fi
+NUM_CPU="$(getconf _NPROCESSORS_ONLN 2>/dev/null || nproc)"
+GOMAXPROCS_RUN="$(awk '/^Benchmark/ { n = split($1, p, "-"); print (n > 1 ? p[n] : 1); exit }' "$RAW")"
+
 # Convert `BenchmarkName  N  T ns/op  [extra metrics]` lines to JSON.
 # $1: raw bench output  $2: output json  $3: bench-name filter regex
 emit_json() {
   {
-    printf '{\n  "date": "%s",\n  "go": "%s",\n  "benchtime": "%s",\n  "results": [\n' \
-      "$DATE" "$(go env GOVERSION)" "$BENCHTIME"
+    printf '{\n  "date": "%s",\n  "commit": "%s",\n  "go": "%s",\n  "num_cpu": %s,\n  "gomaxprocs": %s,\n  "benchtime": "%s",\n  "results": [\n' \
+      "$DATE" "$COMMIT" "$(go env GOVERSION)" "$NUM_CPU" "${GOMAXPROCS_RUN:-null}" "$BENCHTIME"
     awk -v filter="$3" '
       /^Benchmark/ && $1 ~ filter {
         name=$1; iters=$2; ns=$3
