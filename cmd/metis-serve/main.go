@@ -99,7 +99,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.StringVar(&cfg.shmDir, "shm-dir", "",
 		"directory for shared-memory segment files (default /dev/shm when present, else the temp dir)")
 	fs.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0),
-		"server-wide inference pool shared by all in-flight batches (0 = all cores, 1 = serial)")
+		"inference pool of each shard, shared by all in-flight batches on it (0 = all cores, 1 = serial)")
 	fs.IntVar(&cfg.dispatchWorkers, "dispatch-workers", 0,
 		"per-connection decode/encode workers of the pipelined socket mode (0 = 2, growing with cores up to 4); distinct from -workers, which sizes inference")
 	fs.IntVar(&cfg.maxBatch, "max-batch", 0,
@@ -107,7 +107,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&cfg.inflight, "max-inflight", 0,
 		"max concurrently admitted prediction requests; beyond it requests fail fast with 503 (0 = unlimited)")
 	fs.IntVar(&cfg.shards, "shards", 1,
-		"per-core engine shards; models are partitioned across them by consistent hash (1 = the classic single engine, 0 = one shard per core)")
+		"engine shards, each with its own inference pool and counters; models are partitioned across them by consistent hash (0 = one shard per core)")
 	fs.StringVar(&cfg.tenants, "tenants", "",
 		"weighted fair admission as name:weight pairs, e.g. \"teamA:3,teamB:1\" (tenant = X-Metis-Tenant header, else the model name; unknown tenants get weight 1)")
 	fs.IntVar(&cfg.tenantQueue, "tenant-queue", 0,
@@ -143,6 +143,9 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	}
 	if cfg.shards < 0 {
 		return nil, fmt.Errorf("-shards must be non-negative (got %d)", cfg.shards)
+	}
+	if cfg.shards == 0 {
+		cfg.shards = runtime.GOMAXPROCS(0)
 	}
 	if cfg.tenants != "" {
 		if _, err := serve.ParseTenantWeights(cfg.tenants); err != nil {
@@ -213,34 +216,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	engineCfg := serve.Config{
+	tenants, _ := serve.ParseTenantWeights(cfg.tenants)
+	engine, err := serve.NewEngine(cfg.dir, serve.Config{
 		Workers: cfg.workers, MaxBatch: cfg.maxBatch, MaxInflight: cfg.inflight,
 		DispatchWorkers: cfg.dispatchWorkers, SHMDir: cfg.shmDir,
-	}
-	// -shards 1 with no tenant weights serves through the classic single
-	// engine, byte-identical to previous releases; anything else goes
-	// through the sharded front (which also owns weighted fair admission).
-	var engine serve.Backend
-	if cfg.shards == 1 && cfg.tenants == "" {
-		engine, err = serve.NewEngine(cfg.dir, engineCfg)
-	} else {
-		engineCfg.Shards = cfg.shards
-		engineCfg.TenantQueue = cfg.tenantQueue
-		engineCfg.Tenants, _ = serve.ParseTenantWeights(cfg.tenants)
-		var sharded *serve.ShardedEngine
-		if sharded, err = serve.NewShardedEngine(cfg.dir, engineCfg); err == nil {
-			fmt.Printf("sharded engine: %d shards", sharded.ShardCount())
-			if len(engineCfg.Tenants) > 0 {
-				fmt.Printf(", %d weighted tenants", len(engineCfg.Tenants))
-			}
-			fmt.Println()
-		}
-		engine = sharded
-	}
+		Shards: cfg.shards, Tenants: tenants, TenantQueue: cfg.tenantQueue,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	fmt.Printf("engine: %d shards, %d weighted tenants\n", engine.ShardCount(), len(tenants))
 
 	for _, m := range engine.Models() {
 		shape := fmt.Sprintf("%d classes", m.NumClasses())

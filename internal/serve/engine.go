@@ -2,9 +2,11 @@
 // built as a transport-agnostic inference engine with codec layers on top:
 //
 //   - engine.go (this file): Engine — an atomic-pointer model registry with
-//     lock-free hot reload, server-wide admission control, and the core
-//     Predict API returning typed errors. The engine knows nothing about
-//     HTTP.
+//     lock-free hot reload, the one admission layer, and the core Predict
+//     API returning typed errors. The engine knows nothing about HTTP.
+//   - shard.go: the shards the registry is partitioned across by a
+//     consistent-hash ring over model names, each with its own inference
+//     pool and counters.
 //   - codec.go: the wire codecs — JSON helpers and the binary row-major
 //     float64 batch format (application/x-metis-batch) for high-throughput
 //     clients, with a pooled scratch path for allocation-free serving loops.
@@ -30,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,7 +43,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/histo"
 	"repro/internal/metis/dtree"
-	"repro/internal/parallel"
 )
 
 // Ext is the conventional artifact file extension scanned by LoadDir.
@@ -172,11 +174,11 @@ type registry struct {
 // Config carries the engine knobs. The zero value serves with all cores,
 // the default batch cap, and no in-flight limit.
 type Config struct {
-	// Workers sizes the server-wide inference pool shared by ALL in-flight
-	// batch predictions (0 = GOMAXPROCS, 1 = serial). Unlike the old
-	// per-request Workers semantics, concurrent batches never multiply
-	// goroutines: a batch recruits helpers only while pool slots are free
-	// and otherwise runs on its own request goroutine.
+	// Workers sizes each shard's inference pool, shared by ALL in-flight
+	// batch predictions on that shard (0 = GOMAXPROCS, 1 = serial).
+	// Concurrent batches never multiply goroutines: a batch recruits helpers
+	// only while pool slots are free and otherwise runs on its own request
+	// goroutine.
 	Workers int
 	// MaxBatch caps the rows accepted per predict call (0 = DefaultMaxBatch).
 	// Oversized requests fail with *BatchSizeError.
@@ -197,14 +199,14 @@ type Config struct {
 	// test knob — small slots force the oversized-payload fallback.
 	SHMSlots    int
 	SHMSlotSize int
-	// Shards splits the serving core into per-core engine shards, each
-	// owning a consistent-hash partition of the model set (0 = GOMAXPROCS).
-	// Read by NewShardedEngine; a plain Engine ignores it.
+	// Shards splits the serving core into shards, each owning a
+	// consistent-hash partition of the model set with its own inference pool
+	// and counters (0 or 1 = one shard).
 	Shards int
 	// Tenants maps tenant names to weighted-fair-admission weights. When
-	// set (on a sharded engine), the single MaxInflight fail-fast semaphore
-	// is replaced by per-tenant weighted fair queuing with MaxInflight as
-	// the concurrency capacity; tenants outside the map get weight 1.
+	// set, the MaxInflight fail-fast semaphore is replaced by per-tenant
+	// weighted fair queuing with MaxInflight as the concurrency capacity;
+	// tenants outside the map get weight 1.
 	Tenants map[string]float64
 	// TenantQueue bounds each tenant's admission queue (0 = 16). Arrivals
 	// beyond it fail with *BusyError carrying a computed Retry-After.
@@ -250,59 +252,83 @@ type MirrorModelSnapshot struct {
 }
 
 // Engine is the transport-agnostic serving core: a hot-reloadable model
-// registry plus admission-controlled batch inference. All methods are safe
-// for concurrent use; Predict never blocks on Reload.
+// registry partitioned across Config.Shards shards by a consistent-hash ring
+// over model names, plus the one admission layer — the MaxInflight fail-fast
+// semaphore, or per-tenant weighted fair queuing when Config.Tenants is set
+// (see fairGate). Requests route to the owning shard with no cross-shard
+// locks; every shard has its own inference pool and stat counters, so
+// shards share no hot cache lines. All methods are safe for concurrent use;
+// Predict never blocks on Reload or Reshard.
+//
+// Consistent hashing makes the partition a pure function of (model name,
+// shard count): a Reload never migrates a surviving model, and Reshard
+// moves only ~1/N of the models per shard added. Both swap state through one
+// atomic pointer, so in-flight predicts keep the shards (and registry) they
+// started on and never fail from a remap.
 type Engine struct {
-	cfg Config
-
-	reg atomic.Pointer[registry]
-	// reloadMu serializes Reload calls only — the predict path never touches
-	// it.
+	cfg   Config
+	state atomic.Pointer[shardSet]
+	// reloadMu serializes Reload and Reshard; the predict path never takes it.
 	reloadMu sync.Mutex
-	// sem holds the spare-worker tokens of the shared inference pool
-	// (capacity Workers-1: the request goroutine itself is the first
-	// worker). nil when the engine is configured serial.
-	sem chan struct{}
-	// inflight holds the admission tokens (nil = unlimited).
-	inflight chan struct{}
-
-	start    time.Time
-	requests atomic.Int64
-	errors   atomic.Int64
-	reloads  atomic.Int64
+	// gate is the weighted-fair admission control (nil when Config.Tenants
+	// is empty); inflight is the fail-fast semaphore used instead (nil =
+	// unlimited), and releaseSlot returns one of its tokens.
+	gate        *fairGate
+	inflight    chan struct{}
+	releaseSlot func()
+	start       time.Time
+	reloads     atomic.Int64
+	errors      atomic.Int64
+	// rejected counts calls turned away by admission — they never reach a
+	// shard, so requestsTotal folds them back in.
+	rejected atomic.Int64
+	// requestsBase and latencyBase carry the counters of shard sets retired
+	// by Reshard, so totals survive re-partitioning.
+	requestsBase atomic.Int64
+	latencyBase  *histo.Histogram
 	// shm is the shared-memory transport accounting (see shmCounters).
 	shm shmCounters
-	// latency records nanoseconds per successful predict call, across all
-	// transports (HTTP and both socket framings share this one histogram).
-	latency *histo.Histogram
 	// mirror, when set, taps every successful predict (see Mirror). An
 	// atomic pointer-to-interface so the hot path pays one load when no
 	// mirror is installed.
 	mirror atomic.Pointer[Mirror]
 }
 
-// NewEngine loads every servable artifact in dir into a fresh engine.
+// shmCounters is the shared-memory transport accounting: a name sequence for
+// segment files, the doorbell-write counter (the observable behind the
+// zero-syscall claim), and the live ring connection count.
+type shmCounters struct {
+	seq   atomic.Uint64
+	wakes atomic.Int64
+	conns atomic.Int64
+}
+
+// NewEngine loads every servable artifact in dir and partitions the set
+// across cfg.Shards shards (0 or 1 = one shard).
 func NewEngine(dir string, cfg Config) (*Engine, error) {
 	reg, err := loadRegistry(dir)
 	if err != nil {
 		return nil, err
 	}
-	return newEngineFromRegistry(reg, cfg), nil
-}
-
-// newEngineFromRegistry builds an engine around an already-loaded registry
-// generation — the constructor core shared by NewEngine and the sharded
-// engine, whose shards each serve one partition of a registry loaded once.
-func newEngineFromRegistry(reg *registry, cfg Config) *Engine {
-	e := &Engine{cfg: cfg, start: time.Now(), latency: histo.New()}
-	if w := parallel.Workers(cfg.Workers); w > 1 {
-		e.sem = make(chan struct{}, w-1)
+	st, err := newShardSet(reg, max(cfg.Shards, 1), cfg.Workers)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.MaxInflight > 0 {
+	e := &Engine{cfg: cfg, start: time.Now(), latencyBase: histo.New()}
+	if len(cfg.Tenants) > 0 {
+		capacity := cfg.MaxInflight
+		if capacity <= 0 {
+			// Weighted fairness needs a finite capacity to arbitrate; default
+			// to a small multiple of the core count.
+			capacity = 4 * runtime.GOMAXPROCS(0)
+		}
+		e.gate = newFairGate(capacity, cfg.Tenants, cfg.TenantQueue)
+	} else if cfg.MaxInflight > 0 {
 		e.inflight = make(chan struct{}, cfg.MaxInflight)
+		e.releaseSlot = func() { <-e.inflight }
 	}
-	e.reg.Store(reg)
-	return e
+	e.state.Store(st)
+	return e, nil
 }
 
 // LoadDir builds an engine with the default Config from every *.metis
@@ -393,38 +419,26 @@ func loadRegistry(dir string) (*registry, error) {
 }
 
 // Reload loads dir ("" = the currently served directory) into a fresh
-// registry generation and swaps it in atomically. In-flight predictions
-// keep using the generation they loaded; new requests see the new set on
-// their next registry load — no lock is taken on the predict path. Stats of
-// models that survive the reload (matched by name) are carried over; a
-// failed load leaves the current generation serving untouched.
+// registry generation and swaps it in atomically, on the same shards. By
+// consistent-hash stability every surviving model stays on its shard.
+// In-flight predictions keep using the generation they loaded; new requests
+// see the new set on their next state load — no lock is taken on the
+// predict path. Stats of models that survive the reload (matched by name)
+// are carried over; a failed load leaves the current generation serving
+// untouched.
 func (e *Engine) Reload(dir string) error {
 	e.reloadMu.Lock()
 	defer e.reloadMu.Unlock()
+	st := e.state.Load()
 	if dir == "" {
-		dir = e.reg.Load().dir
+		dir = st.dir
 	}
 	reg, err := loadRegistry(dir)
 	if err != nil {
 		return err
 	}
-	e.swapRegistryLocked(reg)
-	return nil
-}
-
-// swapRegistry atomically installs a new registry generation with stats
-// carry-over — the reload core, also driven by the sharded engine when it
-// re-partitions an externally loaded registry across its shards.
-func (e *Engine) swapRegistry(reg *registry) {
-	e.reloadMu.Lock()
-	defer e.reloadMu.Unlock()
-	e.swapRegistryLocked(reg)
-}
-
-func (e *Engine) swapRegistryLocked(reg *registry) {
-	old := e.reg.Load()
 	for name, m := range reg.models {
-		if prev, ok := old.models[name]; ok && m != prev {
+		if prev, ok := st.models[name]; ok {
 			// In-flight requests on the old generation may still bump prev
 			// after this copy; that sliver of drift is accepted — counters
 			// are operational telemetry, not an exactness contract.
@@ -432,25 +446,26 @@ func (e *Engine) swapRegistryLocked(reg *registry) {
 			m.predictions.Store(prev.predictions.Load())
 		}
 	}
-	e.reg.Store(reg)
+	e.state.Store(st.with(reg))
 	e.reloads.Add(1)
+	return nil
 }
 
 // Dir returns the artifact directory backing the current registry
 // generation.
-func (e *Engine) Dir() string { return e.reg.Load().dir }
+func (e *Engine) Dir() string { return e.state.Load().dir }
 
 // LoadedAt returns when the current registry generation was loaded.
-func (e *Engine) LoadedAt() time.Time { return e.reg.Load().loadedAt }
+func (e *Engine) LoadedAt() time.Time { return e.state.Load().loadedAt }
 
-// Reloads returns how many reloads have been applied.
+// Reloads returns how many reloads and reshards have been applied.
 func (e *Engine) Reloads() int64 { return e.reloads.Load() }
 
 // Models returns the current generation's entries sorted by name.
 func (e *Engine) Models() []*Model {
-	reg := e.reg.Load()
-	out := make([]*Model, 0, len(reg.models))
-	for _, m := range reg.models {
+	st := e.state.Load()
+	out := make([]*Model, 0, len(st.models))
+	for _, m := range st.models {
 		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -459,13 +474,13 @@ func (e *Engine) Models() []*Model {
 
 // Model looks one model up in the current generation.
 func (e *Engine) Model(name string) (*Model, bool) {
-	m, ok := e.reg.Load().models[name]
+	m, ok := e.state.Load().models[name]
 	return m, ok
 }
 
 // Skipped lists artifacts that were present but not servable in the current
 // generation.
-func (e *Engine) Skipped() []string { return e.reg.Load().skipped }
+func (e *Engine) Skipped() []string { return e.state.Load().skipped }
 
 // maxBatch returns the effective per-request row cap.
 func (e *Engine) maxBatch() int {
@@ -485,12 +500,13 @@ type Prediction struct {
 	Values  [][]float64
 }
 
-// Predict runs rows through the named model on the shared inference pool.
+// Predict runs rows through the named model on its shard's inference pool.
 // It validates admission (ErrBusy), the model name (*UnknownModelError),
 // the batch size (ErrEmptyBatch, *BatchSizeError), and every row's width
-// (*DimensionError) before touching the model. Failed calls are not
-// accounted in the error counter here — each transport's error path is its
-// single accounting point.
+// (*DimensionError) before touching the model. Every call counts once in
+// the request total, whichever way it ends. Failed calls are not accounted
+// in the error counter here — each transport's error path is its single
+// accounting point.
 func (e *Engine) Predict(name string, rows [][]float64) (*Prediction, error) {
 	p := &Prediction{}
 	if err := e.PredictInto(name, rows, p); err != nil {
@@ -505,17 +521,24 @@ func (e *Engine) Predict(name string, rows [][]float64) (*Prediction, error) {
 // steady-state predictions without growing the heap. On error p is left
 // unmodified.
 func (e *Engine) PredictInto(name string, rows [][]float64, p *Prediction) error {
-	t0 := time.Now()
-	e.requests.Add(1)
-	if e.inflight != nil {
-		select {
-		case e.inflight <- struct{}{}:
-			defer func() { <-e.inflight }()
-		default:
-			return ErrBusy
+	return e.predictTenant("", name, rows, p)
+}
+
+// predictTenant is PredictInto under a tenant identity for weighted fair
+// admission ("" = the model name keys the tenant).
+func (e *Engine) predictTenant(tenant, name string, rows [][]float64, p *Prediction) error {
+	if e.gate != nil || e.inflight != nil {
+		release, err := e.admit(tenant, name)
+		if err != nil {
+			return err
 		}
+		defer release()
 	}
-	m, ok := e.reg.Load().models[name]
+	t0 := time.Now()
+	st := e.state.Load()
+	sh := st.shardOf(name)
+	sh.requests.Add(1)
+	m, ok := st.models[name]
 	if !ok {
 		return &UnknownModelError{Name: name}
 	}
@@ -537,13 +560,13 @@ func (e *Engine) PredictInto(name string, rows [][]float64, p *Prediction) error
 	if m.IsRegression() {
 		out := growRows(p.Values, len(rows))
 		if q := m.Quantized; q != nil {
-			e.forEachChunk(len(rows), func(lo, hi int) {
+			sh.forEachChunk(len(rows), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					out[i] = q.PredictReg(rows[i])
 				}
 			})
 		} else {
-			e.forEachChunk(len(rows), func(lo, hi int) {
+			sh.forEachChunk(len(rows), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					out[i] = m.Compiled.PredictReg(rows[i])
 				}
@@ -553,13 +576,13 @@ func (e *Engine) PredictInto(name string, rows [][]float64, p *Prediction) error
 	} else {
 		out := growInts(p.Actions, len(rows))
 		if q := m.Quantized; q != nil {
-			e.forEachChunk(len(rows), func(lo, hi int) {
+			sh.forEachChunk(len(rows), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					out[i] = q.Predict(rows[i])
 				}
 			})
 		} else {
-			e.forEachChunk(len(rows), func(lo, hi int) {
+			sh.forEachChunk(len(rows), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					out[i] = m.Compiled.Predict(rows[i])
 				}
@@ -567,7 +590,7 @@ func (e *Engine) PredictInto(name string, rows [][]float64, p *Prediction) error
 		}
 		p.Actions, p.Values = out, nil
 	}
-	e.latency.Record(time.Since(t0).Nanoseconds())
+	sh.latency.Record(time.Since(t0).Nanoseconds())
 	if mp := e.mirror.Load(); mp != nil {
 		// The mirror copies what it samples before returning; rows and
 		// p.Actions stay caller-owned.
@@ -576,10 +599,52 @@ func (e *Engine) PredictInto(name string, rows [][]float64, p *Prediction) error
 	return nil
 }
 
-// Latency returns the engine's predict-latency histogram (nanoseconds per
-// successful call, all transports combined). Callers may read quantiles or
-// merge it; they must not reset it.
-func (e *Engine) Latency() *histo.Histogram { return e.latency }
+// admit runs admission control for tenant ("" = keyed by the model name).
+// Callers skip it when neither the gate nor the semaphore is configured, so
+// an ungated engine pays nothing here. It returns the release func on
+// success; a rejection counts in requestsTotal.
+func (e *Engine) admit(tenant, model string) (func(), error) {
+	if e.gate != nil {
+		if tenant == "" {
+			tenant = model
+		}
+		release, err := e.gate.acquire(tenant)
+		if err != nil {
+			e.rejected.Add(1)
+		}
+		return release, err
+	}
+	select {
+	case e.inflight <- struct{}{}:
+		return e.releaseSlot, nil
+	default:
+		e.rejected.Add(1)
+		return nil, ErrBusy
+	}
+}
+
+// requestsTotal sums the live shards, the retired-shard base, and the calls
+// rejected by admission before reaching any shard: every predict call counts
+// once, admitted or rejected.
+func (e *Engine) requestsTotal() int64 {
+	total := e.requestsBase.Load() + e.rejected.Load()
+	for _, sh := range e.state.Load().shards {
+		total += sh.requests.Load()
+	}
+	return total
+}
+
+// Latency returns a merged snapshot of the shards' predict-latency
+// histograms (nanoseconds per successful call, all transports combined),
+// including shard sets retired by Reshard.
+func (e *Engine) Latency() *histo.Histogram {
+	h := histo.New()
+	h.Merge(e.latencyBase)
+	for _, sh := range e.state.Load().shards {
+		h.Merge(sh.latency)
+	}
+	return h
+}
 
 // SetMirror installs (or, with nil, removes) the engine's predict mirror.
 // Safe to call while serving: in-flight predicts see either the old or the
@@ -603,33 +668,15 @@ func (e *Engine) mirrorSnapshot() *MirrorSnapshot {
 	return &snap
 }
 
-// The Backend accessor surface (see front.go): the flat engine is the
-// single-shard, untenanted implementation.
-
-// predictTenant is PredictInto under a tenant identity. A flat engine has no
-// tenant gating — admission is the MaxInflight fail-fast semaphore inside
-// PredictInto — so the identity is ignored.
-func (e *Engine) predictTenant(tenant, name string, rows [][]float64, p *Prediction) error {
-	return e.PredictInto(name, rows, p)
-}
-
-func (e *Engine) config() Config                      { return e.cfg }
-func (e *Engine) addError()                           { e.errors.Add(1) }
-func (e *Engine) requestsTotal() int64                { return e.requests.Load() }
-func (e *Engine) errorsTotal() int64                  { return e.errors.Load() }
-func (e *Engine) startTime() time.Time                { return e.start }
-func (e *Engine) shmc() *shmCounters                  { return &e.shm }
-func (e *Engine) shardStats() []ShardStats            { return nil }
-func (e *Engine) tenantStats() map[string]TenantStats { return nil }
-func (e *Engine) latencySummary() map[string]any      { return latencyBody(e.latency) }
-func (e *Engine) shardIndex(string) int               { return 0 }
-func (e *Engine) shardCount() int                     { return 1 }
-
-// busyRetryAfter estimates when a rejected caller should come back: with a
-// fail-fast semaphore the expected wait is one in-flight call's service
-// time, approximated by the engine's mean predict latency.
+// busyRetryAfter derives the Retry-After hint for an ErrBusy that carries no
+// computed one: the gate's own estimate, or — behind the fail-fast
+// semaphore — one in-flight call's service time, approximated by the mean
+// predict latency.
 func (e *Engine) busyRetryAfter() time.Duration {
-	return clampRetryAfter(time.Duration(e.latency.Mean()))
+	if e.gate != nil {
+		return e.gate.retryAfter()
+	}
+	return clampRetryAfter(time.Duration(e.Latency().Mean()))
 }
 
 // statFlushEvery is the serving loops' stats-batching window: per-batch
@@ -638,12 +685,12 @@ func (e *Engine) busyRetryAfter() time.Duration {
 const statFlushEvery = 64
 
 // statBatch accumulates the per-predict accounting of a serving loop — the
-// engine/model request counters and the latency samples — so the steady
+// shard/model request counters and the latency samples — so the steady
 // state pays a handful of atomic adds per statFlushEvery batches instead of
 // five per batch. A loop owns one statBatch, notes every fast-path predict
 // into it, and must flush before parking idle and at teardown.
 type statBatch struct {
-	e     *Engine
+	sh    *shard
 	m     *Model
 	reqs  int64
 	preds int64
@@ -651,11 +698,11 @@ type statBatch struct {
 	n     int
 }
 
-// note records one successful predict of preds rows on (e, m).
-func (st *statBatch) note(e *Engine, m *Model, preds, latNs int64) {
-	if st.e != e || st.m != m {
+// note records one successful predict of preds rows of m on sh.
+func (st *statBatch) note(sh *shard, m *Model, preds, latNs int64) {
+	if st.sh != sh || st.m != m {
 		st.flush()
-		st.e, st.m = e, m
+		st.sh, st.m = sh, m
 	}
 	st.reqs++
 	st.preds += preds
@@ -668,79 +715,68 @@ func (st *statBatch) note(e *Engine, m *Model, preds, latNs int64) {
 
 // flush publishes the accumulated counters. Safe to call when empty.
 func (st *statBatch) flush() {
-	if st.e == nil || st.reqs == 0 {
+	if st.sh == nil || st.reqs == 0 {
 		return
 	}
-	st.e.requests.Add(st.reqs)
+	st.sh.requests.Add(st.reqs)
 	st.m.requests.Add(st.reqs)
 	st.m.predictions.Add(st.preds)
-	st.e.latency.RecordBatch(st.lat[:st.n])
+	st.sh.latency.RecordBatch(st.lat[:st.n])
 	st.reqs, st.preds, st.n = 0, 0, 0
 }
 
-// flatSlotCheck classifies a flat-matrix predict for the fast path:
-// handled=false means the caller must take the generic decode+predict path
-// (non-quantized or regression model, a mirror tapping predictions, an
-// empty batch, or a response that would not fit the slot); a non-nil error
-// is a terminal request failure. Error paths account the request themselves.
-func (e *Engine) flatSlotCheck(name string, nRows, features, slotCap int) (m *Model, handled bool, err error) {
-	m, ok := e.reg.Load().models[name]
+// predictFlatSlot is the shared-memory transport's fast path: quantized
+// classification straight off a flat row-major matrix, each row's action
+// going from the tree walk into the response slot as a little-endian int32
+// — no intermediate Actions slice, no second pass — with stats accumulated
+// into st. handled=false means the caller must take the generic
+// decode+predict path (non-quantized or regression model, a mirror tapping
+// predictions, an empty batch, or a response that would not fit the slot);
+// nothing was accounted then. A non-nil error is a terminal request failure,
+// already counted.
+func (e *Engine) predictFlatSlot(name string, flat []float64, nRows, features int, slot []byte, st *statBatch) ([]byte, bool, error) {
+	t0 := time.Now()
+	set := e.state.Load()
+	sh := set.shardOf(name)
+	m, ok := set.models[name]
 	if !ok {
-		e.requests.Add(1)
+		sh.requests.Add(1)
 		return nil, true, &UnknownModelError{Name: name}
 	}
 	q := m.Quantized
-	if q == nil || q.IsRegression() || e.mirror.Load() != nil || nRows == 0 || 13+nRows*4 > slotCap {
+	if q == nil || q.IsRegression() || e.mirror.Load() != nil || nRows == 0 || 13+nRows*4 > cap(slot) {
 		return nil, false, nil
 	}
 	// One width check for the whole batch: the wire format guarantees every
 	// row has the header's width, so the per-row validation loop of the
 	// generic path collapses to this single comparison.
 	if features != q.NumFeatures {
-		e.requests.Add(1)
+		sh.requests.Add(1)
 		return nil, true, &DimensionError{Model: m.Name, Row: 0, Got: features, Want: q.NumFeatures}
 	}
-	return m, true, nil
-}
-
-// flatSlotRun fuses quantized classification with response encoding: each
-// row's action goes straight from the tree walk into the response slot as a
-// little-endian int32 — no intermediate Actions slice, no second pass.
-func (e *Engine) flatSlotRun(m *Model, flat []float64, nRows, features int, slot []byte, st *statBatch, t0 time.Time) []byte {
-	q := m.Quantized
+	// Eligibility first, admission second: a request the fast path cannot
+	// serve falls back to the generic path without ever holding (and
+	// double-charging) an admission token.
+	if e.gate != nil || e.inflight != nil {
+		release, err := e.admit("", name)
+		if err != nil {
+			return nil, true, err
+		}
+		defer release()
+	}
 	out := slot[:13+nRows*4]
 	copy(out, batchMagic)
 	out[4] = batchKindActions
 	binary.LittleEndian.PutUint32(out[5:9], uint32(nRows))
 	binary.LittleEndian.PutUint32(out[9:13], 1)
-	e.forEachChunk(nRows, func(lo, hi int) {
+	sh.forEachChunk(nRows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			binary.LittleEndian.PutUint32(out[13+i*4:],
 				uint32(int32(q.Predict(flat[i*features:(i+1)*features]))))
 		}
 	})
-	st.note(e, m, int64(nRows), time.Since(t0).Nanoseconds())
-	return out
-}
-
-// predictFlatSlot is the shared-memory transport's fast path (see Backend).
-// The tenant identity is ignored on a flat engine.
-func (e *Engine) predictFlatSlot(tenant, name string, flat []float64, nRows, features int, slot []byte, st *statBatch) ([]byte, bool, error) {
-	t0 := time.Now()
-	m, handled, err := e.flatSlotCheck(name, nRows, features, cap(slot))
-	if !handled || err != nil {
-		return nil, handled, err
-	}
-	if e.inflight != nil {
-		select {
-		case e.inflight <- struct{}{}:
-			defer func() { <-e.inflight }()
-		default:
-			e.requests.Add(1)
-			return nil, true, ErrBusy
-		}
-	}
-	return e.flatSlotRun(m, flat, nRows, features, slot, st, t0), true, nil
+	st.note(sh, m, int64(nRows), time.Since(t0).Nanoseconds())
+	return out, true, nil
 }
 
 // growInts resizes s to n entries, reusing its backing array when it fits.
@@ -757,52 +793,4 @@ func growRows(s [][]float64, n int) [][]float64 {
 		return s[:n]
 	}
 	return make([][]float64, n)
-}
-
-// predictChunk is the per-task granularity of the shared pool: single tree
-// evaluations cost nanoseconds, so work is handed out in blocks large
-// enough to amortize scheduling.
-const predictChunk = 512
-
-// forEachChunk splits [0, n) into predictChunk blocks and runs them on the
-// request goroutine plus any helpers it can recruit from the shared pool.
-// Recruitment is non-blocking: when every pool slot is busy serving other
-// requests, the batch simply runs serially on its own goroutine — total
-// inference goroutines across ALL in-flight requests never exceed
-// Config.Workers.
-func (e *Engine) forEachChunk(n int, fn func(lo, hi int)) {
-	tasks := (n + predictChunk - 1) / predictChunk
-	if tasks <= 1 || e.sem == nil {
-		fn(0, n)
-		return
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			t := int(next.Add(1)) - 1
-			if t >= tasks {
-				return
-			}
-			lo := t * predictChunk
-			hi := min(lo+predictChunk, n)
-			fn(lo, hi)
-		}
-	}
-	var wg sync.WaitGroup
-recruit:
-	for h := 0; h < tasks-1; h++ {
-		select {
-		case e.sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-e.sem }()
-				work()
-			}()
-		default:
-			break recruit
-		}
-	}
-	work()
-	wg.Wait()
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -140,38 +141,48 @@ func TestEngineConcurrentPredictDuringReload(t *testing.T) {
 	}
 }
 
-// TestEngineTypedErrors: each rejection path surfaces its typed error.
+// TestEngineTypedErrors: each rejection path surfaces its typed error and
+// counts exactly once in the request total, at one shard and at four.
 func TestEngineTypedErrors(t *testing.T) {
 	dir, _, _ := fixtureDir(t)
-	e, err := NewEngine(dir, Config{MaxBatch: 4, MaxInflight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e, err := NewEngine(dir, Config{MaxBatch: 4, MaxInflight: 1, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reject := func(what, name string, rows [][]float64, match func(error) bool) {
+				t.Helper()
+				before := e.requestsTotal()
+				if _, err := e.Predict(name, rows); !match(err) {
+					t.Fatalf("%s error = %v", what, err)
+				}
+				if d := e.requestsTotal() - before; d != 1 {
+					t.Fatalf("%s counted %d requests, want 1", what, d)
+				}
+			}
+			var unknown *UnknownModelError
+			reject("unknown model", "nope", [][]float64{{1, 2}}, func(err error) bool {
+				return errors.As(err, &unknown) && unknown.Name == "nope"
+			})
+			reject("empty batch", "abr", nil, func(err error) bool { return errors.Is(err, ErrEmptyBatch) })
+			var size *BatchSizeError
+			reject("batch size", "abr", make([][]float64, 5), func(err error) bool {
+				return errors.As(err, &size) && size.Max == 4
+			})
+			var dim *DimensionError
+			reject("dimension", "abr", [][]float64{{1, 2, 3}}, func(err error) bool {
+				return errors.As(err, &dim) && dim.Want == 2
+			})
 
-	var unknown *UnknownModelError
-	if _, err := e.Predict("nope", [][]float64{{1, 2}}); !errors.As(err, &unknown) || unknown.Name != "nope" {
-		t.Fatalf("unknown model error = %v", err)
-	}
-	if _, err := e.Predict("abr", nil); !errors.Is(err, ErrEmptyBatch) {
-		t.Fatalf("empty batch error = %v", err)
-	}
-	var size *BatchSizeError
-	if _, err := e.Predict("abr", make([][]float64, 5)); !errors.As(err, &size) || size.Max != 4 {
-		t.Fatalf("batch size error = %v", err)
-	}
-	var dim *DimensionError
-	if _, err := e.Predict("abr", [][]float64{{1, 2, 3}}); !errors.As(err, &dim) || dim.Want != 2 {
-		t.Fatalf("dimension error = %v", err)
-	}
-
-	// Admission: occupy the only inflight slot, next call must fail fast.
-	e.inflight <- struct{}{}
-	if _, err := e.Predict("abr", [][]float64{{1, 2}}); !errors.Is(err, ErrBusy) {
-		t.Fatalf("busy error = %v", err)
-	}
-	<-e.inflight
-	if _, err := e.Predict("abr", [][]float64{{1, 2}}); err != nil {
-		t.Fatalf("predict after slot freed: %v", err)
+			// Admission: occupy the only inflight slot, next call must fail fast.
+			e.inflight <- struct{}{}
+			reject("busy", "abr", [][]float64{{1, 2}}, func(err error) bool { return errors.Is(err, ErrBusy) })
+			<-e.inflight
+			if _, err := e.Predict("abr", [][]float64{{1, 2}}); err != nil {
+				t.Fatalf("predict after slot freed: %v", err)
+			}
+		})
 	}
 }
 

@@ -31,33 +31,30 @@ const maxJSONBody = 64 << 20
 //
 //	GET  /v1/models, GET /v1/models/{name}, POST /v1/predict, GET /v1/stats
 //
-// Predict routes honor the X-Metis-Tenant header when the backend runs
+// Predict routes honor the X-Metis-Tenant header when the engine runs
 // weighted fair admission; requests without it are keyed by model name.
-func (e *Engine) Handler() http.Handler { return (&front{e}).handler() }
-
-// handler builds the shared HTTP mux over any Backend (flat or sharded).
-func (f *front) handler() http.Handler {
+func (e *Engine) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
 
 	// v2: the engine-native surface.
-	mux.HandleFunc("GET /v2/models", f.handleModels)
-	mux.HandleFunc("GET /v2/models/{name}", f.handleModelDetail)
-	mux.HandleFunc("POST /v2/models/{action}", f.handleModelAction)
-	mux.HandleFunc("GET /v2/stats", f.handleStatsV2)
-	mux.HandleFunc("POST /v2/admin/reload", f.handleReload)
-	mux.HandleFunc("GET /metrics", f.handleMetrics)
+	mux.HandleFunc("GET /v2/models", e.handleModels)
+	mux.HandleFunc("GET /v2/models/{name}", e.handleModelDetail)
+	mux.HandleFunc("POST /v2/models/{action}", e.handleModelAction)
+	mux.HandleFunc("GET /v2/stats", e.handleStatsV2)
+	mux.HandleFunc("POST /v2/admin/reload", e.handleReload)
+	mux.HandleFunc("GET /metrics", e.handleMetrics)
 
 	// v1 shim: same engine, original routes and response shapes. The mux
 	// patterns give v1 the same {name} matching as v2, fixing the old raw
 	// TrimPrefix resolution (percent-escapes now decode, and names with
 	// path separators can no longer alias other routes).
-	mux.HandleFunc("GET /v1/models", f.handleModels)
-	mux.HandleFunc("GET /v1/models/{name}", f.handleModelDetail)
-	mux.HandleFunc("POST /v1/predict", f.handlePredictJSON)
-	mux.HandleFunc("GET /v1/stats", f.handleStatsV1)
+	mux.HandleFunc("GET /v1/models", e.handleModels)
+	mux.HandleFunc("GET /v1/models/{name}", e.handleModelDetail)
+	mux.HandleFunc("POST /v1/predict", e.handlePredictJSON)
+	mux.HandleFunc("GET /v1/stats", e.handleStatsV1)
 	return mux
 }
 
@@ -86,9 +83,9 @@ func (m *Model) info() modelInfo {
 	}
 }
 
-func (f *front) handleModels(w http.ResponseWriter, r *http.Request) {
+func (e *Engine) handleModels(w http.ResponseWriter, r *http.Request) {
 	var infos []modelInfo
-	for _, m := range f.b.Models() {
+	for _, m := range e.Models() {
 		infos = append(infos, m.info())
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"models": infos})
@@ -131,32 +128,32 @@ type modelDetail struct {
 	Stats modelStats `json:"stats"`
 }
 
-func (f *front) handleModelDetail(w http.ResponseWriter, r *http.Request) {
+func (e *Engine) handleModelDetail(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	m, ok := f.b.Model(name)
+	m, ok := e.Model(name)
 	if !ok {
-		f.fail(w, http.StatusNotFound, fmt.Sprintf("unknown model %q", name))
+		e.fail(w, http.StatusNotFound, fmt.Sprintf("unknown model %q", name))
 		return
 	}
 	writeJSON(w, http.StatusOK, modelDetail{
 		modelInfo: m.info(),
-		Stats:     statsFor(m, f.b.mirrorSnapshot()),
+		Stats:     statsFor(m, e.mirrorSnapshot()),
 	})
 }
 
 // handleModelAction routes POST /v2/models/{name}:{verb}. The whole last
 // segment arrives as one path value; the verb is split off at the final
 // colon, so model names themselves may contain colons.
-func (f *front) handleModelAction(w http.ResponseWriter, r *http.Request) {
+func (e *Engine) handleModelAction(w http.ResponseWriter, r *http.Request) {
 	seg := r.PathValue("action")
 	i := strings.LastIndex(seg, ":")
 	if i < 0 {
-		f.fail(w, http.StatusNotFound, fmt.Sprintf("POST %s: want /v2/models/{name}:predict", r.URL.Path))
+		e.fail(w, http.StatusNotFound, fmt.Sprintf("POST %s: want /v2/models/{name}:predict", r.URL.Path))
 		return
 	}
 	name, verb := seg[:i], seg[i+1:]
 	if verb != "predict" {
-		f.fail(w, http.StatusNotFound, fmt.Sprintf("unknown model action %q (supported: predict)", verb))
+		e.fail(w, http.StatusNotFound, fmt.Sprintf("unknown model action %q (supported: predict)", verb))
 		return
 	}
 	// Codec negotiation: the binary batch type selects the packed codec;
@@ -164,10 +161,10 @@ func (f *front) handleModelAction(w http.ResponseWriter, r *http.Request) {
 	// x-www-form-urlencoded, so being strict here would break the plain
 	// curl examples — a non-JSON body still fails with a clear 400).
 	if contentType(r) == ContentTypeBinary {
-		f.predictBinary(w, r, name)
+		e.predictBinary(w, r, name)
 		return
 	}
-	f.predictJSONNamed(w, r, name)
+	e.predictJSONNamed(w, r, name)
 }
 
 // contentType returns the media type of the request body without parameters.
@@ -183,25 +180,25 @@ func contentType(r *http.Request) string {
 // response out. All per-call buffers — decode, outputs, encode — come from
 // the shared scratch pool, so steady-state binary serving reuses the same
 // few allocations across requests.
-func (f *front) predictBinary(w http.ResponseWriter, r *http.Request, name string) {
+func (e *Engine) predictBinary(w http.ResponseWriter, r *http.Request, name string) {
 	s := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(s)
-	bodyModel, rows, err := s.decodeRequest(r.Body, f.b.maxBatch())
+	bodyModel, rows, err := s.decodeRequest(r.Body, e.maxBatch())
 	if err != nil {
-		f.failErr(w, err)
+		e.failErr(w, err)
 		return
 	}
 	if bodyModel != "" && bodyModel != name {
-		f.fail(w, http.StatusBadRequest,
+		e.fail(w, http.StatusBadRequest,
 			fmt.Sprintf("body names model %q but the URL names %q", bodyModel, name))
 		return
 	}
-	if err := f.b.predictTenant(r.Header.Get(TenantHeader), name, rows, &s.pred); err != nil {
-		f.failErr(w, err)
+	if err := e.predictTenant(r.Header.Get(TenantHeader), name, rows, &s.pred); err != nil {
+		e.failErr(w, err)
 		return
 	}
 	if s.resp, err = appendBatchResponse(s.resp, &s.pred); err != nil {
-		f.failErr(w, err)
+		e.failErr(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", ContentTypeBinary)
@@ -228,38 +225,38 @@ type predictResponse struct {
 }
 
 // handlePredictJSON is the v1 predict route: the model is named in the body.
-func (f *front) handlePredictJSON(w http.ResponseWriter, r *http.Request) {
-	req, ok := f.decodePredictJSON(w, r)
+func (e *Engine) handlePredictJSON(w http.ResponseWriter, r *http.Request) {
+	req, ok := e.decodePredictJSON(w, r)
 	if !ok {
 		return
 	}
-	f.servePredictJSON(w, r, req.Model, req)
+	e.servePredictJSON(w, r, req.Model, req)
 }
 
 // predictJSONNamed is the v2 per-model JSON predict: the URL names the model.
-func (f *front) predictJSONNamed(w http.ResponseWriter, r *http.Request, name string) {
-	req, ok := f.decodePredictJSON(w, r)
+func (e *Engine) predictJSONNamed(w http.ResponseWriter, r *http.Request, name string) {
+	req, ok := e.decodePredictJSON(w, r)
 	if !ok {
 		return
 	}
 	if req.Model != "" && req.Model != name {
-		f.fail(w, http.StatusBadRequest,
+		e.fail(w, http.StatusBadRequest,
 			fmt.Sprintf("body names model %q but the URL names %q", req.Model, name))
 		return
 	}
-	f.servePredictJSON(w, r, name, req)
+	e.servePredictJSON(w, r, name, req)
 }
 
 // decodePredictJSON parses and shape-checks a JSON predict body.
-func (f *front) decodePredictJSON(w http.ResponseWriter, r *http.Request) (*predictRequest, bool) {
+func (e *Engine) decodePredictJSON(w http.ResponseWriter, r *http.Request) (*predictRequest, bool) {
 	var req predictRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
 	if err := dec.Decode(&req); err != nil {
-		f.fail(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		e.fail(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return nil, false
 	}
 	if (req.X != nil) == (req.Xs != nil) {
-		f.fail(w, http.StatusBadRequest, `set exactly one of "x" (single) or "xs" (batch)`)
+		e.fail(w, http.StatusBadRequest, `set exactly one of "x" (single) or "xs" (batch)`)
 		return nil, false
 	}
 	return &req, true
@@ -267,15 +264,15 @@ func (f *front) decodePredictJSON(w http.ResponseWriter, r *http.Request) (*pred
 
 // servePredictJSON runs the decoded request through the engine and renders
 // the JSON response.
-func (f *front) servePredictJSON(w http.ResponseWriter, r *http.Request, name string, req *predictRequest) {
+func (e *Engine) servePredictJSON(w http.ResponseWriter, r *http.Request, name string, req *predictRequest) {
 	single := req.X != nil
 	rows := req.Xs
 	if single {
 		rows = [][]float64{req.X}
 	}
 	var p Prediction
-	if err := f.b.predictTenant(r.Header.Get(TenantHeader), name, rows, &p); err != nil {
-		f.failErr(w, err)
+	if err := e.predictTenant(r.Header.Get(TenantHeader), name, rows, &p); err != nil {
+		e.failErr(w, err)
 		return
 	}
 	resp := predictResponse{Model: p.Model}
@@ -292,21 +289,21 @@ func (f *front) servePredictJSON(w http.ResponseWriter, r *http.Request, name st
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (f *front) handleStatsV1(w http.ResponseWriter, r *http.Request) {
+func (e *Engine) handleStatsV1(w http.ResponseWriter, r *http.Request) {
 	per := map[string]modelStats{}
-	for _, m := range f.b.Models() {
+	for _, m := range e.Models() {
 		per[m.Name] = modelStats{Requests: m.requests.Load(), Predictions: m.predictions.Load()}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_s": time.Since(f.b.startTime()).Seconds(),
-		"requests": f.b.requestsTotal(),
-		"errors":   f.b.errorsTotal(),
+		"uptime_s": time.Since(e.start).Seconds(),
+		"requests": e.requestsTotal(),
+		"errors":   e.errors.Load(),
 		"models":   per,
 	})
 }
 
-func (f *front) handleStatsV2(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, f.statsBody())
+func (e *Engine) handleStatsV2(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, e.statsBody())
 }
 
 // latencyBody renders a latency histogram as the stats document's latency
@@ -323,13 +320,12 @@ func latencyBody(h *histo.Histogram) map[string]any {
 }
 
 // statsBody builds the v2 stats document (shared by the HTTP route and the
-// socket transport's "stats" control op). A flat engine renders exactly the
-// pre-sharding document; a sharded backend adds "shards" and (with tenant
-// gating) "tenants" blocks.
-func (f *front) statsBody() map[string]any {
-	snap := f.b.mirrorSnapshot()
+// socket transport's "stats" control op). A multi-shard engine adds a
+// "shards" block, and tenant gating a "tenants" block.
+func (e *Engine) statsBody() map[string]any {
+	snap := e.mirrorSnapshot()
 	per := map[string]modelStats{}
-	for _, m := range f.b.Models() {
+	for _, m := range e.Models() {
 		per[m.Name] = statsFor(m, snap)
 	}
 	shadow := map[string]any{"enabled": snap != nil}
@@ -341,27 +337,26 @@ func (f *front) statsBody() map[string]any {
 		shadow["refits"] = snap.Refits
 		shadow["rollbacks"] = snap.Rollbacks
 	}
-	sc := f.b.shmc()
 	body := map[string]any{
-		"uptime_s":  time.Since(f.b.startTime()).Seconds(),
-		"requests":  f.b.requestsTotal(),
-		"errors":    f.b.errorsTotal(),
-		"reloads":   f.b.Reloads(),
-		"dir":       f.b.Dir(),
-		"loaded_at": f.b.LoadedAt().UTC().Format(time.RFC3339),
+		"uptime_s":  time.Since(e.start).Seconds(),
+		"requests":  e.requestsTotal(),
+		"errors":    e.errors.Load(),
+		"reloads":   e.Reloads(),
+		"dir":       e.Dir(),
+		"loaded_at": e.LoadedAt().UTC().Format(time.RFC3339),
 		"models":    per,
 		"shadow":    shadow,
 		"shm": map[string]any{
-			"conns": sc.conns.Load(),
-			"wakes": sc.wakes.Load(),
+			"conns": e.shm.conns.Load(),
+			"wakes": e.shm.wakes.Load(),
 		},
-		"latency": f.b.latencySummary(),
+		"latency": latencyBody(e.Latency()),
 	}
-	if shards := f.b.shardStats(); shards != nil {
-		body["shards"] = shards
+	if e.ShardCount() > 1 {
+		body["shards"] = e.shardStats()
 	}
-	if tenants := f.b.tenantStats(); tenants != nil {
-		body["tenants"] = tenants
+	if e.gate != nil {
+		body["tenants"] = e.gate.snapshot()
 	}
 	return body
 }
@@ -373,49 +368,49 @@ type reloadRequest struct {
 	Dir string `json:"dir"`
 }
 
-func (f *front) handleReload(w http.ResponseWriter, r *http.Request) {
+func (e *Engine) handleReload(w http.ResponseWriter, r *http.Request) {
 	var req reloadRequest
 	if body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20)); err != nil {
-		f.fail(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		e.fail(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	} else if len(body) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
-			f.fail(w, http.StatusBadRequest, "bad request body: "+err.Error())
+			e.fail(w, http.StatusBadRequest, "bad request body: "+err.Error())
 			return
 		}
 	}
-	if err := f.b.Reload(req.Dir); err != nil {
+	if err := e.Reload(req.Dir); err != nil {
 		// The old generation is still serving; the reload itself failed.
-		f.fail(w, http.StatusConflict, err.Error())
+		e.fail(w, http.StatusConflict, err.Error())
 		return
 	}
 	names := make([]string, 0)
-	for _, m := range f.b.Models() {
+	for _, m := range e.Models() {
 		names = append(names, m.Name)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"reloaded": true,
-		"dir":      f.b.Dir(),
+		"dir":      e.Dir(),
 		"models":   names,
-		"skipped":  len(f.b.Skipped()),
+		"skipped":  len(e.Skipped()),
 	})
 }
 
 // handleMetrics renders the engine counters in the Prometheus text
 // exposition format — no client library, the format is four line shapes.
-func (f *front) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (e *Engine) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	counter("metis_requests_total", "Predict calls admitted or rejected by the engine.", f.b.requestsTotal())
-	counter("metis_errors_total", "Requests that failed (any 4xx/5xx).", f.b.errorsTotal())
-	counter("metis_reloads_total", "Registry hot reloads applied.", f.b.Reloads())
-	counter("metis_shm_wakes_total", "Doorbell frames written to parked ring clients (flat while rings stay busy).", f.b.shmc().wakes.Load())
+	counter("metis_requests_total", "Predict calls admitted or rejected by the engine.", e.requestsTotal())
+	counter("metis_errors_total", "Requests that failed (any 4xx/5xx).", e.errors.Load())
+	counter("metis_reloads_total", "Registry hot reloads applied.", e.Reloads())
+	counter("metis_shm_wakes_total", "Doorbell frames written to parked ring clients (flat while rings stay busy).", e.shm.wakes.Load())
 	// Shadow-loop counters render as zeros until a mirror is installed, so
 	// scrapers see a stable metric set whether or not -shadow-rate is on.
 	var snap MirrorSnapshot
-	if s := f.b.mirrorSnapshot(); s != nil {
+	if s := e.mirrorSnapshot(); s != nil {
 		snap = *s
 	}
 	counter("metis_shadow_sampled_total", "Predict batches mirrored to the shadow-scoring queue.", snap.Sampled)
@@ -424,18 +419,19 @@ func (f *front) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("metis_shadow_refits_total", "Drift-triggered student refits applied by the shadow loop.", snap.Refits)
 	counter("metis_shadow_rollbacks_total", "Refits rolled back because the new student measured worse.", snap.Rollbacks)
 	fmt.Fprintf(&b, "# HELP metis_shm_conns Connections currently serving shared-memory ring traffic.\n# TYPE metis_shm_conns gauge\nmetis_shm_conns %d\n",
-		f.b.shmc().conns.Load())
+		e.shm.conns.Load())
 	fmt.Fprintf(&b, "# HELP metis_uptime_seconds Engine uptime.\n# TYPE metis_uptime_seconds gauge\nmetis_uptime_seconds %.3f\n",
-		time.Since(f.b.startTime()).Seconds())
-	models := f.b.Models() // already sorted by name
+		time.Since(e.start).Seconds())
+	models := e.Models() // already sorted by name
 	fmt.Fprintf(&b, "# HELP metis_models Servable models in the current registry generation.\n# TYPE metis_models gauge\nmetis_models %d\n", len(models))
-	if shards := f.b.shardStats(); shards != nil {
+	if e.ShardCount() > 1 {
 		b.WriteString("# HELP metis_shard_requests_total Predict requests per engine shard.\n# TYPE metis_shard_requests_total counter\n")
-		for _, ss := range shards {
+		for _, ss := range e.shardStats() {
 			fmt.Fprintf(&b, "metis_shard_requests_total{shard=\"%d\"} %d\n", ss.Shard, ss.Requests)
 		}
 	}
-	if tenants := f.b.tenantStats(); tenants != nil {
+	if e.gate != nil {
+		tenants := e.gate.snapshot()
 		b.WriteString("# HELP metis_tenant_admitted_total Predict calls admitted per tenant.\n# TYPE metis_tenant_admitted_total counter\n")
 		for name, ts := range tenants {
 			fmt.Fprintf(&b, "metis_tenant_admitted_total{tenant=%q} %d\n", name, ts.Admitted)
@@ -459,11 +455,11 @@ func (f *front) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // failErr maps an engine error to its HTTP status. A 503 carries a computed
 // Retry-After — the admission gate's own estimate when the error brought
-// one, else the backend's generic backpressure hint — rendered in fractional
+// one, else the engine's generic backpressure hint — rendered in fractional
 // seconds (RFC 9110 allows only integer seconds, but every consumer here is
 // the metis client, which parses fractions; an integer-only client rounding
 // down to 0 just retries immediately, as it did with the old hardcoded 1).
-func (f *front) failErr(w http.ResponseWriter, err error) {
+func (e *Engine) failErr(w http.ResponseWriter, err error) {
 	var (
 		unknown *UnknownModelError
 		size    *BatchSizeError
@@ -473,7 +469,7 @@ func (f *front) failErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrBusy):
 		code = http.StatusServiceUnavailable
-		ra := f.b.busyRetryAfter()
+		ra := e.busyRetryAfter()
 		if errors.As(err, &busy) && busy.RetryAfter > 0 {
 			ra = busy.RetryAfter
 		}
@@ -483,7 +479,7 @@ func (f *front) failErr(w http.ResponseWriter, err error) {
 	case errors.As(err, &size):
 		code = http.StatusRequestEntityTooLarge
 	}
-	f.fail(w, code, err.Error())
+	e.fail(w, code, err.Error())
 }
 
 // formatRetryAfter renders a Retry-After duration as fractional seconds.
@@ -494,7 +490,7 @@ func formatRetryAfter(d time.Duration) string {
 // fail renders a JSON error and accounts it in the engine error counter —
 // the single error-accounting point of the HTTP layer, so every 4xx/5xx
 // response bumps the counter exactly once.
-func (f *front) fail(w http.ResponseWriter, code int, msg string) {
-	f.b.addError()
+func (e *Engine) fail(w http.ResponseWriter, code int, msg string) {
+	e.errors.Add(1)
 	writeJSON(w, code, map[string]string{"error": msg})
 }

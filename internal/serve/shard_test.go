@@ -48,10 +48,10 @@ func shardFixtureDir(t *testing.T, n int) (string, *dtree.Tree) {
 }
 
 // TestShardedPredictParity: a 4-shard engine answers every model exactly as
-// the flat engine does, and the union model listing is complete.
+// the tree does, and the union model listing is complete.
 func TestShardedPredictParity(t *testing.T) {
 	dir, tree := shardFixtureDir(t, 8)
-	s, err := NewShardedEngine(dir, Config{Shards: 4})
+	s, err := NewEngine(dir, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestShardedPredictParity(t *testing.T) {
 // predict.
 func TestShardedReloadAndReshardUnderLoad(t *testing.T) {
 	dir, _ := shardFixtureDir(t, 8)
-	s, err := NewShardedEngine(dir, Config{Shards: 4})
+	s, err := NewEngine(dir, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestShardedReloadAndReshardUnderLoad(t *testing.T) {
 // stability), and per-model counters carry over.
 func TestShardedReloadKeepsAssignments(t *testing.T) {
 	dir, _ := shardFixtureDir(t, 8)
-	s, err := NewShardedEngine(dir, Config{Shards: 3})
+	s, err := NewEngine(dir, Config{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestShardedReloadKeepsAssignments(t *testing.T) {
 // on a sharded engine, with totals consistent with the traffic.
 func TestShardedStatsEndpoint(t *testing.T) {
 	dir, _ := shardFixtureDir(t, 8)
-	s, err := NewShardedEngine(dir, Config{
+	s, err := NewEngine(dir, Config{
 		Shards: 4, Tenants: map[string]float64{"gold": 3, "bronze": 1}, MaxInflight: 8,
 	})
 	if err != nil {
@@ -258,7 +258,7 @@ func TestShardedStatsEndpoint(t *testing.T) {
 // with a computed fractional Retry-After, not the old hardcoded "1".
 func TestShardedRetryAfterComputed(t *testing.T) {
 	dir, _ := shardFixtureDir(t, 2)
-	s, err := NewShardedEngine(dir, Config{
+	s, err := NewEngine(dir, Config{
 		Shards: 2, MaxInflight: 1,
 		Tenants: map[string]float64{"a": 1}, TenantQueue: 1,
 	})

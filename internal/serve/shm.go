@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 
 	"repro/internal/shmring"
 )
@@ -113,7 +112,7 @@ func appendSHMAck(out []byte, g shmring.Geometry, path string) []byte {
 // additionally negotiate an MTS1 segment. Callers that pass a listener to
 // ServeUDS instead get a server that answers the open with an error — which
 // clients treat as "fall back to v2".
-func (e *Engine) ServeSHM(l net.Listener) error { return (&front{e}).serveFramed(l, true) }
+func (e *Engine) ServeSHM(l net.Listener) error { return e.serveFramed(l, true) }
 
 // SHMWakes returns how many doorbell frames the server has written — the
 // zero-syscall claim's observable: while a client keeps the request ring
@@ -127,8 +126,8 @@ func (e *Engine) SHMConns() int64 { return e.shm.conns.Load() }
 // config: zeros become the configured (or package) defaults, the config caps
 // both axes when set — the server owns the memory — and the result is
 // normalized into validity.
-func (f *front) shmGeometry(req shmring.Geometry) shmring.Geometry {
-	cfg := f.b.config()
+func (e *Engine) shmGeometry(req shmring.Geometry) shmring.Geometry {
+	cfg := e.cfg
 	if req.Slots == 0 && cfg.SHMSlots > 0 {
 		req.Slots = uint32(cfg.SHMSlots)
 	}
@@ -148,8 +147,8 @@ func (f *front) shmGeometry(req shmring.Geometry) shmring.Geometry {
 // createSHMSegment builds a fresh segment file for one connection. The
 // directory prefers Config.SHMDir, then /dev/shm (memory-backed, no
 // writeback), then the OS temp dir.
-func (f *front) createSHMSegment(g shmring.Geometry) (*shmring.Segment, error) {
-	dir := f.b.config().SHMDir
+func (e *Engine) createSHMSegment(g shmring.Geometry) (*shmring.Segment, error) {
+	dir := e.cfg.SHMDir
 	if dir == "" {
 		if st, err := os.Stat("/dev/shm"); err == nil && st.IsDir() {
 			dir = "/dev/shm"
@@ -157,7 +156,7 @@ func (f *front) createSHMSegment(g shmring.Geometry) (*shmring.Segment, error) {
 			dir = os.TempDir()
 		}
 	}
-	path := filepath.Join(dir, fmt.Sprintf("metis-ring-%d-%d.shm", os.Getpid(), f.b.shmc().seq.Add(1)))
+	path := filepath.Join(dir, fmt.Sprintf("metis-ring-%d-%d.shm", os.Getpid(), e.shm.seq.Add(1)))
 	return shmring.Create(path, g)
 }
 
@@ -167,7 +166,7 @@ func (f *front) createSHMSegment(g shmring.Geometry) (*shmring.Segment, error) {
 // is a protocol violation the stream cannot recover from). Acks and errors
 // are enqueued through the normal response channel, so they interleave
 // correctly with in-flight v2 responses.
-func (f *front) shmHandshake(frame []byte, id uint32, pending **shmring.Segment, resps chan<- udsV2Resp) (ready *shmring.Segment, ok bool) {
+func (e *Engine) shmHandshake(frame []byte, id uint32, pending **shmring.Segment, resps chan<- udsV2Resp) (ready *shmring.Segment, ok bool) {
 	reply := func(payload func(out []byte) []byte) {
 		outp := udsBufPool.Get().(*[]byte)
 		*outp = payload((*outp)[:0])
@@ -175,7 +174,7 @@ func (f *front) shmHandshake(frame []byte, id uint32, pending **shmring.Segment,
 	}
 	if len(frame) < 5 {
 		reply(func(out []byte) []byte {
-			f.b.addError()
+			e.errors.Add(1)
 			return appendErrorPayload(out, http.StatusBadRequest, "short shm handshake frame")
 		})
 		return nil, true
@@ -193,10 +192,10 @@ func (f *front) shmHandshake(frame []byte, id uint32, pending **shmring.Segment,
 			(*pending).Unlink()
 			*pending = nil
 		}
-		seg, err := f.createSHMSegment(f.shmGeometry(req))
+		seg, err := e.createSHMSegment(e.shmGeometry(req))
 		if err != nil {
 			reply(func(out []byte) []byte {
-				f.b.addError()
+				e.errors.Add(1)
 				return appendErrorPayload(out, http.StatusInternalServerError, "shm segment: "+err.Error())
 			})
 			return nil, true
@@ -220,7 +219,7 @@ func (f *front) shmHandshake(frame []byte, id uint32, pending **shmring.Segment,
 		return nil, true
 	default:
 		reply(func(out []byte) []byte {
-			f.b.addError()
+			e.errors.Add(1)
 			return appendErrorPayload(out, http.StatusBadRequest,
 				fmt.Sprintf("unknown shm handshake op %d", frame[4]))
 		})
@@ -235,23 +234,18 @@ func (f *front) shmHandshake(frame []byte, id uint32, pending **shmring.Segment,
 const shmSpin = 128
 
 // serveSHM serves one connection's ring traffic until the peer disconnects
-// or corrupts the segment. The single-consumer loop is the default: with
-// requests decoded zero-copy out of the slab and answered in place, the
-// per-batch work is pure inference, which the owning engine's pool already
-// parallelizes across rows. On a sharded backend with real parallelism to
-// exploit (multiple shards AND multiple cores), the loop switches to the
-// windowed per-shard dispatch mode (serveSHMSharded), which overlaps
-// inference for requests bound to different shards. The socket read side
-// runs in one helper goroutine that collapses every inbound frame into a
-// wake signal.
+// or corrupts the segment. One consumer answers every request in ring
+// order: with requests decoded zero-copy out of the slab and answered in
+// place, the per-batch work is pure inference, which the owning shard's pool
+// already parallelizes across rows. The socket read side runs in one helper
+// goroutine that collapses every inbound frame into a wake signal.
 //
 // Per-batch stats and latency samples accumulate in a statBatch and flush
 // every statFlushEvery batches or when the loop is about to park idle, so
 // the steady-state ring path touches no shared counters.
-func (f *front) serveSHM(conn net.Conn, br *bufio.Reader, seg *shmring.Segment) {
-	sc := f.b.shmc()
-	sc.conns.Add(1)
-	defer sc.conns.Add(-1)
+func (e *Engine) serveSHM(conn net.Conn, br *bufio.Reader, seg *shmring.Segment) {
+	e.shm.conns.Add(1)
+	defer e.shm.conns.Add(-1)
 	// Teardown order: stop touching the rings (this function returns), then
 	// unmap. The socket-reader helper never touches the segment, so it may
 	// outlive the unmap until the deferred conn.Close in serveUDSConn
@@ -275,11 +269,6 @@ func (f *front) serveSHM(conn net.Conn, br *bufio.Reader, seg *shmring.Segment) 
 		}
 	}()
 
-	if workers := min(f.b.shardCount(), runtime.GOMAXPROCS(0)); workers > 1 {
-		f.serveSHMSharded(conn, seg, wake, closed, workers)
-		return
-	}
-
 	s := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(s)
 	var st statBatch
@@ -299,13 +288,13 @@ func (f *front) serveSHM(conn net.Conn, br *bufio.Reader, seg *shmring.Segment) 
 			}
 			continue
 		}
-		if !f.shmAnswer(seg, id, payload, s, &st, closed) {
+		if !e.shmAnswer(seg, id, payload, s, &st, closed) {
 			conn.Close()
 			return
 		}
 		seg.Req.Advance()
 		if seg.Resp.TakeWaiting() {
-			sc.wakes.Add(1)
+			e.shm.wakes.Add(1)
 			if err := WriteFrame(conn, DoorbellPayload); err != nil {
 				conn.Close()
 				return
@@ -355,26 +344,16 @@ func shmWaitRequest(seg *shmring.Segment, wake <-chan struct{}, closed <-chan st
 // slot (spinning while the client drains a full ring), encodes the response
 // into the slab, and publishes it under the request's id. False means the
 // connection died while the response ring stayed full.
-func (f *front) shmAnswer(seg *shmring.Segment, id uint32, frame []byte, s *batchScratch, st *statBatch, closed <-chan struct{}) bool {
-	slot, ok := shmReserve(seg, closed)
-	if !ok {
-		return false
-	}
-	seg.Resp.Publish(id, len(f.shmEncode(frame, s, slot, st)))
-	return true
-}
-
-// shmReserve claims the next response slot, spinning while the client drains
-// a full ring. ok=false means the connection died while the ring stayed full.
-func shmReserve(seg *shmring.Segment, closed <-chan struct{}) ([]byte, bool) {
+func (e *Engine) shmAnswer(seg *shmring.Segment, id uint32, frame []byte, s *batchScratch, st *statBatch, closed <-chan struct{}) bool {
 	for i := 0; ; i++ {
 		if slot, ok := seg.Resp.Reserve(); ok {
-			return slot, true
+			seg.Resp.Publish(id, len(e.shmEncode(frame, s, slot, st)))
+			return true
 		}
 		if i%shmSpin == shmSpin-1 {
 			select {
 			case <-closed:
-				return nil, false
+				return false
 			default:
 			}
 		}
@@ -387,34 +366,34 @@ func shmReserve(seg *shmring.Segment, closed <-chan struct{}) ([]byte, bool) {
 // size is prechecked against the slot before encoding), and as a truncated
 // in-slot error frame when it cannot. It mirrors udsDispatch except that
 // nothing here may reallocate off the slab.
-func (f *front) shmEncode(frame []byte, s *batchScratch, slot []byte, st *statBatch) []byte {
+func (e *Engine) shmEncode(frame []byte, s *batchScratch, slot []byte, st *statBatch) []byte {
 	switch FrameKind(frame) {
 	case batchMagic:
 		// aliasOK: frame is a request-ring slot that stays reserved until
 		// Advance, well past the predict that consumes the matrix — with an
 		// aligned producer (SHMAlignSkip) this is the zero-copy path the
 		// shared-memory transport exists for.
-		model, flat, nRows, features, derr := s.decodeRequestFlat(frame, f.b.maxBatch(), true)
+		model, flat, nRows, features, derr := s.decodeRequestFlat(frame, e.maxBatch(), true)
 		if derr != nil {
-			return f.shmError(slot, derr)
+			return e.shmError(slot, derr)
 		}
 		if model == "" {
-			return f.shmError(slot, fmt.Errorf("%w: empty model name", ErrBadBatchEncoding))
+			return e.shmError(slot, fmt.Errorf("%w: empty model name", ErrBadBatchEncoding))
 		}
 		// Fast path: quantized classification straight off the flat matrix,
 		// actions encoded into the slot as they are computed, stats batched.
-		out, handled, err := f.b.predictFlatSlot("", model, flat, nRows, features, slot, st)
+		out, handled, err := e.predictFlatSlot(model, flat, nRows, features, slot, st)
 		if handled {
 			if err != nil {
-				return f.shmError(slot, err)
+				return e.shmError(slot, err)
 			}
 			return out
 		}
 		// Generic fallback (regression, non-quantized, mirror installed, or
 		// an oversized response): build the row view and run the full path.
 		rows := s.rowsFromFlat(flat, nRows, features)
-		if err := f.b.predictTenant("", model, rows, &s.pred); err != nil {
-			return f.shmError(slot, err)
+		if err := e.predictTenant("", model, rows, &s.pred); err != nil {
+			return e.shmError(slot, err)
 		}
 		need := 13 + len(s.pred.Actions)*4
 		if s.pred.Values != nil {
@@ -425,13 +404,13 @@ func (f *front) shmEncode(frame []byte, s *batchScratch, slot []byte, st *statBa
 			need = 13 + len(s.pred.Values)*dim*8
 		}
 		if need > cap(slot) {
-			f.b.addError()
+			e.errors.Add(1)
 			return appendErrorPayloadBounded(slot, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("response needs %d bytes, ring slot holds %d", need, cap(slot)))
 		}
 		out, aerr := appendBatchResponse(slot, &s.pred)
 		if aerr != nil {
-			return f.shmError(slot, aerr)
+			return e.shmError(slot, aerr)
 		}
 		return out
 	case controlMagic:
@@ -439,15 +418,15 @@ func (f *front) shmEncode(frame []byte, s *batchScratch, slot []byte, st *statBa
 		// copied in when it fits. Flush first so the stats op observes the
 		// accumulated counters.
 		st.flush()
-		out := f.udsControl(frame[4:], nil)
+		out := e.udsControl(frame[4:], nil)
 		if len(out) > cap(slot) {
-			f.b.addError()
+			e.errors.Add(1)
 			return appendErrorPayloadBounded(slot, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("control response needs %d bytes, ring slot holds %d", len(out), cap(slot)))
 		}
 		return append(slot, out...)
 	default:
-		f.b.addError()
+		e.errors.Add(1)
 		return appendErrorPayloadBounded(slot, http.StatusBadRequest,
 			fmt.Sprintf("unknown frame magic %q", FrameKind(frame)))
 	}
@@ -455,8 +434,8 @@ func (f *front) shmEncode(frame []byte, s *batchScratch, slot []byte, st *statBa
 
 // shmError renders err as an in-slot "MTE1" payload with the transport-wide
 // status mapping, accounting it like every other socket error.
-func (f *front) shmError(slot []byte, err error) []byte {
-	f.b.addError()
+func (e *Engine) shmError(slot []byte, err error) []byte {
+	e.errors.Add(1)
 	return appendErrorPayloadBounded(slot, errorStatus(err), err.Error())
 }
 
@@ -469,122 +448,4 @@ func appendErrorPayloadBounded(out []byte, status int, msg string) []byte {
 		msg = msg[:max]
 	}
 	return appendErrorPayload(out, status, msg)
-}
-
-// serveSHMSharded is the ring consumer loop for a sharded backend on a
-// multi-core host. The SPSC ring contract requires a single consumer, so the
-// main loop keeps every ring operation to itself — PeekAt to look ahead,
-// Reserve/Publish and Advance strictly in order — while per-shard workers
-// run the inference for up to 2×workers outstanding requests concurrently.
-// Workers encode into their own slot-sized buffers (Reserve/Publish must be
-// paired, so response slots cannot be handed out ahead of order); the main
-// loop copies each finished response into the next slot and publishes it.
-// Requests bound to different shards overlap; responses publish in request
-// order, which clients multiplexing by id never observe.
-func (f *front) serveSHMSharded(conn net.Conn, seg *shmring.Segment, wake, closed chan struct{}, workers int) {
-	sc := f.b.shmc()
-	type job struct {
-		id    uint32
-		frame []byte
-		out   []byte
-		done  chan struct{}
-	}
-	chans := make([]chan *job, workers)
-	var wg sync.WaitGroup
-	for i := range chans {
-		ch := make(chan *job, 2)
-		chans[i] = ch
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := batchScratchPool.Get().(*batchScratch)
-			defer batchScratchPool.Put(s)
-			var st statBatch
-			defer st.flush()
-			for j := range ch {
-				j.out = f.shmEncode(j.frame, s, j.out[:0], &st)
-				close(j.done)
-				if len(ch) == 0 {
-					st.flush()
-				}
-			}
-		}()
-	}
-	// Join the workers before returning: the caller unmaps the segment, and
-	// workers decode request frames zero-copy out of its slab.
-	defer func() {
-		for _, ch := range chans {
-			close(ch)
-		}
-		wg.Wait()
-	}()
-
-	window := 2 * workers
-	free := make([]*job, window)
-	for i := range free {
-		free[i] = &job{out: make([]byte, 0, seg.Resp.SlotSize())}
-	}
-	inflight := make([]*job, 0, window)
-	for {
-		// Fill the dispatch window from the request ring. Peeked payloads
-		// stay valid until Advance moves past them, so a worker may decode
-		// entry k zero-copy while entries before it are still in flight.
-		for len(inflight) < window {
-			id, payload, ok, err := seg.Req.PeekAt(len(inflight))
-			if err != nil {
-				conn.Close()
-				return
-			}
-			if !ok {
-				break
-			}
-			j := free[len(free)-1]
-			free = free[:len(free)-1]
-			j.id, j.frame, j.done = id, payload, make(chan struct{})
-			chans[shmShardOf(f.b, payload, workers)] <- j
-			inflight = append(inflight, j)
-		}
-		if len(inflight) == 0 {
-			if !shmWaitRequest(seg, wake, closed) {
-				return
-			}
-			continue
-		}
-		// Retire the oldest request: wait for its worker, publish, advance.
-		j := inflight[0]
-		<-j.done
-		slot, ok := shmReserve(seg, closed)
-		if !ok {
-			conn.Close()
-			return
-		}
-		seg.Resp.Publish(j.id, copy(slot[:len(j.out)], j.out))
-		seg.Req.Advance()
-		copy(inflight, inflight[1:])
-		inflight = inflight[:len(inflight)-1]
-		j.frame = nil
-		free = append(free, j)
-		if seg.Resp.TakeWaiting() {
-			sc.wakes.Add(1)
-			if err := WriteFrame(conn, DoorbellPayload); err != nil {
-				conn.Close()
-				return
-			}
-		}
-	}
-}
-
-// shmShardOf routes a frame to a dispatch worker: batch requests hash their
-// model name through the backend's shard assignment; control and short
-// frames fall through to worker 0, whose shmEncode handles them (and their
-// error paths) like any other payload.
-func shmShardOf(b Backend, frame []byte, workers int) int {
-	if len(frame) < batchHeaderSize || FrameKind(frame) != batchMagic {
-		return 0
-	}
-	nameLen := int(binary.LittleEndian.Uint16(frame[4:6]))
-	if batchHeaderSize+nameLen > len(frame) {
-		return 0
-	}
-	return b.shardIndex(string(frame[batchHeaderSize:batchHeaderSize+nameLen])) % workers
 }

@@ -456,7 +456,7 @@ func TestSHMEncodeBounded(t *testing.T) {
 	}
 	slot := make([]byte, 0, 256)
 	var st statBatch
-	out := (&front{e}).shmEncode(req.Bytes(), s, slot, &st)
+	out := e.shmEncode(req.Bytes(), s, slot, &st)
 	st.flush()
 	if &out[0] != &slot[:1][0] {
 		t.Fatal("shmEncode escaped the slot")
@@ -479,18 +479,13 @@ func TestSHMEncodeBounded(t *testing.T) {
 	}
 }
 
-// TestSHMShardedDispatch drives the windowed per-shard dispatch loop: on a
-// multi-core host a sharded backend answers pipelined ring traffic for
-// models on different shards concurrently, in request order, bit-identical
-// to the in-process engine — with control frames and errors interleaved.
+// TestSHMShardedDispatch drives the ring loop over a 4-shard engine: pipelined
+// ring traffic for models on different shards is answered in request order,
+// bit-identical to the in-process engine — with control frames and errors
+// interleaved — and every request is counted on its shard.
 func TestSHMShardedDispatch(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		// The sharded loop only engages with real parallelism available;
-		// raise it for this test and restore after.
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	}
 	dir, tree := shardFixtureDir(t, 8)
-	s, err := NewShardedEngine(dir, Config{Shards: 4, SHMDir: t.TempDir()})
+	s, err := NewEngine(dir, Config{Shards: 4, SHMDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,8 +511,7 @@ func TestSHMShardedDispatch(t *testing.T) {
 	seg := shmOpen(t, conn, br, shmring.Geometry{})
 
 	// Pipeline a burst of requests across all 8 models (spread over the 4
-	// shards) without reading a single response: the window fills and the
-	// per-shard workers overlap.
+	// shards) without reading a single response.
 	rows := [][]float64{{0.9, 0.1}, {0.2, 0.7}, {0.5, 0.5}}
 	want := make([]int, len(rows))
 	for i, row := range rows {
@@ -554,7 +548,7 @@ func TestSHMShardedDispatch(t *testing.T) {
 		}
 		publish(id, req.Bytes())
 	}
-	// A control frame and a junk frame ride the same dispatch path.
+	// A control frame and a junk frame ride the same ring.
 	ctrl, err := ControlRequest("stats", "", "")
 	if err != nil {
 		t.Fatal(err)

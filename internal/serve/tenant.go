@@ -67,6 +67,20 @@ func ParseTenantWeights(s string) (map[string]float64, error) {
 	return out, nil
 }
 
+// TenantStats is one tenant's weighted-fair-admission counters.
+type TenantStats struct {
+	Weight float64 `json:"weight"`
+	// Admitted counts calls that passed the gate (immediately or after
+	// queueing); Rejected counts calls shed at a full tenant queue; Shed
+	// counts queued waiters evicted under global overload (the most-
+	// over-quota tenant loses its newest waiter first).
+	Admitted int64 `json:"admitted"`
+	Rejected int64 `json:"rejected"`
+	Shed     int64 `json:"shed"`
+	// Queued is the live queue depth at snapshot time.
+	Queued int `json:"queued"`
+}
+
 // DefaultTenantQueue bounds each tenant's admission queue when
 // Config.TenantQueue is 0.
 const DefaultTenantQueue = 16

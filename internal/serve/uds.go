@@ -227,10 +227,10 @@ func ListenUDS(path string) (net.Listener, error) {
 // is visible on the socket and over HTTP in the same instant. It returns nil
 // on a clean listener close. Shared-memory negotiation is declined (clients
 // fall back to v2); see ServeSHM.
-func (e *Engine) ServeUDS(l net.Listener) error { return (&front{e}).serveFramed(l, false) }
+func (e *Engine) ServeUDS(l net.Listener) error { return e.serveFramed(l, false) }
 
 // serveFramed is the accept loop shared by ServeUDS and ServeSHM.
-func (f *front) serveFramed(l net.Listener, allowSHM bool) error {
+func (e *Engine) serveFramed(l net.Listener, allowSHM bool) error {
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for {
@@ -252,7 +252,7 @@ func (f *front) serveFramed(l net.Listener, allowSHM bool) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f.serveUDSConn(conn, true, allowSHM)
+			e.serveUDSConn(conn, true, allowSHM)
 		}()
 	}
 }
@@ -264,7 +264,7 @@ func (f *front) serveFramed(l net.Listener, allowSHM bool) error {
 // frame buffer, the decode/predict/encode scratch, the response buffer — is
 // allocated once and reused for every frame, so a pinned connection serves
 // at a steady-state allocation rate of zero.
-func (f *front) serveUDSConn(conn net.Conn, allowV2, allowSHM bool) {
+func (e *Engine) serveUDSConn(conn net.Conn, allowV2, allowSHM bool) {
 	defer conn.Close()
 	// 256 KiB: large enough that a full default-max-batch predict frame fits
 	// the pipelined mode's zero-copy peek window, and cheap at the handful of
@@ -289,11 +289,11 @@ func (f *front) serveUDSConn(conn net.Conn, allowV2, allowSHM bool) {
 			if err := WriteFrame(conn, []byte(HelloMagic)); err != nil {
 				return
 			}
-			f.serveUDSPipelined(conn, br, allowSHM)
+			e.serveUDSPipelined(conn, br, allowSHM)
 			return
 		}
 		first = false
-		out = f.udsDispatch(frame, s, out[:0])
+		out = e.udsDispatch(frame, s, out[:0])
 		if err := WriteFrame(conn, out); err != nil {
 			return
 		}
@@ -301,14 +301,14 @@ func (f *front) serveUDSConn(conn net.Conn, allowV2, allowSHM bool) {
 }
 
 // udsDispatch answers one request payload (either framing version) into out.
-func (f *front) udsDispatch(frame []byte, s *batchScratch, out []byte) []byte {
+func (e *Engine) udsDispatch(frame []byte, s *batchScratch, out []byte) []byte {
 	switch FrameKind(frame) {
 	case batchMagic:
-		return f.udsPredict(frame, s, out)
+		return e.udsPredict(frame, s, out)
 	case controlMagic:
-		return f.udsControl(frame[4:], out)
+		return e.udsControl(frame[4:], out)
 	default:
-		f.b.addError()
+		e.errors.Add(1)
 		return appendErrorPayload(out, http.StatusBadRequest,
 			fmt.Sprintf("unknown frame magic %q", FrameKind(frame)))
 	}
@@ -363,8 +363,8 @@ type udsV2Resp struct {
 // dead air. When allowSHM is set the reader additionally speaks the MTS1
 // handshake, and a completed handshake drains this whole apparatus and hands
 // the connection to serveSHM.
-func (f *front) serveUDSPipelined(conn net.Conn, br *bufio.Reader, allowSHM bool) {
-	workers := f.b.dispatchWorkers()
+func (e *Engine) serveUDSPipelined(conn net.Conn, br *bufio.Reader, allowSHM bool) {
+	workers := e.dispatchWorkers()
 	jobs := make(chan udsV2Job, udsPipelineQueue)
 	resps := make(chan udsV2Resp, udsPipelineQueue+workers)
 	writerDone := make(chan struct{})
@@ -436,10 +436,10 @@ func (f *front) serveUDSPipelined(conn net.Conn, br *bufio.Reader, allowSHM bool
 			for j := range jobs {
 				outp := udsBufPool.Get().(*[]byte)
 				if j.s != nil {
-					*outp = f.udsPredictDecoded(j.model, j.rows, j.derr, &j.s.pred, (*outp)[:0])
+					*outp = e.udsPredictDecoded(j.model, j.rows, j.derr, &j.s.pred, (*outp)[:0])
 					batchScratchPool.Put(j.s)
 				} else {
-					*outp = f.udsDispatch(*j.req, ws, (*outp)[:0])
+					*outp = e.udsDispatch(*j.req, ws, (*outp)[:0])
 					udsBufPool.Put(j.req)
 				}
 				resps <- udsV2Resp{id: j.id, out: outp}
@@ -488,7 +488,7 @@ func (f *front) serveUDSPipelined(conn net.Conn, br *bufio.Reader, allowSHM bool
 		}
 		frame := full[8:]
 		if allowSHM && FrameKind(frame) == SHMMagic {
-			ready, ok := f.shmHandshake(frame, id, &pendingSeg, resps)
+			ready, ok := e.shmHandshake(frame, id, &pendingSeg, resps)
 			br.Discard(n + 8)
 			if !ok {
 				break
@@ -503,7 +503,7 @@ func (f *front) serveUDSPipelined(conn net.Conn, br *bufio.Reader, allowSHM bool
 			s := batchScratchPool.Get().(*batchScratch)
 			// aliasOK=false: frame is a bufio peek, invalidated by the
 			// Discard below while the dispatched job still holds the rows.
-			model, rows, derr := s.decodeRequestBytes(frame, f.b.maxBatch(), false)
+			model, rows, derr := s.decodeRequestBytes(frame, e.maxBatch(), false)
 			br.Discard(n + 8)
 			jobs <- udsV2Job{id: id, s: s, model: model, rows: rows, derr: derr}
 		} else {
@@ -525,62 +525,62 @@ func (f *front) serveUDSPipelined(conn net.Conn, br *bufio.Reader, allowSHM bool
 		// The client is mapped (it said ready): drop the file name now so a
 		// crash on either side from here on leaks nothing, then serve rings.
 		liveSeg.Unlink()
-		f.serveSHM(conn, br, liveSeg)
+		e.serveSHM(conn, br, liveSeg)
 	}
 }
 
 // udsPredict answers one predict frame, encoding the response (or the error
 // frame) into out. The frame is decoded in place — no copy of the feature
 // payload is made.
-func (f *front) udsPredict(frame []byte, s *batchScratch, out []byte) []byte {
+func (e *Engine) udsPredict(frame []byte, s *batchScratch, out []byte) []byte {
 	// aliasOK: frame is the connection's own read buffer, untouched until
 	// the next ReadFrame — and the rows are consumed right here.
-	model, rows, err := s.decodeRequestBytes(frame, f.b.maxBatch(), true)
-	return f.udsPredictDecoded(model, rows, err, &s.pred, out)
+	model, rows, err := s.decodeRequestBytes(frame, e.maxBatch(), true)
+	return e.udsPredictDecoded(model, rows, err, &s.pred, out)
 }
 
 // udsPredictDecoded answers an already-decoded predict request, encoding the
 // response (or the error frame) into out. derr is the decode error, if any —
 // rendered here so pipelined decode errors flow through the same response
 // path as everything else.
-func (f *front) udsPredictDecoded(model string, rows [][]float64, derr error, pred *Prediction, out []byte) []byte {
+func (e *Engine) udsPredictDecoded(model string, rows [][]float64, derr error, pred *Prediction, out []byte) []byte {
 	if derr != nil {
-		return f.udsError(out, derr)
+		return e.udsError(out, derr)
 	}
 	if model == "" {
-		return f.udsError(out, fmt.Errorf("%w: empty model name", ErrBadBatchEncoding))
+		return e.udsError(out, fmt.Errorf("%w: empty model name", ErrBadBatchEncoding))
 	}
 	// Socket requests carry no tenant field; the model name keys the tenant.
-	if err := f.b.predictTenant("", model, rows, pred); err != nil {
-		return f.udsError(out, err)
+	if err := e.predictTenant("", model, rows, pred); err != nil {
+		return e.udsError(out, err)
 	}
 	resp, err := appendBatchResponse(out, pred)
 	if err != nil {
-		return f.udsError(out, err)
+		return e.udsError(out, err)
 	}
 	return resp
 }
 
 // udsControl answers one control frame with the same JSON bodies the HTTP
 // routes render.
-func (f *front) udsControl(body []byte, out []byte) []byte {
+func (e *Engine) udsControl(body []byte, out []byte) []byte {
 	var req controlReq
 	if err := json.Unmarshal(body, &req); err != nil {
-		f.b.addError()
+		e.errors.Add(1)
 		return appendErrorPayload(out, http.StatusBadRequest, "bad control body: "+err.Error())
 	}
 	var resp any
 	switch req.Op {
 	case "models":
 		infos := []modelInfo{}
-		for _, m := range f.b.Models() {
+		for _, m := range e.Models() {
 			infos = append(infos, m.info())
 		}
 		resp = map[string]any{"models": infos}
 	case "model":
-		m, ok := f.b.Model(req.Name)
+		m, ok := e.Model(req.Name)
 		if !ok {
-			f.b.addError()
+			e.errors.Add(1)
 			return appendErrorPayload(out, http.StatusNotFound, fmt.Sprintf("unknown model %q", req.Name))
 		}
 		resp = modelDetail{
@@ -588,25 +588,25 @@ func (f *front) udsControl(body []byte, out []byte) []byte {
 			Stats:     modelStats{Requests: m.requests.Load(), Predictions: m.predictions.Load()},
 		}
 	case "stats":
-		resp = f.statsBody()
+		resp = e.statsBody()
 	case "reload":
-		if err := f.b.Reload(req.Dir); err != nil {
-			f.b.addError()
+		if err := e.Reload(req.Dir); err != nil {
+			e.errors.Add(1)
 			return appendErrorPayload(out, http.StatusConflict, err.Error())
 		}
 		names := make([]string, 0)
-		for _, m := range f.b.Models() {
+		for _, m := range e.Models() {
 			names = append(names, m.Name)
 		}
-		resp = map[string]any{"reloaded": true, "dir": f.b.Dir(), "models": names, "skipped": len(f.b.Skipped())}
+		resp = map[string]any{"reloaded": true, "dir": e.Dir(), "models": names, "skipped": len(e.Skipped())}
 	default:
-		f.b.addError()
+		e.errors.Add(1)
 		return appendErrorPayload(out, http.StatusNotFound,
 			fmt.Sprintf("unknown control op %q (supported: models, model, stats, reload)", req.Op))
 	}
 	enc, err := json.Marshal(resp)
 	if err != nil {
-		f.b.addError()
+		e.errors.Add(1)
 		return appendErrorPayload(out, http.StatusInternalServerError, err.Error())
 	}
 	return append(append(out, jsonMagic...), enc...)
@@ -615,8 +615,8 @@ func (f *front) udsControl(body []byte, out []byte) []byte {
 // udsError renders err as an "MTE1" payload with the same status mapping as
 // the HTTP layer, and accounts it in the engine error counter — the socket
 // transport's single error-accounting point.
-func (f *front) udsError(out []byte, err error) []byte {
-	f.b.addError()
+func (e *Engine) udsError(out []byte, err error) []byte {
+	e.errors.Add(1)
 	return appendErrorPayload(out, errorStatus(err), err.Error())
 }
 

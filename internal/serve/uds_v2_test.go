@@ -48,7 +48,7 @@ func udsFixtureV1(t *testing.T) (*Engine, net.Conn, *bufio.Reader) {
 			if err != nil {
 				return
 			}
-			go (&front{e}).serveUDSConn(conn, false, false)
+			go e.serveUDSConn(conn, false, false)
 		}
 	}()
 	conn, err := net.Dial("unix", sock)

@@ -159,7 +159,7 @@ type sample struct {
 
 // Engine is the slice of a serving engine the monitor needs: model lookup
 // for enrollment, mirror installation, and reload to pick up refit
-// artifacts. Both *serve.Engine and *serve.ShardedEngine satisfy it.
+// artifacts. *serve.Engine satisfies it.
 type Engine interface {
 	Model(name string) (*serve.Model, bool)
 	Models() []*serve.Model

@@ -106,33 +106,6 @@ func (r *Ring) Peek() (id uint32, payload []byte, ok bool, err error) {
 	return id, r.slab[off : off+n], true, nil
 }
 
-// PeekAt is Peek for the k-th oldest unconsumed entry (PeekAt(0) == Peek).
-// It lets a consumer look ahead and dispatch several pending requests to
-// workers while still consuming in order: every peeked payload stays valid
-// until Advance moves the head past its entry. ok=false means fewer than k+1
-// entries are pending.
-func (r *Ring) PeekAt(k int) (id uint32, payload []byte, ok bool, err error) {
-	h := r.head.Load()
-	t := r.tail.Load()
-	d := t - h
-	if d > r.slots {
-		return 0, nil, false, fmt.Errorf("%w: cursors %d apart on a %d-slot ring", ErrCorrupt, d, r.slots)
-	}
-	if d <= uint64(k) {
-		return 0, nil, false, nil
-	}
-	h += uint64(k)
-	desc := r.descs[(h&r.mask)*descSize:]
-	off := uint64(binary.LittleEndian.Uint32(desc[0:4]))
-	n := uint64(binary.LittleEndian.Uint32(desc[4:8]))
-	id = binary.LittleEndian.Uint32(desc[8:12])
-	if n > r.slotSize || off+n > uint64(len(r.slab)) {
-		return 0, nil, false, fmt.Errorf("%w: descriptor %d+%d outside a %d-byte slab (slot size %d)",
-			ErrCorrupt, off, n, len(r.slab), r.slotSize)
-	}
-	return id, r.slab[off : off+n], true, nil
-}
-
 // Advance consumes the entry returned by the last Peek, freeing its slot for
 // the producer. The peeked payload must not be touched afterwards.
 func (r *Ring) Advance() {
