@@ -313,43 +313,14 @@ func lrlaBatch(n int) [][]float64 {
 	return X
 }
 
-// BenchmarkCompiledPredictBatch measures the serving hot path: batched
-// lock-free inference on the compiled lRLA tree across the worker pool.
-// The headline metric is predictions per second.
-func BenchmarkCompiledPredictBatch(b *testing.B) {
-	_, _, tree, _ := fixture().AuTo()
-	compiled, err := tree.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	X := lrlaBatch(16384)
-	for _, workers := range []int{1, 0} {
-		name := "serial"
-		if workers == 0 {
-			name = "allcores"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				compiled.PredictBatch(X, workers)
-			}
-			b.ReportMetric(float64(len(X))*float64(b.N)/b.Elapsed().Seconds(), "preds/s")
-		})
-	}
-}
-
-// BenchmarkQuantizedPredictBatch measures the quantized serving hot path:
-// the same batch and tree as BenchmarkCompiledPredictBatch, evaluated
-// through the flat breadth-first quantized form into a preallocated output
-// buffer. The serial subbench is the allocation contract — 0 allocs/op in
-// the traversal — and the preds/s metric is directly comparable with the
-// compiled bench.
+// BenchmarkQuantizedPredictBatch measures the serving hot path: batched
+// lock-free inference on the quantized lRLA tree across the worker pool,
+// into a preallocated output buffer. The serial subbench is the allocation
+// contract — 0 allocs/op in the traversal — and the headline metric is
+// predictions per second.
 func BenchmarkQuantizedPredictBatch(b *testing.B) {
 	_, _, tree, _ := fixture().AuTo()
-	compiled, err := tree.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, err := compiled.Quantize()
+	q, err := tree.Quantize()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -393,7 +364,7 @@ const serveBenchBatch = 512
 
 // BenchmarkServePredictBatch measures end-to-end serving throughput over
 // the JSON codec: a batch request through the v2 HTTP handler, including
-// decode, registry lookup, compiled-tree inference, and response encode.
+// decode, registry lookup, quantized-tree inference, and response encode.
 func BenchmarkServePredictBatch(b *testing.B) {
 	ts := serveBenchServer(b)
 	payload, err := json.Marshal(map[string]any{"xs": lrlaBatch(serveBenchBatch)})

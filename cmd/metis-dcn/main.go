@@ -1,7 +1,7 @@
 // Command metis-dcn demonstrates the AuTO pipeline: train the long-flow
 // agent on the fabric simulator, distill it, and compare flow completion
 // times and decision latencies between the DNN and the tree. Tree decision
-// latency is measured on the compiled (flattened, allocation-free)
+// latency is measured on the quantized (flattened, allocation-free)
 // representation — the form metis-serve deploys.
 //
 // -save writes the distilled tree as a versioned artifact; -load skips
@@ -67,8 +67,8 @@ func main() {
 	}
 	run("Metis+AuTO", agentFunc(tree.Predict))
 
-	// Decision latency on the deployment hot path: the compiled tree.
-	compiled, err := tree.Compile()
+	// Decision latency on the deployment hot path: the quantized tree.
+	quantized, err := tree.Quantize()
 	if err != nil {
 		panic(err)
 	}
@@ -81,13 +81,13 @@ func main() {
 		}
 		return time.Since(t0) / 10000
 	}
-	tr := timeIt(compiled.Predict)
+	tr := timeIt(quantized.Predict)
 	if lrla != nil {
 		dnn := timeIt(lrla.Decide)
-		fmt.Printf("decision latency: DNN %v vs compiled tree %v (%.0f× faster; paper: 26.8×)\n",
+		fmt.Printf("decision latency: DNN %v vs quantized tree %v (%.0f× faster; paper: 26.8×)\n",
 			dnn, tr, float64(dnn)/float64(tr))
 	} else {
-		fmt.Printf("decision latency: compiled tree %v\n", tr)
+		fmt.Printf("decision latency: quantized tree %v\n", tr)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Command metis-serve is the deployment daemon: it loads a directory of
-// Metis model artifacts (distilled or compiled decision trees, written by
+// Metis model artifacts (distilled or quantized decision trees, written by
 // the -save flags of the other binaries, by metis-exp -cache, or by the
 // scenario pipeline's -out) and serves predictions over HTTP off the
-// lock-free compiled-tree representation.
+// lock-free quantized-tree representation.
 //
 // Quickstart:
 //

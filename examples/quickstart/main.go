@@ -96,11 +96,7 @@ func main() {
 	if *save != "" {
 		meta := map[string]string{"name": *name}
 		if *quantize {
-			c, err := metis.Compile(res.Tree)
-			if err != nil {
-				panic(err)
-			}
-			q, err := metis.Quantize(c)
+			q, err := metis.Quantize(res.Tree)
 			if err != nil {
 				panic(err)
 			}

@@ -1,6 +1,6 @@
 // Package artifact is the deployment container format of the reproduction:
 // one versioned, checksummed file layout for every model the pipeline
-// produces — distilled trees, compiled trees, raw networks, the three
+// produces — distilled trees, quantized trees, raw networks, the three
 // teacher families, the RouteNet* model, and finished mask searches. The
 // training side writes artifacts (cmd binaries via -save, the experiment
 // fixture via its cache), and the serving side (internal/serve,

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/abr"
@@ -87,14 +88,14 @@ func TestTreeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCompiledRoundTrip(t *testing.T) {
-	c, err := smallTree(t).Compile()
+func TestQuantizedRoundTrip(t *testing.T) {
+	q, err := smallTree(t).Quantize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := roundTrip(t, c).(*dtree.Compiled)
+	back := roundTrip(t, q).(*dtree.Quantized)
 	for _, x := range probes(3, 200, 2) {
-		if back.Predict(x) != c.Predict(x) {
+		if back.Predict(x) != q.Predict(x) {
 			t.Fatalf("prediction drift at %v", x)
 		}
 	}
@@ -281,29 +282,34 @@ func TestWrongKind(t *testing.T) {
 	}
 }
 
+// TestUnknownKind: a kind this build does not decode — one from a newer
+// version, or the retired dtree/compiled — is ErrUnknownKind.
 func TestUnknownKind(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePayload(&buf, "future/model", nil, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	a, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Decode(); !errors.Is(err, ErrUnknownKind) {
-		t.Fatalf("err = %v, want ErrUnknownKind", err)
+	for _, kind := range []string{"future/model", "dtree/compiled"} {
+		var buf bytes.Buffer
+		if err := WritePayload(&buf, kind, nil, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+		a, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Decode(); !errors.Is(err, ErrUnknownKind) {
+			t.Fatalf("%s: err = %v, want ErrUnknownKind", kind, err)
+		}
 	}
 }
 
-// TestMalformedCompiledRejected: a checksum-valid dtree/compiled artifact
+// TestMalformedCompiledRejected: a checksum-valid dtree/quantized artifact
 // whose arrays violate the evaluation invariants (here: a self-loop that
 // would hang Predict) must fail to load, not hand back a time bomb.
 func TestMalformedCompiledRejected(t *testing.T) {
-	bad := &dtree.Compiled{
-		Feature:   []int32{0},
-		Threshold: []float64{0.5},
-		Left:      []int32{0}, Right: []int32{0},
+	bad := &dtree.Quantized{
+		Feature:      []int32{0},
+		BinThreshold: []uint16{1},
+		Left:         []int32{0}, Right: []int32{0},
 		Out: []int32{0}, NumFeatures: 1,
+		Edges: [][]float64{{0.5}},
 	}
 	payload, err := bad.MarshalBinary()
 	if err != nil {
@@ -314,17 +320,17 @@ func TestMalformedCompiledRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePayload(f, KindCompiledTree, nil, payload); err != nil {
+	if err := WritePayload(f, KindQuantizedTree, nil, payload); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := LoadCompiled(path); err == nil {
-		t.Fatal("malformed compiled artifact loaded without error")
+	if _, err := LoadQuantized(path); err == nil || !strings.Contains(err.Error(), "children") {
+		t.Fatalf("malformed quantized artifact: err = %v, want a child-order error", err)
 	}
 }
 
 // TestMalformedTreeRejected: the raw-tree artifact path gets the same
-// invariant screening as compiled trees — a feature index beyond the
+// invariant screening as quantized trees — a feature index beyond the
 // declared dimensionality must fail at load, not panic at predict time.
 func TestMalformedTreeRejected(t *testing.T) {
 	bad := smallTree(t)

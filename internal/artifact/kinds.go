@@ -16,11 +16,10 @@ import (
 // Kind tags for every model the pipeline produces. The tag is stored in the
 // container header and drives Decode's dispatch.
 const (
-	KindTree         = "dtree/tree"
-	KindCompiledTree = "dtree/compiled"
-	// KindQuantizedTree persists the bin-quantized serving form of a
-	// compiled tree. The serving daemon prefers it over KindCompiledTree
-	// when present: same decisions, flat breadth-first layout.
+	KindTree = "dtree/tree"
+	// KindQuantizedTree persists the flat serving form of a tree
+	// (dtree.Quantized). The serving daemon quantizes a dtree/tree at load;
+	// this kind spares it that step and serves as-is.
 	KindQuantizedTree = "dtree/quantized"
 	KindNetwork       = "nn/network"
 	KindPensieveAgent = "pensieve/agent"
@@ -39,7 +38,6 @@ const (
 // decoders maps kind tags to payload decoders returning the concrete model.
 var decoders = map[string]func([]byte) (any, error){
 	KindTree:          decodeInto(func() *dtree.Tree { return new(dtree.Tree) }),
-	KindCompiledTree:  decodeInto(func() *dtree.Compiled { return new(dtree.Compiled) }),
 	KindQuantizedTree: decodeInto(func() *dtree.Quantized { return new(dtree.Quantized) }),
 	KindNetwork:       decodeInto(func() *nn.Network { return new(nn.Network) }),
 	KindPensieveAgent: decodeInto(func() *pensieve.Agent { return new(pensieve.Agent) }),
@@ -68,8 +66,6 @@ func KindOf(model any) (string, error) {
 	switch model.(type) {
 	case *dtree.Tree:
 		return KindTree, nil
-	case *dtree.Compiled:
-		return KindCompiledTree, nil
 	case *dtree.Quantized:
 		return KindQuantizedTree, nil
 	case *nn.Network:
@@ -145,9 +141,6 @@ func LoadAs[T any](path string) (T, error) {
 
 // LoadTree loads a distilled decision tree artifact.
 func LoadTree(path string) (*dtree.Tree, error) { return LoadAs[*dtree.Tree](path) }
-
-// LoadCompiled loads a compiled-tree artifact.
-func LoadCompiled(path string) (*dtree.Compiled, error) { return LoadAs[*dtree.Compiled](path) }
 
 // LoadQuantized loads a quantized-tree artifact.
 func LoadQuantized(path string) (*dtree.Quantized, error) { return LoadAs[*dtree.Quantized](path) }

@@ -116,7 +116,7 @@ func (t *Table) Bin(maxBins, workers int) *Binned {
 // Binner is the quantization map of a Binned view detached from its bin
 // columns: the per-feature edge lists alone. It is the piece of a binning
 // that serving shares with training — dtree.QuantizeBinned rides a Binner to
-// turn compiled-tree thresholds into bin indices, so a quantized tree and the
+// turn a tree's thresholds into bin indices, so a quantized tree and the
 // histogram fit that produced it agree on one columnar layout. A Binner is
 // immutable; callers must not modify the returned edge slices.
 type Binner struct {

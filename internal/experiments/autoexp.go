@@ -79,14 +79,14 @@ func (r *Fig16aResult) String() string {
 }
 
 // Fig16a times both decision paths over identical states. The tree side
-// runs the compiled (flattened, allocation-free) representation — the same
+// runs the quantized (flattened, allocation-free) representation — the same
 // form internal/serve deploys and GenerateC offloads, i.e. the production
 // hot path.
 func Fig16a(f *Fixture) *Fig16aResult {
 	lrla, _, lrlaTree, _ := f.AuTo()
-	compiled, err := lrlaTree.Compile()
+	quantized, err := lrlaTree.Quantize()
 	if err != nil {
-		panic("experiments: compile lRLA tree: " + err.Error())
+		panic("experiments: quantize lRLA tree: " + err.Error())
 	}
 	states, _ := collectStates(f, 500)
 	timeIt := func(decide func([]float64) int) time.Duration {
@@ -100,7 +100,7 @@ func Fig16a(f *Fixture) *Fig16aResult {
 		return time.Since(start) / time.Duration(reps*len(states))
 	}
 	dnn := timeIt(lrla.Decide)
-	tree := timeIt(compiled.Predict)
+	tree := timeIt(quantized.Predict)
 	sp := float64(dnn) / float64(tree)
 	return &Fig16aResult{DNNLatency: dnn, TreeLatency: tree, Speedup: sp}
 }

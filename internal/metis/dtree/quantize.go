@@ -5,21 +5,28 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/parallel"
 )
 
-// Quantized is the bin-quantized serving form of a compiled tree. Where
-// Compiled keeps one float64 threshold per node, Quantized factors the
-// thresholds of each feature into a shared ascending edge list and stores a
-// per-node bin index instead: node i routes left when bin(x[Feature[i]]) <
-// BinThreshold[i], where bin(v) counts the edges ≤ v. Because every edge is
-// an exact threshold of the source tree, evaluation is bit-identical to the
-// compiled form — quantization changes the layout, never the decision
-// function.
+// Quantized is the flat serving form of a decision tree: evaluation is an
+// iterative walk over parallel arrays with comparisons and branches only —
+// no floating-point arithmetic, no allocation, no pointer chasing. It is the
+// representation internal/serve deploys and the one the paper offloads to a
+// Netronome SmartNIC in ~1,000 lines of C (§6.4); GenerateC emits equivalent
+// source. Evaluation touches only immutable arrays, so any number of
+// goroutines can predict concurrently without locks.
+//
+// The thresholds of each feature are factored into a shared ascending edge
+// list, and each node stores a bin index into it: node i routes left when
+// bin(x[Feature[i]]) < BinThreshold[i], where bin(v) counts the edges ≤ v.
+// Because every edge is an exact threshold of the source tree, evaluation is
+// bit-identical to the Tree it came from — quantization changes the layout,
+// never the decision function.
 //
 // Nodes are laid out breadth-first in flat parallel arrays
 // (Feature/BinThreshold/Left/Right), so the top levels of the tree — the
@@ -29,6 +36,9 @@ import (
 // per-row pointer chasing. This is the representation that shares one
 // columnar layout between training (histogram CART fits on binned columns)
 // and serving, and the compact integer form a data-plane offload wants.
+//
+// A Quantized is built by Tree.Quantize, QuantizeBinned or UnmarshalBinary;
+// its exported fields are read-only after that.
 type Quantized struct {
 	// Feature[i] is the feature tested at node i, or -1 for a leaf.
 	Feature []int32
@@ -56,6 +66,12 @@ type Quantized struct {
 	// the number of edges ≤ v, with NaN in the last bin. Features the tree
 	// never tests may have an empty list.
 	Edges [][]float64
+
+	// thr[i] is internal node i's real-valued threshold,
+	// Edges[Feature[i]][BinThreshold[i]-1], resolved once so the walk reads
+	// it with one load instead of two dependent ones. It is derived, not
+	// serialized.
+	thr []float64
 }
 
 // IsRegression reports whether the quantized tree predicts continuous values.
@@ -64,11 +80,11 @@ func (q *Quantized) IsRegression() bool { return q.OutDim > 0 }
 // NumNodes returns the flattened node count.
 func (q *Quantized) NumNodes() int { return len(q.Feature) }
 
-// Quantize converts a compiled tree into its quantized form, deriving each
-// feature's edge list from the tree's own thresholds. The result predicts
-// bit-identically to c on every input (including NaN, which routes right at
-// every split in both forms).
-func (c *Compiled) Quantize() (*Quantized, error) { return QuantizeBinned(c, nil) }
+// Quantize flattens the tree — classification or regression — into its
+// quantized serving form, deriving each feature's edge list from the tree's
+// own thresholds. The result predicts bit-identically to t on every input
+// (including NaN, which routes right at every split in both forms).
+func (t *Tree) Quantize() (*Quantized, error) { return QuantizeBinned(t, nil) }
 
 // QuantizeBinned is Quantize against an explicit quantization map: the
 // edge lists of binner (typically Binned.Binner() from the training table's
@@ -79,125 +95,138 @@ func (c *Compiled) Quantize() (*Quantized, error) { return QuantizeBinned(c, nil
 // splits are drawn from the binning's edges); a missing threshold is an
 // error, because dropping or moving it would change predictions. A nil
 // binner derives minimal edge lists from the tree's thresholds alone.
-func QuantizeBinned(c *Compiled, binner *dataset.Binner) (*Quantized, error) {
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("dtree: quantize: %w", err)
+func QuantizeBinned(t *Tree, binner *dataset.Binner) (*Quantized, error) {
+	if t.Root == nil {
+		return nil, fmt.Errorf("dtree: quantize: empty tree")
 	}
-	if binner != nil && binner.NumFeatures() != c.NumFeatures {
-		return nil, fmt.Errorf("dtree: quantize: binner has %d features, tree declares %d", binner.NumFeatures(), c.NumFeatures)
+	if t.NumFeatures < 0 || t.NumFeatures > maxFeatures {
+		return nil, fmt.Errorf("dtree: quantize: tree declares %d features, max is %d", t.NumFeatures, maxFeatures)
 	}
-	n := len(c.Feature)
+	if binner != nil && binner.NumFeatures() != t.NumFeatures {
+		return nil, fmt.Errorf("dtree: quantize: binner has %d features, tree declares %d", binner.NumFeatures(), t.NumFeatures)
+	}
+	q := &Quantized{NumFeatures: t.NumFeatures, NumClasses: t.NumClasses}
+	if t.IsRegression() {
+		if q.OutDim = len(t.Root.Value); q.OutDim == 0 {
+			return nil, fmt.Errorf("dtree: quantize: regression tree has no value vector")
+		}
+	}
+
+	// Breadth-first layout straight from the pointer tree. The walk is a
+	// queue, not recursion, so a degenerate chain tree (depth = node count)
+	// cannot overflow the goroutine stack; an internal node's children land
+	// in the next two free slots.
+	nodes := []*Node{t.Root}
+	for i := 0; i < len(nodes); i++ {
+		if n := nodes[i]; !n.IsLeaf() {
+			nodes = append(nodes, n.Left, n.Right)
+		}
+	}
+	n := len(nodes)
+	q.Feature = make([]int32, n)
+	q.BinThreshold = make([]uint16, n)
+	q.Left = make([]int32, n)
+	q.Right = make([]int32, n)
+	q.Out = make([]int32, n)
+	q.thr = make([]float64, n)
+	if q.OutDim > 0 {
+		q.Value = make([]float64, n*q.OutDim)
+	}
+	perFeature := make([][]float64, t.NumFeatures)
+	next := int32(1)
+	for i, nd := range nodes {
+		q.Out[i] = int32(nd.Class)
+		if q.OutDim > 0 {
+			if len(nd.Value) != q.OutDim {
+				return nil, fmt.Errorf("dtree: quantize: node value dim %d, tree declares %d", len(nd.Value), q.OutDim)
+			}
+			copy(q.Value[i*q.OutDim:], nd.Value)
+		}
+		if nd.IsLeaf() {
+			q.Feature[i] = -1
+			continue
+		}
+		f := nd.Feature
+		if f < 0 || f >= t.NumFeatures {
+			return nil, fmt.Errorf("dtree: quantize: node %d tests feature %d, tree declares %d features", i, f, t.NumFeatures)
+		}
+		if math.IsNaN(nd.Threshold) {
+			return nil, fmt.Errorf("dtree: quantize: node %d has NaN threshold", i)
+		}
+		q.Feature[i] = int32(f)
+		q.thr[i] = nd.Threshold
+		q.Left[i], q.Right[i] = next, next+1
+		next += 2
+		perFeature[f] = append(perFeature[f], nd.Threshold)
+	}
 
 	// Edge lists: the binner's verbatim, or the sorted distinct thresholds
 	// per feature.
-	edges := make([][]float64, c.NumFeatures)
-	if binner != nil {
-		for f := range edges {
-			edges[f] = binner.Edges(f)
-		}
-	} else {
-		perFeature := make([][]float64, c.NumFeatures)
-		for i := 0; i < n; i++ {
-			if f := c.Feature[i]; f >= 0 {
-				perFeature[f] = append(perFeature[f], c.Threshold[i])
-			}
-		}
-		for f, ts := range perFeature {
-			if len(ts) == 0 {
-				continue
-			}
-			sort.Float64s(ts)
-			dedup := ts[:1]
-			for _, t := range ts[1:] {
-				if t != dedup[len(dedup)-1] {
-					dedup = append(dedup, t)
-				}
-			}
-			edges[f] = dedup
+	q.Edges = make([][]float64, t.NumFeatures)
+	for f, ts := range perFeature {
+		if binner != nil {
+			q.Edges[f] = binner.Edges(f)
+		} else {
+			slices.Sort(ts)
+			q.Edges[f] = slices.Compact(ts)
 		}
 	}
 
-	// Breadth-first relayout: order[qi] is the compiled (preorder) index of
-	// the qi-th quantized node, pos its inverse.
-	order := make([]int32, 1, n)
-	pos := make([]int32, n)
-	for qi := 0; qi < len(order); qi++ {
-		old := order[qi]
-		pos[old] = int32(qi)
-		if c.Feature[old] >= 0 {
-			if len(order)+2 > n {
-				// A node reachable through two parents (a DAG smuggled into
-				// the array form) would blow the walk past n entries.
-				return nil, fmt.Errorf("dtree: quantize: node graph is not a tree")
-			}
-			order = append(order, c.Left[old], c.Right[old])
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("dtree: quantize: %d of %d nodes unreachable from the root", n-len(order), n)
-	}
-
-	q := &Quantized{
-		Feature:      make([]int32, n),
-		BinThreshold: make([]uint16, n),
-		Left:         make([]int32, n),
-		Right:        make([]int32, n),
-		Out:          make([]int32, n),
-		OutDim:       c.OutDim,
-		NumFeatures:  c.NumFeatures,
-		NumClasses:   c.NumClasses,
-		Edges:        edges,
-	}
-	if c.OutDim > 0 {
-		q.Value = make([]float64, n*c.OutDim)
-	}
-	for qi, old := range order {
-		q.Out[qi] = c.Out[old]
-		if c.OutDim > 0 {
-			copy(q.Value[qi*c.OutDim:(qi+1)*c.OutDim], c.Value[int(old)*c.OutDim:(int(old)+1)*c.OutDim])
-		}
-		f := c.Feature[old]
+	for i, f := range q.Feature {
 		if f < 0 {
-			q.Feature[qi] = -1
 			continue
 		}
-		t := c.Threshold[old]
-		if math.IsNaN(t) {
-			return nil, fmt.Errorf("dtree: quantize: node %d has NaN threshold", old)
-		}
-		e := edges[f]
-		k := sort.SearchFloat64s(e, t)
-		if k >= len(e) || e[k] != t {
-			return nil, fmt.Errorf("dtree: quantize: threshold %g of feature %d is not an edge of the binning", t, f)
+		e := q.Edges[f]
+		k, found := slices.BinarySearch(e, q.thr[i])
+		if !found {
+			return nil, fmt.Errorf("dtree: quantize: threshold %g of feature %d is not an edge of the binning", q.thr[i], f)
 		}
 		if k+1 > math.MaxUint16 {
 			return nil, fmt.Errorf("dtree: quantize: feature %d needs bin index %d, max is %d", f, k+1, math.MaxUint16)
 		}
-		q.Feature[qi] = f
-		q.BinThreshold[qi] = uint16(k + 1)
-		q.Left[qi] = pos[c.Left[old]]
-		q.Right[qi] = pos[c.Right[old]]
+		q.BinThreshold[i] = uint16(k + 1)
+		q.thr[i] = e[k]
+	}
+	if err := q.Validate(); err != nil {
+		return nil, fmt.Errorf("dtree: quantize: %w", err)
 	}
 	return q, nil
 }
 
-// leaf returns the index of the leaf reached by x. The comparison is against
-// the exact real-valued edge behind the node's bin threshold, so the routing
-// decision is bit-identical to the compiled form's "x < threshold" — NaN
-// fails the comparison and routes right, as everywhere else.
-func (q *Quantized) leaf(x []float64) int32 {
-	i := int32(0)
-	for {
-		f := q.Feature[i]
-		if f < 0 {
-			return i
-		}
-		if x[f] < q.Edges[f][q.BinThreshold[i]-1] {
-			i = q.Left[i]
-		} else {
-			i = q.Right[i]
+// maxFeatures bounds the declared input width of a tree built or decoded
+// into the flat form, which allocates an edge list per feature. It matches
+// the serving codec's row-width limit: no wider row reaches a served tree.
+const maxFeatures = 1 << 20
+
+// resolveThresholds fills thr from the edge lists. q must have passed
+// Validate, which guarantees every bin threshold names a real edge.
+func (q *Quantized) resolveThresholds() {
+	q.thr = make([]float64, len(q.Feature))
+	for i, f := range q.Feature {
+		if f >= 0 {
+			q.thr[i] = q.Edges[f][q.BinThreshold[i]-1]
 		}
 	}
+}
+
+// leaf returns the index of the leaf reached by x. The comparison is against
+// the exact real-valued edge behind the node's bin threshold, so the routing
+// decision is bit-identical to the source tree's "x < threshold" — NaN fails
+// the comparison and routes right, as everywhere else.
+func (q *Quantized) leaf(x []float64) int32 {
+	// Slicing the node arrays to one length lets the compiler drop their
+	// bounds checks after the one on feature.
+	feature := q.Feature
+	thr, left, right := q.thr[:len(feature)], q.Left[:len(feature)], q.Right[:len(feature)]
+	i := int32(0)
+	for feature[i] >= 0 {
+		if x[feature[i]] < thr[i] {
+			i = left[i]
+		} else {
+			i = right[i]
+		}
+	}
+	return i
 }
 
 // Predict evaluates the quantized tree (classification; regression trees
@@ -210,6 +239,27 @@ func (q *Quantized) Predict(x []float64) int { return int(q.Out[q.leaf(x)]) }
 func (q *Quantized) PredictReg(x []float64) []float64 {
 	i := int(q.leaf(x))
 	return q.Value[i*q.OutDim : (i+1)*q.OutDim : (i+1)*q.OutDim]
+}
+
+// batchChunk is the per-task granularity of the batch predictors: single
+// predictions cost nanoseconds, so work is handed to the pool in blocks large
+// enough to amortize scheduling.
+const batchChunk = 512
+
+// forEachChunk splits [0, n) into batchChunk-sized blocks and runs them
+// with parallel.ForEach. Goroutines are spawned per call (bounded by
+// workers), not drawn from a process-wide pool — callers that fan out many
+// concurrent batches should bound their own concurrency.
+func forEachChunk(workers, n int, fn func(lo, hi int)) {
+	tasks := (n + batchChunk - 1) / batchChunk
+	parallel.ForEach(workers, tasks, func(t int) {
+		lo := t * batchChunk
+		hi := lo + batchChunk
+		if hi > n {
+			hi = n
+		}
+		fn(lo, hi)
+	})
 }
 
 // PredictBatchInto evaluates the quantized tree over a batch, writing the
@@ -252,16 +302,19 @@ func (q *Quantized) PredictRegBatchInto(X [][]float64, out [][]float64, workers 
 		panic(fmt.Sprintf("dtree: PredictRegBatchInto: %d outputs for %d inputs", len(out), len(X)))
 	}
 	if parallel.Workers(workers) == 1 || len(X) <= batchChunk {
-		for i := range X {
-			out[i] = q.PredictReg(X[i])
-		}
+		q.predictRegRange(X, out)
 		return
 	}
-	forEachChunk(workers, len(X), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = q.PredictReg(X[i])
-		}
-	})
+	forEachChunk(workers, len(X), func(lo, hi int) { q.predictRegRange(X[lo:hi], out[lo:hi]) })
+}
+
+// predictRegRange is PredictReg over X into out, with the walk inlined:
+// PredictReg itself is too large for the compiler to inline into a loop.
+func (q *Quantized) predictRegRange(X, out [][]float64) {
+	for i, x := range X {
+		j := int(q.leaf(x))
+		out[i] = q.Value[j*q.OutDim : (j+1)*q.OutDim : (j+1)*q.OutDim]
+	}
 }
 
 // PredictRegBatch evaluates a quantized regression tree over a batch. The
@@ -409,19 +462,11 @@ func (q *Quantized) Validate() error {
 	return nil
 }
 
-// quantizedWire is the gob wire format (a distinct type keeps gob from
-// re-entering MarshalBinary through its BinaryMarshaler support).
-type quantizedWire struct {
-	Feature      []int32
-	BinThreshold []uint16
-	Left, Right  []int32
-	Out          []int32
-	Value        []float64
-	OutDim       int
-	NumFeatures  int
-	NumClasses   int
-	Edges        [][]float64
-}
+// quantizedWire is the gob wire format: a distinct type keeps gob from
+// re-entering MarshalBinary through its BinaryMarshaler support, and gob
+// sends exported fields only, so the derived thresholds never reach the
+// wire.
+type quantizedWire Quantized
 
 // MarshalBinary implements encoding.BinaryMarshaler via gob.
 func (q *Quantized) MarshalBinary() ([]byte, error) {
@@ -445,12 +490,90 @@ func (q *Quantized) UnmarshalBinary(data []byte) error {
 	// gob collapses empty slices to nil; restore the edges-per-feature
 	// invariant for trees that never split (a single-leaf tree has
 	// NumFeatures edge lists, all empty).
-	if loaded.Edges == nil && loaded.NumFeatures > 0 {
+	if loaded.Edges == nil && loaded.NumFeatures > 0 && loaded.NumFeatures <= maxFeatures {
 		loaded.Edges = make([][]float64, loaded.NumFeatures)
 	}
 	if err := loaded.Validate(); err != nil {
 		return fmt.Errorf("dtree: decode quantized tree: %w", err)
 	}
+	loaded.resolveThresholds()
 	*q = loaded
 	return nil
+}
+
+// GenerateC emits a self-contained C function evaluating the tree with
+// branching clauses only — the form deployable on data-plane devices that
+// lack floating-point units (thresholds are scaled to integers). Only
+// classification trees are supported: the emitted function returns the
+// class decision as an int.
+//
+// scale multiplies features and thresholds into integer space (e.g. 1e4).
+func (q *Quantized) GenerateC(funcName string, scale float64) (string, error) {
+	if q.IsRegression() {
+		return "", fmt.Errorf("dtree: GenerateC supports classification trees only")
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "/* Auto-generated by Metis: decision tree with %d nodes. */\n", q.NumNodes())
+	fmt.Fprintf(&b, "int %s(const long long *x /* features pre-scaled by %g */) {\n", funcName, scale)
+	// Explicit-stack emission: each frame is either a node to render or a
+	// literal closer ("} else {" / "}") to splice between the subtrees. This
+	// keeps degenerate deep trees from overflowing the goroutine stack;
+	// indentation is additionally capped so a chain tree's output stays
+	// linear in its node count rather than quadratic.
+	type emitFrame struct {
+		i       int32
+		depth   int
+		literal string // emitted verbatim when non-empty; i is ignored
+	}
+	indent := func(depth int) string {
+		return strings.Repeat("    ", min(depth, maxCIndentDepth)+1)
+	}
+	stack := []emitFrame{{i: 0}}
+	for len(stack) > 0 {
+		fr := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if fr.literal != "" {
+			b.WriteString(fr.literal)
+			continue
+		}
+		ind := indent(fr.depth)
+		if q.Feature[fr.i] < 0 {
+			fmt.Fprintf(&b, "%sreturn %d;\n", ind, q.Out[fr.i])
+			continue
+		}
+		fmt.Fprintf(&b, "%sif (x[%d] < %dLL) {\n", ind, q.Feature[fr.i], int64(q.thr[fr.i]*scale))
+		stack = append(stack,
+			emitFrame{literal: ind + "}\n"},
+			emitFrame{i: q.Right[fr.i], depth: fr.depth + 1},
+			emitFrame{literal: ind + "} else {\n"},
+			emitFrame{i: q.Left[fr.i], depth: fr.depth + 1},
+		)
+	}
+	b.WriteString("}\n")
+	return b.String(), nil
+}
+
+// maxCIndentDepth caps GenerateC's indentation: nesting deeper than this
+// renders at a fixed indent, keeping the emitted source linear in the node
+// count for degenerate chain trees (unbounded indentation would make a
+// d-deep tree emit O(d²) whitespace).
+const maxCIndentDepth = 40
+
+// PredictScaled mirrors the integer-space evaluation performed by the
+// generated C code, for host-side verification of the offloaded model. Like
+// GenerateC it is classification-only, and panics on a regression tree (the
+// class slot is meaningless there).
+func (q *Quantized) PredictScaled(x []int64, scale float64) int {
+	if q.IsRegression() {
+		panic("dtree: PredictScaled on a regression tree")
+	}
+	i := int32(0)
+	for q.Feature[i] >= 0 {
+		if x[q.Feature[i]] < int64(q.thr[i]*scale) {
+			i = q.Left[i]
+		} else {
+			i = q.Right[i]
+		}
+	}
+	return int(q.Out[i])
 }

@@ -11,10 +11,12 @@ import (
 
 // TestQuantizedParityAcrossScenarios is the serving-form property test: for
 // every registered scenario whose student is a tree, the quantized serving
-// form must predict bit-identically to the compiled form — on random inputs,
+// form must predict bit-identically to the tree itself — on random inputs,
 // on every threshold of the tree (and one ulp to either side), and on NaN
-// and infinite inputs. This is the contract that lets the daemon swap
-// representations per artifact without any scenario noticing.
+// and infinite inputs, for any worker count. Classifiers compare decisions;
+// regression students compare every output bit for bit. This is the
+// contract that lets the daemon serve every tree from its quantized form
+// without any scenario noticing.
 func TestQuantizedParityAcrossScenarios(t *testing.T) {
 	for _, name := range scenario.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -35,26 +37,37 @@ func TestQuantizedParityAcrossScenarios(t *testing.T) {
 			if !ok {
 				t.Fatalf("tree student carries a %T model", student.Model())
 			}
-			c, err := tree.Compile()
+			q, err := tree.Quantize()
 			if err != nil {
 				t.Fatal(err)
 			}
-			q, err := c.Quantize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := q.Validate(); err != nil {
-				t.Fatal(err)
+			if q.IsRegression() != tree.IsRegression() {
+				t.Fatalf("quantized regression=%v, tree regression=%v", q.IsRegression(), tree.IsRegression())
 			}
 
-			X := parityInputs(c)
-			want := c.PredictBatch(X, 1)
+			X := parityInputs(q)
 			for _, workers := range []int{1, 3, 0} {
+				if tree.IsRegression() {
+					got := q.PredictRegBatch(X, workers)
+					for i, x := range X {
+						want := tree.PredictReg(x)
+						if len(got[i]) != len(want) {
+							t.Fatalf("workers=%d row %d: %d outputs, tree has %d", workers, i, len(got[i]), len(want))
+						}
+						for k := range want {
+							if math.Float64bits(got[i][k]) != math.Float64bits(want[k]) {
+								t.Fatalf("workers=%d row %d (%v): quantized %v, tree %v",
+									workers, i, x, got[i], want)
+							}
+						}
+					}
+					continue
+				}
 				got := q.PredictBatch(X, workers)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("workers=%d row %d (%v): quantized %d, compiled %d",
-							workers, i, X[i], got[i], want[i])
+				for i, x := range X {
+					if want := tree.Predict(x); got[i] != want {
+						t.Fatalf("workers=%d row %d (%v): quantized %d, tree %d",
+							workers, i, x, got[i], want)
 					}
 				}
 			}
@@ -65,8 +78,8 @@ func TestQuantizedParityAcrossScenarios(t *testing.T) {
 // parityInputs builds the probe batch: rows pinned to each threshold (exact,
 // ±1 ulp), NaN and ±Inf in every feature position, and a few hundred random
 // rows spanning the thresholds' range.
-func parityInputs(c *dtree.Compiled) [][]float64 {
-	nf := c.NumFeatures
+func parityInputs(q *dtree.Quantized) [][]float64 {
+	nf := q.NumFeatures
 	lo, hi := math.Inf(1), math.Inf(-1)
 	var X [][]float64
 	probe := func(f int, v float64) {
@@ -77,15 +90,14 @@ func parityInputs(c *dtree.Compiled) [][]float64 {
 		x[f] = v
 		X = append(X, x)
 	}
-	for i, f := range c.Feature {
-		if f < 0 {
-			continue
+	// Every edge is a threshold of the tree, and every threshold an edge.
+	for f, edges := range q.Edges {
+		for _, th := range edges {
+			lo, hi = math.Min(lo, th), math.Max(hi, th)
+			probe(f, th)
+			probe(f, math.Nextafter(th, math.Inf(-1)))
+			probe(f, math.Nextafter(th, math.Inf(1)))
 		}
-		th := c.Threshold[i]
-		lo, hi = math.Min(lo, th), math.Max(hi, th)
-		probe(int(f), th)
-		probe(int(f), math.Nextafter(th, math.Inf(-1)))
-		probe(int(f), math.Nextafter(th, math.Inf(1)))
 	}
 	for f := 0; f < nf; f++ {
 		probe(f, math.NaN())

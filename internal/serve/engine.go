@@ -16,14 +16,13 @@
 //     batch payloads without the HTTP machinery, for co-located clients
 //     that need the full in-process rate.
 //
-// Serving rides the flat-array tree representations (dtree.Compiled, and
-// dtree.Quantized when the artifact carries one) — evaluation walks
-// immutable arrays, so the hot path takes no locks and any number of
-// request goroutines predict concurrently; the only shared writes are
-// atomic stat counters, and a hot reload swaps the whole registry through
-// one atomic pointer store. This is the §6.4 deployment story of the paper
-// as a daemon: the distilled controller is small and cheap enough to answer
-// per-decision queries at data-plane rates.
+// Serving rides one flat-array tree representation, dtree.Quantized, for
+// every model — evaluation walks immutable arrays, so the hot path takes no
+// locks and any number of request goroutines predict concurrently; the only
+// shared writes are atomic stat counters, and a hot reload swaps the whole
+// registry through one atomic pointer store. This is the §6.4 deployment
+// story of the paper as a daemon: the distilled controller is small and
+// cheap enough to answer per-decision queries at data-plane rates.
 package serve
 
 import (
@@ -88,12 +87,12 @@ func (e *DimensionError) Error() string {
 	return fmt.Sprintf("serve: input %d has %d features, model %q wants %d", e.Row, e.Got, e.Model, e.Want)
 }
 
-// Model is one servable entry in the registry: a tree in one of the two
-// serving representations plus the artifact metadata it was loaded with.
+// Model is one servable entry in the registry: a quantized tree plus the
+// artifact metadata it was loaded with.
 type Model struct {
 	Name string
 	// Kind is the artifact kind the model was loaded from (a raw dtree/tree
-	// is compiled at load time).
+	// is quantized at load time).
 	Kind string
 	Meta map[string]string
 	// Path is the artifact file the model was loaded from — the continuous
@@ -104,62 +103,33 @@ type Model struct {
 	// "generation" metadata (0 for a freshly trained seed student). Each
 	// shadow-triggered refit increments it; a rollback restores the parent's.
 	Generation int64
-	// Compiled is the pointer-chasing float-threshold representation; set
-	// for dtree/tree and dtree/compiled artifacts.
-	Compiled *dtree.Compiled
-	// Quantized is the flat breadth-first bin-threshold representation; set
-	// for dtree/quantized artifacts, and preferred by the predict path when
-	// present (same decisions bit for bit, better layout).
+	// Compiled is always nil.
+	//
+	// Deprecated: every model serves from Quantized.
+	Compiled *dtree.Quantized
+	// Quantized is the flat breadth-first tree the predict path walks; every
+	// model has one.
 	Quantized *dtree.Quantized
 
 	requests    atomic.Int64
 	predictions atomic.Int64
 }
 
-// The shape accessors dispatch over whichever serving representation the
-// model carries, so transports and tooling never reach through Compiled or
-// Quantized directly.
-
 // NumFeatures returns the input width the model expects.
-func (m *Model) NumFeatures() int {
-	if m.Quantized != nil {
-		return m.Quantized.NumFeatures
-	}
-	return m.Compiled.NumFeatures
-}
+func (m *Model) NumFeatures() int { return m.Quantized.NumFeatures }
 
 // NumNodes returns the model's flattened node count.
-func (m *Model) NumNodes() int {
-	if m.Quantized != nil {
-		return m.Quantized.NumNodes()
-	}
-	return m.Compiled.NumNodes()
-}
+func (m *Model) NumNodes() int { return m.Quantized.NumNodes() }
 
 // NumClasses returns the class count (0 for regression models).
-func (m *Model) NumClasses() int {
-	if m.Quantized != nil {
-		return m.Quantized.NumClasses
-	}
-	return m.Compiled.NumClasses
-}
+func (m *Model) NumClasses() int { return m.Quantized.NumClasses }
 
 // OutDim returns the regression output width (0 for classifiers).
-func (m *Model) OutDim() int {
-	if m.Quantized != nil {
-		return m.Quantized.OutDim
-	}
-	return m.Compiled.OutDim
-}
+func (m *Model) OutDim() int { return m.Quantized.OutDim }
 
 // IsRegression reports whether the model predicts vectors rather than
 // classes.
-func (m *Model) IsRegression() bool {
-	if m.Quantized != nil {
-		return m.Quantized.IsRegression()
-	}
-	return m.Compiled.IsRegression()
-}
+func (m *Model) IsRegression() bool { return m.Quantized.IsRegression() }
 
 // registry is one immutable generation of the model set. The engine swaps
 // whole generations through an atomic pointer: predict paths load the
@@ -332,8 +302,9 @@ func NewEngine(dir string, cfg Config) (*Engine, error) {
 }
 
 // LoadDir builds an engine with the default Config from every *.metis
-// artifact in dir. Tree artifacts (dtree/tree) are compiled on load;
-// compiled-tree artifacts are served as-is; artifacts of any other kind are
+// artifact in dir. Tree artifacts (dtree/tree) are quantized on load, and a
+// tree that cannot quantize fails the load; quantized-tree artifacts
+// (dtree/quantized) are served as-is; artifacts of any other kind are
 // skipped and listed in Skipped. A model is named by its artifact's "name"
 // metadata, falling back to the file's base name.
 func LoadDir(dir string) (*Engine, error) { return NewEngine(dir, Config{}) }
@@ -361,9 +332,7 @@ func loadRegistry(dir string) (*registry, error) {
 		if err != nil {
 			return nil, err
 		}
-		servable := a.Kind == artifact.KindTree || a.Kind == artifact.KindCompiledTree ||
-			a.Kind == artifact.KindQuantizedTree
-		if !servable {
+		if a.Kind != artifact.KindTree && a.Kind != artifact.KindQuantizedTree {
 			reg.skipped = append(reg.skipped, fmt.Sprintf("%s (kind %s)", filepath.Base(path), a.Kind))
 			continue
 		}
@@ -380,32 +349,18 @@ func loadRegistry(dir string) (*registry, error) {
 			entry.Generation = g
 		}
 		// The checksum protects bytes, not invariants: a malformed tree could
-		// panic or loop the predict handler, so every representation is
-		// validated before it enters the registry.
+		// panic or loop the predict handler, so every tree is validated before
+		// it enters the registry. Quantize validates what it builds and
+		// refuses a NaN threshold or more than 65,535 distinct thresholds on
+		// one feature.
 		switch m := model.(type) {
 		case *dtree.Tree:
-			if entry.Compiled, err = m.Compile(); err != nil {
-				return nil, fmt.Errorf("serve: compile %s: %w", path, err)
-			}
-			err = entry.Compiled.Validate()
-		case *dtree.Compiled:
-			entry.Compiled = m
-			err = m.Validate()
+			entry.Quantized, err = m.Quantize()
 		case *dtree.Quantized:
-			entry.Quantized = m
-			err = m.Validate()
+			entry.Quantized, err = m, m.Validate()
 		}
 		if err != nil {
 			return nil, fmt.Errorf("serve: %s: %w", path, err)
-		}
-		// Quantization is bit-identical to the compiled form, so every
-		// classification tree gets the flat serving representation up front —
-		// that is what the transports' fused predict fast path keys on. Trees
-		// that cannot quantize simply serve through the compiled walker.
-		if entry.Quantized == nil && entry.Compiled != nil && !entry.Compiled.IsRegression() {
-			if q, qerr := entry.Compiled.Quantize(); qerr == nil {
-				entry.Quantized = q
-			}
 		}
 		if _, dup := reg.models[name]; dup {
 			return nil, fmt.Errorf("serve: duplicate model name %q (set distinct \"name\" metadata)", name)
@@ -557,37 +512,14 @@ func (e *Engine) predictTenant(tenant, name string, rows [][]float64, p *Predict
 	m.requests.Add(1)
 	m.predictions.Add(int64(len(rows)))
 	p.Model = m.Name
-	if m.IsRegression() {
+	q := m.Quantized
+	if q.IsRegression() {
 		out := growRows(p.Values, len(rows))
-		if q := m.Quantized; q != nil {
-			sh.forEachChunk(len(rows), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					out[i] = q.PredictReg(rows[i])
-				}
-			})
-		} else {
-			sh.forEachChunk(len(rows), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					out[i] = m.Compiled.PredictReg(rows[i])
-				}
-			})
-		}
+		sh.forEachChunk(len(rows), func(lo, hi int) { q.PredictRegBatchInto(rows[lo:hi], out[lo:hi], 1) })
 		p.Actions, p.Values = nil, out
 	} else {
 		out := growInts(p.Actions, len(rows))
-		if q := m.Quantized; q != nil {
-			sh.forEachChunk(len(rows), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					out[i] = q.Predict(rows[i])
-				}
-			})
-		} else {
-			sh.forEachChunk(len(rows), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					out[i] = m.Compiled.Predict(rows[i])
-				}
-			})
-		}
+		sh.forEachChunk(len(rows), func(lo, hi int) { q.PredictBatchInto(rows[lo:hi], out[lo:hi], 1) })
 		p.Actions, p.Values = out, nil
 	}
 	sh.latency.Record(time.Since(t0).Nanoseconds())
@@ -730,7 +662,7 @@ func (st *statBatch) flush() {
 // going from the tree walk into the response slot as a little-endian int32
 // — no intermediate Actions slice, no second pass — with stats accumulated
 // into st. handled=false means the caller must take the generic
-// decode+predict path (non-quantized or regression model, a mirror tapping
+// decode+predict path (a regression model, a mirror tapping
 // predictions, an empty batch, or a response that would not fit the slot);
 // nothing was accounted then. A non-nil error is a terminal request failure,
 // already counted.
@@ -744,7 +676,7 @@ func (e *Engine) predictFlatSlot(name string, flat []float64, nRows, features in
 		return nil, true, &UnknownModelError{Name: name}
 	}
 	q := m.Quantized
-	if q == nil || q.IsRegression() || e.mirror.Load() != nil || nRows == 0 || 13+nRows*4 > cap(slot) {
+	if q.IsRegression() || e.mirror.Load() != nil || nRows == 0 || 13+nRows*4 > cap(slot) {
 		return nil, false, nil
 	}
 	// One width check for the whole batch: the wire format guarantees every

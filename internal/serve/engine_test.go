@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -233,25 +234,49 @@ func TestLoadDirAllSkipped(t *testing.T) {
 	}
 }
 
-// TestLoadDirCorruptCompiled: a compiled-tree artifact whose payload decodes
-// but violates the structural invariants is rejected by Validate at load.
+// TestLoadDirCorruptCompiled: a tree artifact whose payload decodes but
+// cannot be served safely fails the load, naming the file.
 func TestLoadDirCorruptCompiled(t *testing.T) {
-	dir := t.TempDir()
-	// A compiled "tree" whose root's children point at themselves — a walk
-	// would loop forever. MarshalBinary does not validate, so the artifact
-	// writes cleanly; only the load-time Validate can catch it.
-	evil := &dtree.Compiled{
-		Feature:     []int32{0},
-		Threshold:   []float64{0.5},
-		Left:        []int32{0},
-		Right:       []int32{0},
-		Out:         []int32{0},
-		NumFeatures: 1,
-	}
-	if err := artifact.SaveModel(filepath.Join(dir, "evil.metis"), evil, map[string]string{"name": "evil"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadDir(dir); err == nil || !strings.Contains(err.Error(), "children") {
-		t.Fatalf("corrupt compiled tree error = %v", err)
+	for _, tc := range []struct {
+		name  string
+		model any
+		want  string
+	}{
+		// A quantized "tree" whose root's children point at itself — a walk
+		// would loop forever. MarshalBinary does not validate, so the
+		// artifact writes cleanly; only the decode-time Validate catches it.
+		{"self-loop", &dtree.Quantized{
+			Feature:      []int32{0},
+			BinThreshold: []uint16{1},
+			Left:         []int32{0},
+			Right:        []int32{0},
+			Out:          []int32{0},
+			NumFeatures:  1,
+			Edges:        [][]float64{{0.5}},
+		}, "children"},
+		// Tree.Validate accepts a NaN threshold, but no edge list can hold
+		// one, so Quantize refuses it and the load fails.
+		{"nan-threshold", &dtree.Tree{
+			Root: &dtree.Node{
+				Feature: 0, Threshold: math.NaN(),
+				Left:  &dtree.Node{Feature: -1, Class: 0},
+				Right: &dtree.Node{Feature: -1, Class: 1},
+			},
+			NumFeatures: 1, NumClasses: 2,
+		}, "NaN threshold"},
+		// A tree declaring 2^40 features would make the load allocate an
+		// edge list per feature; Quantize refuses it instead.
+		{"wide", &dtree.Tree{Root: &dtree.Node{Feature: -1}, NumFeatures: 1 << 40, NumClasses: 1}, "features"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := artifact.SaveModel(filepath.Join(dir, "evil.metis"), tc.model, map[string]string{"name": "evil"}); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadDir(dir)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "evil.metis") {
+				t.Fatalf("load error = %v, want %q naming evil.metis", err, tc.want)
+			}
+		})
 	}
 }

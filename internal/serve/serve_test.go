@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/artifact"
@@ -15,9 +16,10 @@ import (
 	"repro/internal/nn"
 )
 
-// fixtureDir writes one classification tree, one compiled regression tree,
-// and one non-servable network artifact into a temp dir.
-func fixtureDir(t *testing.T) (dir string, cls *dtree.Tree, reg *dtree.Compiled) {
+// fixtureDir writes one classification tree, one regression tree, and one
+// non-servable network artifact into a temp dir. Both trees are plain
+// dtree/tree artifacts, so the engine quantizes each at load.
+func fixtureDir(t *testing.T) (dir string, cls, reg *dtree.Tree) {
 	t.Helper()
 	dir = t.TempDir()
 
@@ -40,11 +42,7 @@ func fixtureDir(t *testing.T) (dir string, cls *dtree.Tree, reg *dtree.Compiled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	regTree, err := dtree.Build(rd, dtree.BuildOptions{MaxLeaves: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err = regTree.Compile()
+	reg, err = dtree.Build(rd, dtree.BuildOptions{MaxLeaves: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +136,7 @@ func TestEngineEndToEnd(t *testing.T) {
 		t.Fatalf("actions = %v", acts)
 	}
 
-	// Regression prediction matches the compiled tree.
+	// Regression prediction matches the tree.
 	r, out = post(t, ts, `{"model":"thresholds","x":[0.3,0.7]}`)
 	if r.StatusCode != 200 {
 		t.Fatalf("reg predict: %d %v", r.StatusCode, out)
@@ -268,24 +266,30 @@ func TestLoadDirErrors(t *testing.T) {
 	}
 }
 
-// TestLoadDirSkipsUnknownKind: an artifact kind this build has never heard
-// of (e.g. written by a newer version) must be skipped, not abort the load.
+// TestLoadDirSkipsUnknownKind: an artifact kind this build does not know —
+// one written by a newer version, or the retired dtree/compiled — must be
+// skipped and listed, not abort the load.
 func TestLoadDirSkipsUnknownKind(t *testing.T) {
 	dir, _, _ := fixtureDir(t)
-	f, err := os.Create(filepath.Join(dir, "future.metis"))
-	if err != nil {
-		t.Fatal(err)
+	for file, kind := range map[string]string{"future.metis": "future/model", "legacy.metis": "dtree/compiled"} {
+		f, err := os.Create(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := artifact.WritePayload(f, kind, nil, []byte("opaque")); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
 	}
-	if err := artifact.WritePayload(f, "future/model", nil, []byte("opaque")); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	s, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Models()) != 2 || len(s.Skipped()) != 2 {
+	if len(s.Models()) != 2 || len(s.Skipped()) != 3 {
 		t.Fatalf("models=%d skipped=%v", len(s.Models()), s.Skipped())
+	}
+	if !slices.Contains(s.Skipped(), "legacy.metis (kind dtree/compiled)") {
+		t.Fatalf("skipped = %v, want the dtree/compiled file listed with its kind", s.Skipped())
 	}
 }
 

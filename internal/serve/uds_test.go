@@ -252,16 +252,12 @@ func TestListenUDSStaleSocket(t *testing.T) {
 	}
 }
 
-// TestUDSServesQuantizedArtifact pins the registry preference: a
-// dtree/quantized artifact loads, reports its shape, and predicts
-// identically to the compiled tree it came from — over the socket.
+// TestUDSServesQuantizedArtifact: a dtree/quantized artifact loads as-is,
+// reports its shape, and predicts identically to the same tree saved as a
+// dtree/tree — over the socket.
 func TestUDSServesQuantizedArtifact(t *testing.T) {
 	dir, cls, _ := fixtureDir(t)
-	c, err := cls.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := c.Quantize()
+	q, err := cls.Quantize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +290,7 @@ func TestUDSServesQuantizedArtifact(t *testing.T) {
 	}
 	for i := range want.Actions {
 		if got.Actions[i] != want.Actions[i] {
-			t.Fatalf("row %d: quantized %d, compiled %d", i, got.Actions[i], want.Actions[i])
+			t.Fatalf("row %d: quantized artifact %d, tree artifact %d", i, got.Actions[i], want.Actions[i])
 		}
 	}
 }

@@ -156,28 +156,19 @@ func CriticalConnections(sys MaskSystem, opts MaskOptions) *MaskResult {
 	return mask.Search(sys, opts)
 }
 
-// CompiledTree is the flattened, allocation-free serving form of a distilled
-// tree (§6.4): evaluation walks immutable arrays, so it is lock-free under
-// any concurrency, supports bounded-parallelism batch prediction,
-// and is what metis-serve deploys and GenerateC offloads.
-type CompiledTree = dtree.Compiled
-
-// Compile flattens a distilled tree (classification or regression) into its
-// serving representation.
-func Compile(t *Tree) (*CompiledTree, error) { return t.Compile() }
-
-// QuantizedTree is the bin-quantized serving form of a compiled tree: node
-// thresholds are replaced at quantization time by per-feature bin indices
-// over flat breadth-first struct-of-arrays storage, so batch traversal is
-// branch-light, cache-friendly, and allocation-free — while staying
-// bit-identical to the CompiledTree it came from (every original threshold
-// becomes a bin edge, so no row can route differently). It is the fastest
-// representation metis-serve deploys (kind "dtree/quantized").
+// QuantizedTree is the flattened, allocation-free serving form of a
+// distilled tree (§6.4): node thresholds become per-feature bin indices over
+// flat breadth-first struct-of-arrays storage, so evaluation walks immutable
+// arrays — lock-free under any concurrency, with bounded-parallelism batch
+// prediction — while staying bit-identical to the Tree it came from (every
+// original threshold becomes a bin edge, so no row can route differently).
+// It is the one form metis-serve deploys and GenerateC offloads.
 type QuantizedTree = dtree.Quantized
 
-// Quantize converts a compiled tree into its quantized serving form. Use
-// SaveModel-style persistence via SaveQuantized to serve it.
-func Quantize(c *CompiledTree) (*QuantizedTree, error) { return c.Quantize() }
+// Quantize flattens a distilled tree (classification or regression) into its
+// serving form. Persist it with SaveQuantized to serve it as-is; metis-serve
+// also quantizes a tree saved with SaveTree at load.
+func Quantize(t *Tree) (*QuantizedTree, error) { return t.Quantize() }
 
 // SaveTree writes a distilled tree to path as a versioned, checksummed
 // artifact readable by LoadTree and servable by metis-serve. meta is
@@ -247,7 +238,7 @@ type Server struct {
 // returned server exposes the metis-serve HTTP API — GET /v2/models[/{name}],
 // POST /v2/models/{name}:predict (JSON or the binary batch codec),
 // GET /v2/stats, POST /v2/admin/reload, GET /metrics, GET /healthz, plus
-// the v1 routes as a compatibility shim — backed by lock-free compiled-tree
+// the v1 routes as a compatibility shim — backed by lock-free quantized-tree
 // inference.
 //
 // NewServer replaces the v1 facade call Serve(dir, workers); the per-request

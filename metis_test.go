@@ -134,13 +134,13 @@ func TestPublicSaveServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := Compile(back)
+	quantized, err := Quantize(back)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for x := 0.0; x < 1; x += 0.01 {
-		if compiled.Predict([]float64{x}) != res.Tree.Predict([]float64{x}) {
-			t.Fatalf("compiled/loaded drift at x=%v", x)
+		if quantized.Predict([]float64{x}) != res.Tree.Predict([]float64{x}) {
+			t.Fatalf("quantized/loaded drift at x=%v", x)
 		}
 	}
 
@@ -185,8 +185,8 @@ func TestPublicSaveServe(t *testing.T) {
 	}
 }
 
-// TestPublicQuantize covers the quantized-serving facade: Compile →
-// Quantize → SaveQuantized round-trips through LoadQuantized, the artifact
+// TestPublicQuantize covers the quantized-serving facade: Quantize →
+// SaveQuantized round-trips through LoadQuantized, the artifact
 // is directly servable, and predictions match the source tree.
 func TestPublicQuantize(t *testing.T) {
 	res, err := Distill(&scanEnv{}, stairPolicy{}, DistillConfig{
@@ -196,11 +196,7 @@ func TestPublicQuantize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := Compile(res.Tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := Quantize(compiled)
+	q, err := Quantize(res.Tree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,12 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${1:-3x}"
 [ $# -gt 0 ] && shift
 
-BENCHES='BenchmarkFig07DecisionTree|BenchmarkMaskSearch$|BenchmarkMaskSearchSerial|BenchmarkCARTBuild|BenchmarkExtractionOverhead|BenchmarkFig27InterpBaselines|BenchmarkTreeDecision|BenchmarkDNNDecision|BenchmarkCompiledPredictBatch|BenchmarkQuantizedPredictBatch|BenchmarkServePredictBatch$|BenchmarkServePredictBatchBinary|BenchmarkServePredictBatchUDS$|BenchmarkServePredictBatchUDSPipelined|BenchmarkServePredictBatchSHM|BenchmarkServeMultiTenantContention|BenchmarkScenarioPipeline$|BenchmarkScenarioPipelineAll'
+BENCHES='BenchmarkFig07DecisionTree|BenchmarkMaskSearch$|BenchmarkMaskSearchSerial|BenchmarkCARTBuild|BenchmarkExtractionOverhead|BenchmarkFig27InterpBaselines|BenchmarkTreeDecision|BenchmarkDNNDecision|BenchmarkQuantizedPredictBatch|BenchmarkServePredictBatch$|BenchmarkServePredictBatchBinary|BenchmarkServePredictBatchUDS$|BenchmarkServePredictBatchUDSPipelined|BenchmarkServePredictBatchSHM|BenchmarkServeMultiTenantContention|BenchmarkScenarioPipeline$|BenchmarkScenarioPipelineAll'
 # The serving subset gets its own trajectory file (BENCH_SERVE_*.json) so the
-# transport story — compiled vs quantized in-process, HTTP JSON vs HTTP
+# transport story — the quantized walk in-process, HTTP JSON vs HTTP
 # binary vs UDS framed through the daemon, flat vs sharded over the ring —
 # can be tracked without wading through the training/figure benches.
-SERVE_BENCHES='BenchmarkCompiledPredictBatch|BenchmarkQuantizedPredictBatch|BenchmarkServePredictBatch|BenchmarkServeMultiTenantContention'
+SERVE_BENCHES='BenchmarkQuantizedPredictBatch|BenchmarkServePredictBatch|BenchmarkServeMultiTenantContention'
 DATE="$(date +%Y-%m-%d)"
 # One timestamped record per run — a same-day before/after pair never
 # collides and never produces two differently named files for one run.
