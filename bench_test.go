@@ -415,10 +415,12 @@ func BenchmarkServePredictBatchBinary(b *testing.B) {
 
 // BenchmarkServePredictBatchUDS is the end-to-end daemon benchmark over the
 // framed unix-socket transport: the same engine, model, batch size, and
-// binary payloads as BenchmarkServePredictBatchBinary, with length-prefixed
-// frames on a unix socket replacing HTTP. The preds/s gap between the two is
-// what the HTTP machinery costs per request once the codec is already
-// binary.
+// binary payloads as BenchmarkServePredictBatchBinary, with frames on a unix
+// socket replacing HTTP. After the hello it keeps strictly one frame in
+// flight — write one, read its response — so the preds/s gap against the
+// HTTP bench is what the HTTP machinery costs per request once the codec is
+// already binary, and the gap to BenchmarkServePredictBatchUDSPipelined is
+// what the per-frame round-trip costs.
 func BenchmarkServePredictBatchUDS(b *testing.B) {
 	_, _, tree, _ := fixture().AuTo()
 	dir := b.TempDir()
@@ -443,6 +445,12 @@ func BenchmarkServePredictBatchUDS(b *testing.B) {
 	}
 	b.Cleanup(func() { conn.Close() })
 	br := bufio.NewReaderSize(conn, 64<<10)
+	if err := serve.WriteFrame(conn, []byte(serve.HelloMagic)); err != nil {
+		b.Fatal(err)
+	}
+	if ack, err := serve.ReadFrame(br, nil); err != nil || !bytes.HasPrefix(ack, []byte(serve.HelloMagic)) {
+		b.Fatalf("hello refused (ack %q, err %v)", ack, err)
+	}
 	var payload bytes.Buffer
 	if err := serve.EncodeBatchRequest(&payload, "dcn", lrlaBatch(serveBenchBatch)); err != nil {
 		b.Fatal(err)
@@ -451,10 +459,10 @@ func BenchmarkServePredictBatchUDS(b *testing.B) {
 	var frame []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := serve.WriteFrame(conn, raw); err != nil {
+		if err := serve.WriteFrameID(conn, uint32(i), raw); err != nil {
 			b.Fatal(err)
 		}
-		if frame, err = serve.ReadFrame(br, frame); err != nil {
+		if _, frame, err = serve.ReadFrameID(br, frame); err != nil {
 			b.Fatal(err)
 		}
 		if serve.FrameKind(frame) != "MTB1" {
@@ -464,9 +472,9 @@ func BenchmarkServePredictBatchUDS(b *testing.B) {
 	b.ReportMetric(float64(serveBenchBatch)*float64(b.N)/b.Elapsed().Seconds(), "preds/s")
 }
 
-// BenchmarkServePredictBatchUDSPipelined is the v2-framing counterpart of
+// BenchmarkServePredictBatchUDSPipelined is the pipelined counterpart of
 // BenchmarkServePredictBatchUDS: same engine, model, batch size, and
-// payloads, but after the hello handshake the client keeps a window of
+// payloads, but after the hello the client keeps a window of
 // frames in flight through a buffered writer while a second goroutine pumps,
 // and the server coalesces completed responses into vectored writes. The
 // preds/s gap against the strict request/response bench is what the per-
@@ -499,7 +507,7 @@ func BenchmarkServePredictBatchUDSPipelined(b *testing.B) {
 		b.Fatal(err)
 	}
 	if ack, err := serve.ReadFrame(br, nil); err != nil || !bytes.HasPrefix(ack, []byte(serve.HelloMagic)) {
-		b.Fatalf("v2 handshake refused (ack %q, err %v)", ack, err)
+		b.Fatalf("hello refused (ack %q, err %v)", ack, err)
 	}
 	var payload bytes.Buffer
 	if err := serve.EncodeBatchRequest(&payload, "dcn", lrlaBatch(serveBenchBatch)); err != nil {
@@ -631,7 +639,7 @@ func benchServeSHM(b *testing.B, shadowRate float64, shards int) {
 		b.Fatal(err)
 	}
 	if ack, err := serve.ReadFrame(br, nil); err != nil || !bytes.HasPrefix(ack, []byte(serve.HelloMagic)) {
-		b.Fatalf("v2 handshake refused (ack %q, err %v)", ack, err)
+		b.Fatalf("hello refused (ack %q, err %v)", ack, err)
 	}
 	if err := serve.WriteFrameID(conn, 1, serve.EncodeSHMOpen(shmring.Geometry{})); err != nil {
 		b.Fatal(err)

@@ -9,6 +9,13 @@
 //	models, _ := c.Models(ctx)
 //	pred, _ := c.PredictBatch(ctx, "quickstart", [][]float64{{2, 1}, {14, 4}})
 //	fmt.Println(pred.Actions)
+//
+// A "unix:///path.sock" base speaks the daemon's framed socket protocol
+// instead: every connection opens with the MTH2 hello and then pipelines
+// frames, predict calls fan out over WithConns connections (optionally
+// upgraded to shared-memory rings by WithSharedMemory), and control ops ride
+// one more connection of their own. A server that refuses the hello fails
+// the call with an error naming MTH2.
 package client
 
 import (
@@ -66,7 +73,7 @@ func WithRetries(n int) Option { return func(c *Client) { c.retries = n } }
 func WithBackoff(d time.Duration) Option { return func(c *Client) { c.backoff = d } }
 
 // WithConns sets how many multiplexed unix-socket connections predict calls
-// are fanned over (default 2). No effect on HTTP endpoints or v1 servers.
+// are fanned over (default 2). No effect on HTTP endpoints.
 func WithConns(n int) Option {
 	return func(c *Client) {
 		if c.uds != nil && n > 0 {
@@ -77,7 +84,7 @@ func WithConns(n int) Option {
 
 // WithInflight caps the number of in-flight predict frames per multiplexed
 // connection (default 128); callers beyond the cap queue client-side. No
-// effect on HTTP endpoints or v1 servers.
+// effect on HTTP endpoints.
 func WithInflight(n int) Option {
 	return func(c *Client) {
 		if c.uds != nil && n > 0 {
@@ -90,9 +97,9 @@ func WithInflight(n int) Option {
 // shared-memory ring segment (the MTS1 upgrade): steady-state predict calls
 // then move through mmap'd rings with zero syscalls on either side, the
 // socket serving only as a wake-up channel. Servers without the upgrade, or
-// hosts where the segment cannot be mapped, fall back to the pipelined v2
-// framing transparently; payloads larger than a ring slot take the framed
-// path per call. No effect on HTTP endpoints.
+// hosts where the segment cannot be mapped, fall back to plain pipelined
+// framing transparently; payloads larger than a ring slot take the socket
+// connection that control ops use, per call. No effect on HTTP endpoints.
 func WithSharedMemory() Option {
 	return func(c *Client) {
 		if c.uds != nil {

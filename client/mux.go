@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -23,11 +22,6 @@ const (
 	defaultMuxInflight = 128
 )
 
-// errLegacyServer reports that the server answered the v2 hello with an
-// error frame: it speaks v1 framing only. The transport latches t.legacy and
-// predict calls fall back to the one-at-a-time pooled path.
-var errLegacyServer = errors.New("client: server speaks v1 framing only")
-
 // muxResult is what the read loop delivers to a waiting call: a pooled copy
 // of the response payload, or the connection's fatal error.
 type muxResult struct {
@@ -36,7 +30,7 @@ type muxResult struct {
 }
 
 // framedConn is one pipelined connection the transport can round-robin
-// predict calls over: a multiplexed v2 socket connection (muxConn) or a
+// calls over: a multiplexed pipelined socket connection (muxConn) or a
 // shared-memory ring pair (shmConn). call blocks until the matched response
 // arrives; the returned buffer comes from respPool and must be returned by
 // the caller.
@@ -44,7 +38,7 @@ type framedConn interface {
 	call(ctx context.Context, payload []byte) (*[]byte, error)
 }
 
-// muxConn is one pipelined v2 connection. Calls from any number of
+// muxConn is one pipelined connection. Calls from any number of
 // goroutines register a correlation ID in pending, write their frame (writes
 // serialized by wmu, IDs and registration by mu), and block on a per-call
 // channel; a single read loop matches response frames back to callers by ID,
@@ -172,42 +166,30 @@ func (mc *muxConn) call(ctx context.Context, payload []byte) (*[]byte, error) {
 // handshaking a fresh one if the slot is empty. preexisting reports whether
 // the connection was already established — an I/O failure on such a
 // connection may just mean the server restarted since, which is worth one
-// retry on a fresh dial. A v1 server refuses the hello with an error frame;
-// the connection stays healthy in v1 framing, so it is recycled into the
-// one-at-a-time pool and errLegacyServer tells the caller to fall back.
-func (t *udsTransport) muxConnAt(i int) (fc framedConn, preexisting bool, err error) {
+// retry on a fresh dial. The dial and handshake honor ctx's deadline; the
+// connection itself outlives the call.
+func (t *udsTransport) muxConnAt(ctx context.Context, i int) (fc framedConn, preexisting bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.mux == nil {
-		t.mux = make([]framedConn, t.conns)
+		t.mux = make([]framedConn, t.conns+1)
 	}
 	if fc := t.mux[i]; fc != nil {
 		return fc, true, nil
 	}
-	c, err := net.Dial("unix", t.path)
+	var d net.Dialer
+	c, err := d.DialContext(ctx, "unix", t.path)
 	if err != nil {
 		return nil, false, fmt.Errorf("client: dial %s: %w", t.path, err)
 	}
+	deadline, _ := ctx.Deadline()
+	c.SetDeadline(deadline) // zero deadline = none
 	br := bufio.NewReaderSize(c, 64<<10)
-	if err := serve.WriteFrame(c, []byte(serve.HelloMagic)); err != nil {
+	if err := t.hello(c, br); err != nil {
 		c.Close()
-		return nil, false, fmt.Errorf("client: %s: %w", t.path, err)
+		return nil, false, err
 	}
-	resp, err := serve.ReadFrame(br, nil)
-	if err != nil {
-		c.Close()
-		return nil, false, fmt.Errorf("client: %s: %w", t.path, err)
-	}
-	if !bytes.HasPrefix(resp, []byte(serve.HelloMagic)) {
-		t.legacy.Store(true)
-		if len(t.idle) < t.poolCap {
-			t.idle = append(t.idle, &udsConn{c: c, br: br, idleSince: time.Now()})
-		} else {
-			c.Close()
-		}
-		return nil, false, errLegacyServer
-	}
-	if t.shm && !t.shmLegacy.Load() {
+	if t.shm && i < t.conns && !t.noSHM.Load() {
 		sc, err := t.shmUpgrade(c, br)
 		if err != nil {
 			c.Close()
@@ -217,9 +199,10 @@ func (t *udsTransport) muxConnAt(i int) (fc framedConn, preexisting bool, err er
 			t.mux[i] = sc
 			return sc, false, nil
 		}
-		// The server (or this host) cannot do shared memory; t.shmLegacy is
+		// The server (or this host) cannot do shared memory; t.noSHM is
 		// latched and the upgraded connection proceeds as a plain mux conn.
 	}
+	c.SetDeadline(time.Time{})
 	mc := &muxConn{
 		t:       t,
 		c:       c,
@@ -232,6 +215,29 @@ func (t *udsTransport) muxConnAt(i int) (fc framedConn, preexisting bool, err er
 	return mc, false, nil
 }
 
+// hello opens a fresh connection with the MTH2 hello. A server that answers
+// anything but the ack does not speak pipelined framing; the error names the
+// hello and carries the server's refusal.
+func (t *udsTransport) hello(c net.Conn, br *bufio.Reader) error {
+	err := serve.WriteFrame(c, []byte(serve.HelloMagic))
+	var resp []byte
+	if err == nil {
+		resp, err = serve.ReadFrame(br, nil)
+	}
+	switch {
+	case err != nil:
+		return fmt.Errorf("client: %s: %s hello: %w", t.path, serve.HelloMagic, err)
+	case bytes.HasPrefix(resp, []byte(serve.HelloMagic)):
+		return nil
+	}
+	if serve.FrameKind(resp) == "MTE1" {
+		if status, msg, err := serve.DecodeErrorPayload(resp); err == nil {
+			return fmt.Errorf("client: %s refused the %s hello with %d: %s", t.path, serve.HelloMagic, status, msg)
+		}
+	}
+	return fmt.Errorf("client: %s answered the %s hello with frame kind %q", t.path, serve.HelloMagic, serve.FrameKind(resp))
+}
+
 // dropMux clears slot i if it still holds fc, so the next call redials.
 func (t *udsTransport) dropMux(i int, fc framedConn) {
 	t.mu.Lock()
@@ -241,82 +247,37 @@ func (t *udsTransport) dropMux(i int, fc framedConn) {
 	t.mu.Unlock()
 }
 
-// muxCall round-robins one framed call over the multiplexed connections.
-// The returned buffer comes from respPool and must be returned by the
-// caller. Mirroring roundTrip's stale-connection semantics: an I/O failure
-// on a preexisting connection gets one retry on a fresh dial, a failure on a
+// muxCall sends one payload over a multiplexed connection and returns the
+// matched response, which comes from respPool and must be returned by the
+// caller. Calls round-robin over the predict slots, or take the side slot
+// when side is set; a payload too large for a shared-memory ring slot is
+// rerouted to the side slot, which has no slot bound. An I/O failure on a
+// preexisting connection gets one retry on a fresh dial, a failure on a
 // fresh one is final. Context errors are the caller's own deadline, not a
 // connection problem, and are returned without dropping the connection.
-func (t *udsTransport) muxCall(ctx context.Context, payload []byte) (*[]byte, error) {
-	i := int(t.next.Add(1) % uint32(t.conns))
+func (t *udsTransport) muxCall(ctx context.Context, payload []byte, side bool) (*[]byte, error) {
+	i := t.conns
+	if !side {
+		i = int(t.next.Add(1) % uint32(t.conns))
+	}
 	for attempt := 0; ; attempt++ {
-		fc, preexisting, err := t.muxConnAt(i)
+		fc, preexisting, err := t.muxConnAt(ctx, i)
 		if err != nil {
 			return nil, err
 		}
 		buf, err := fc.call(ctx, payload)
-		if err == nil {
+		switch {
+		case err == nil:
 			return buf, nil
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			return nil, err
-		}
-		if errors.Is(err, errSHMTooLarge) {
-			// The connection is healthy; the payload just does not fit a ring
-			// slot. The caller reroutes this one request.
-			return nil, err
+		case errors.Is(err, errSHMTooLarge):
+			// The ring connection is healthy; only this payload does not fit.
+			return t.muxCall(ctx, payload, true)
 		}
 		t.dropMux(i, fc)
-		if preexisting && attempt == 0 {
-			continue
-		}
-		return nil, err
-	}
-}
-
-// muxPredictBatch runs one encoded predict payload through the multiplexer.
-// fellBack reports that the server turned out to speak v1 only (the
-// transport's legacy latch is set and nothing was sent); the caller then
-// reruns the request on the v1 path. Error handling matches udsCall: 503
-// retried with doubling backoff, other error frames surfaced as *APIError.
-func (c *Client) muxPredictBatch(ctx context.Context, payload []byte) (p *Prediction, fellBack bool, err error) {
-	backoff := c.backoff
-	for attempt := 0; ; attempt++ {
-		buf, err := c.uds.muxCall(ctx, payload)
-		if err != nil {
-			if errors.Is(err, errLegacyServer) {
-				return nil, true, nil
-			}
-			return nil, false, err
-		}
-		resp := *buf
-		switch kind := serve.FrameKind(resp); kind {
-		case "MTB1":
-			sp, derr := serve.DecodeBatchResponse(bytes.NewReader(resp))
-			c.uds.respPool.Put(buf)
-			if derr != nil {
-				return nil, false, fmt.Errorf("client: %w", derr)
-			}
-			return &Prediction{Actions: sp.Actions, Values: sp.Values}, false, nil
-		case "MTE1":
-			status, msg, perr := serve.DecodeErrorPayload(resp)
-			c.uds.respPool.Put(buf)
-			if perr != nil {
-				return nil, false, fmt.Errorf("client: %w", perr)
-			}
-			if status == http.StatusServiceUnavailable && attempt < c.retries {
-				select {
-				case <-time.After(backoff):
-				case <-ctx.Done():
-					return nil, false, ctx.Err()
-				}
-				backoff *= 2
-				continue
-			}
-			return nil, false, &APIError{Status: status, Msg: msg}
-		default:
-			c.uds.respPool.Put(buf)
-			return nil, false, fmt.Errorf("client: predict answered with frame kind %q", kind)
+		if !preexisting || attempt > 0 {
+			return nil, err
 		}
 	}
 }

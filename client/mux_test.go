@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,14 +22,13 @@ func errFrame(status int, msg string) []byte {
 	return append(out, msg...)
 }
 
-// v1OnlyServer hand-rolls a pre-v2 framed server from the exported serve
-// primitives: strict one-request-one-response v1 framing, every unknown
-// magic — the v2 hello included — refused with an error frame on a
-// connection that keeps working. This emulates an old daemon for the
-// new-client/old-server half of the handshake matrix.
-func v1OnlyServer(t *testing.T, e *serve.Engine) string {
+// refusingServer hand-rolls a server that does not speak pipelined framing:
+// it answers every short frame — the hello included — with an error frame,
+// the way a daemon that predates the hello does. When silent is set it
+// answers nothing at all.
+func refusingServer(t *testing.T, silent bool) string {
 	t.Helper()
-	sock := filepath.Join(t.TempDir(), "v1.sock")
+	sock := filepath.Join(t.TempDir(), "refusing.sock")
 	l, err := serve.ListenUDS(sock)
 	if err != nil {
 		t.Fatal(err)
@@ -43,32 +43,16 @@ func v1OnlyServer(t *testing.T, e *serve.Engine) string {
 			go func() {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
-				var buf []byte
 				for {
-					frame, err := serve.ReadFrame(br, buf)
-					if err != nil {
+					if _, err := serve.ReadFrame(br, nil); err != nil {
 						return
 					}
-					buf = frame
-					var out []byte
-					if serve.FrameKind(frame) == "MTB1" {
-						model, rows, derr := serve.DecodeBatchRequest(bytes.NewReader(frame), 4096)
-						if derr != nil {
-							out = errFrame(400, derr.Error())
-						} else if p, perr := e.Predict(model, rows); perr != nil {
-							out = errFrame(404, perr.Error())
-						} else {
-							var resp bytes.Buffer
-							if eerr := serve.EncodeBatchResponse(&resp, p); eerr != nil {
-								out = errFrame(500, eerr.Error())
-							} else {
-								out = resp.Bytes()
-							}
-						}
-					} else {
-						out = errFrame(400, fmt.Sprintf("unknown frame magic %q", serve.FrameKind(frame)))
+					if silent {
+						continue
 					}
-					if err := serve.WriteFrame(conn, out); err != nil {
+					// The message does not echo the magic, so the client's
+					// error must name the hello itself.
+					if err := serve.WriteFrame(conn, errFrame(400, "unsupported frame")); err != nil {
 						return
 					}
 				}
@@ -124,50 +108,44 @@ func TestClientMuxConcurrentDistinct(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if c.uds.legacy.Load() {
-		t.Fatal("client fell back to v1 against a v2 server")
-	}
 }
 
-// TestClientMuxFallbackV1 pins the downgrade: against a v1-only server the
-// first predict reads the refused hello, latches legacy, recycles the
-// handshake connection into the v1 pool, and every call — first included —
-// still succeeds on the one-at-a-time path.
-func TestClientMuxFallbackV1(t *testing.T) {
-	_, _, e := testServer(t)
-	sock := v1OnlyServer(t, e)
-	c := New("unix://" + sock)
-	ctx := context.Background()
-
-	rows := [][]float64{{0.9, 0.1}, {0.1, 0.9}}
-	want, err := e.Predict("cls", rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		got, err := c.PredictBatch(ctx, "cls", rows)
-		if err != nil {
-			t.Fatalf("call %d against a v1 server: %v", i, err)
+// TestClientHelloRefused pins the one upgrade point from the client's side:
+// against a server that refuses the hello, or never answers it, predicts and
+// control ops fail within their context with an error naming the hello —
+// there is no fallback — and no connection is kept.
+func TestClientHelloRefused(t *testing.T) {
+	for _, silent := range []bool{false, true} {
+		c := New("unix://" + refusingServer(t, silent))
+		calls := map[string]func(context.Context) error{
+			"predict": func(ctx context.Context) error {
+				_, err := c.PredictBatch(ctx, "cls", [][]float64{{0.9, 0.1}})
+				return err
+			},
+			"stats": func(ctx context.Context) error {
+				_, err := c.Stats(ctx)
+				return err
+			},
 		}
-		for r := range want.Actions {
-			if got.Actions[r] != want.Actions[r] {
-				t.Fatalf("call %d row %d: got %d, want %d", i, r, got.Actions[r], want.Actions[r])
+		for name, call := range calls {
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			start := time.Now()
+			err := call(ctx)
+			cancel()
+			if err == nil || !strings.Contains(err.Error(), serve.HelloMagic) {
+				t.Fatalf("silent=%v %s: err = %v, want an error naming %s", silent, name, err, serve.HelloMagic)
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Fatalf("silent=%v %s: failed after %v, past its 100ms context", silent, name, d)
 			}
 		}
-	}
-	if !c.uds.legacy.Load() {
-		t.Fatal("legacy latch not set after a refused hello")
-	}
-	c.uds.mu.Lock()
-	idle := len(c.uds.idle)
-	for _, mc := range c.uds.mux {
-		if mc != nil {
-			t.Error("a mux connection survived the v1 fallback")
+		c.uds.mu.Lock()
+		for i, fc := range c.uds.mux {
+			if fc != nil {
+				t.Errorf("silent=%v: slot %d kept a connection", silent, i)
+			}
 		}
-	}
-	c.uds.mu.Unlock()
-	if idle != 1 {
-		t.Fatalf("%d idle connections after fallback, want 1 (handshake conn recycled)", idle)
+		c.uds.mu.Unlock()
 	}
 }
 
@@ -247,81 +225,5 @@ func TestClientMux503Retry(t *testing.T) {
 	apiErr, ok := err.(*APIError)
 	if !ok || apiErr.Status != 404 {
 		t.Fatalf("err = %v, want *APIError with status 404", err)
-	}
-}
-
-// TestClientUDSPoolCap hammers the v1 pooled path with parallel callers and
-// asserts the idle pool respects its cap — surplus connections are closed on
-// put, not parked forever.
-func TestClientUDSPoolCap(t *testing.T) {
-	sock, _ := testUDSServer(t)
-	c := New("unix://" + sock)
-	c.uds.legacy.Store(true) // force every call onto the v1 pooled path
-	c.uds.poolCap = 2
-	ctx := context.Background()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				if _, err := c.PredictBatch(ctx, "cls", [][]float64{{0.4, 0.6}}); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	c.uds.mu.Lock()
-	idle := len(c.uds.idle)
-	c.uds.mu.Unlock()
-	if idle > 2 {
-		t.Fatalf("%d idle connections parked, want at most the cap of 2", idle)
-	}
-	if _, err := c.PredictBatch(ctx, "cls", [][]float64{{0.4, 0.6}}); err != nil {
-		t.Fatalf("call after pool-cap churn: %v", err)
-	}
-}
-
-// TestClientUDSIdleDeadline pins idle-connection hygiene: a pooled
-// connection past the idle deadline is discarded by get, which then reports
-// a fresh dial.
-func TestClientUDSIdleDeadline(t *testing.T) {
-	sock, _ := testUDSServer(t)
-	c := New("unix://" + sock)
-	c.uds.legacy.Store(true)
-	ctx := context.Background()
-	if _, err := c.PredictBatch(ctx, "cls", [][]float64{{0.5, 0.5}}); err != nil {
-		t.Fatal(err)
-	}
-	c.uds.mu.Lock()
-	if len(c.uds.idle) != 1 {
-		c.uds.mu.Unlock()
-		t.Fatal("expected one pooled connection")
-	}
-	c.uds.mu.Unlock()
-
-	// Everything in the pool is now "too old".
-	c.uds.idleTimeout = -time.Nanosecond
-	cn, pooled, err := c.uds.get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cn.c.Close()
-	if pooled {
-		t.Fatal("get handed out a connection past its idle deadline")
-	}
-	c.uds.mu.Lock()
-	left := len(c.uds.idle)
-	c.uds.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d expired connections still parked, want 0", left)
 	}
 }

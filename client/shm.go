@@ -8,14 +8,15 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"time"
 
 	"repro/internal/serve"
 	"repro/internal/shmring"
 )
 
 // errSHMTooLarge reports a payload that does not fit one ring slot. The
-// connection is perfectly healthy — the caller retries the one request over
-// the framed v1 path, which has no slot bound.
+// connection is perfectly healthy — muxCall reroutes the one request to the
+// side slot, a plain pipelined connection with no slot bound.
 var errSHMTooLarge = errors.New("client: payload exceeds the shared-memory slot size")
 
 // shmClientSpin bounds the collector's polling of a nonempty-expected ring
@@ -29,7 +30,8 @@ const shmClientSpin = 64
 // their payload in, and publish; one collector goroutine drains the response
 // ring and matches responses to waiting calls by correlation ID, exactly like
 // muxConn's readLoop. The request payloads and responses are byte-for-byte
-// the v2 frames, so everything above call() is shared with the mux path.
+// the pipelined frames, so everything above call() is shared with the mux
+// path.
 type shmConn struct {
 	t   *udsTransport
 	c   net.Conn
@@ -55,9 +57,9 @@ type shmConn struct {
 	collectorDone chan struct{}
 }
 
-// shmUpgrade negotiates a shared-memory segment on a freshly v2-upgraded
-// connection. A nil, nil return means the server (or this host) cannot do
-// shared memory — the transport's shmLegacy latch is set and the caller
+// shmUpgrade negotiates a shared-memory segment on a connection fresh past
+// the hello. A nil, nil return means the server (or this host) cannot do
+// shared memory — the transport's noSHM latch is set and the caller
 // proceeds with the plain multiplexed connection; a non-nil error means the
 // connection itself died mid-handshake.
 func (t *udsTransport) shmUpgrade(c net.Conn, br *bufio.Reader) (*shmConn, error) {
@@ -69,9 +71,9 @@ func (t *udsTransport) shmUpgrade(c net.Conn, br *bufio.Reader) (*shmConn, error
 		return nil, fmt.Errorf("client: %s: %w", t.path, err)
 	}
 	if serve.FrameKind(payload) != serve.SHMMagic {
-		// The server declined (a v2-only build answers with an error frame,
-		// exactly like a v1 server refusing the hello one layer down).
-		t.shmLegacy.Store(true)
+		// The server declined: ServeUDS answers the open with an error
+		// frame, and so would a server that predates the upgrade.
+		t.noSHM.Store(true)
 		return nil, nil
 	}
 	_, path, err := serve.DecodeSHMAck(payload)
@@ -83,7 +85,7 @@ func (t *udsTransport) shmUpgrade(c net.Conn, br *bufio.Reader) (*shmConn, error
 		// Mapping failed (no common filesystem, permissions, platform):
 		// abort so the server discards the segment, and stop trying on
 		// future connections.
-		t.shmLegacy.Store(true)
+		t.noSHM.Store(true)
 		if werr := serve.WriteFrameID(c, 0, serve.EncodeSHMAbort()); werr != nil {
 			return nil, fmt.Errorf("client: %s: %w", t.path, werr)
 		}
@@ -93,6 +95,7 @@ func (t *udsTransport) shmUpgrade(c net.Conn, br *bufio.Reader) (*shmConn, error
 		seg.Close()
 		return nil, fmt.Errorf("client: %s: %w", t.path, err)
 	}
+	c.SetDeadline(time.Time{}) // the handshake is over; ring traffic has none
 	sc := &shmConn{
 		t:             t,
 		c:             c,

@@ -61,14 +61,21 @@ func TestClientSharedMemoryPredict(t *testing.T) {
 		t.Fatal("no shared-memory connection established — the client silently fell back")
 	}
 
-	// Control ops keep working alongside ring traffic (they ride the v1
-	// pooled path on their own connections).
+	// Control ops keep working alongside ring traffic: they ride the side
+	// slot, which never negotiates a segment of its own.
+	conns := e.SHMConns()
 	models, err := c.Models(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(models) != 2 {
 		t.Fatalf("models = %+v", models)
+	}
+	if _, err := c.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.SHMConns(); got != conns {
+		t.Fatalf("SHMConns went %d → %d over control ops", conns, got)
 	}
 
 	// Typed errors survive the ring: unknown model is a 404 *APIError.
@@ -137,8 +144,8 @@ func TestClientSharedMemoryFallback(t *testing.T) {
 	if got.Actions[0] != want.Actions[0] {
 		t.Fatalf("fallback predict %d, want %d", got.Actions[0], want.Actions[0])
 	}
-	if !c.uds.shmLegacy.Load() {
-		t.Fatal("shmLegacy not latched after a declined negotiation")
+	if !c.uds.noSHM.Load() {
+		t.Fatal("noSHM not latched after a declined negotiation")
 	}
 	// And the latched transport keeps serving.
 	if _, err := c.PredictBatch(ctx, "cls", rows); err != nil {
@@ -147,7 +154,7 @@ func TestClientSharedMemoryFallback(t *testing.T) {
 }
 
 // TestClientSharedMemoryOversizedPayload forces a tiny server-side slot: big
-// batches reroute per-call onto the framed path (no error surfaces), small
+// batches reroute per call onto the side slot (no error surfaces), small
 // batches keep riding the rings.
 func TestClientSharedMemoryOversizedPayload(t *testing.T) {
 	sock, e := testSHMServer(t, serve.Config{SHMSlotSize: 1024})
@@ -172,10 +179,16 @@ func TestClientSharedMemoryOversizedPayload(t *testing.T) {
 			t.Fatalf("row %d: oversized-batch reroute %d, want %d", i, got.Actions[i], want.Actions[i])
 		}
 	}
+	c.uds.mu.Lock()
+	side := c.uds.mux[c.uds.conns]
+	c.uds.mu.Unlock()
+	if _, ok := side.(*muxConn); !ok {
+		t.Fatalf("side slot holds %T after an oversized payload, want a plain *muxConn", side)
+	}
 	// Small batches still use the rings (the conn was not dropped and the
-	// transport did not latch legacy).
-	if c.uds.shmLegacy.Load() {
-		t.Fatal("one oversized payload latched shmLegacy")
+	// transport did not latch noSHM).
+	if c.uds.noSHM.Load() {
+		t.Fatal("one oversized payload latched noSHM")
 	}
 	if _, err := c.PredictBatch(ctx, "cls", big[:2]); err != nil {
 		t.Fatal(err)

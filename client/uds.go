@@ -1,13 +1,10 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -16,51 +13,31 @@ import (
 	"repro/internal/serve"
 )
 
-// Pool-hygiene defaults of the v1 (one-at-a-time) connection pool.
-const (
-	// defaultPoolCap bounds the idle pool: a burst of concurrent v1 callers
-	// leaves at most this many sockets parked, the rest close on put.
-	defaultPoolCap = 8
-	// defaultIdleTimeout is how long a pooled connection may sit unused
-	// before get discards it — the server side has likely reaped or
-	// restarted by then, and redialing a unix socket is cheap.
-	defaultIdleTimeout = time.Minute
-)
-
 // udsTransport is the framed unix-domain-socket backend of the SDK: the same
-// binary batch payloads the HTTP codec carries, minus HTTP. Predict traffic
-// prefers the pipelined v2 multiplexer (mux.go); when the server turns out
-// to be v1-only — it answers the upgrade hello with an error frame — the
-// transport falls back permanently to this file's one-at-a-time pooled path,
-// which is also what control ops always use. Connections are pooled and each
-// keeps its own frame buffers, so a steady caller reuses one socket and one
-// set of buffers across calls instead of paying connection setup and header
-// machinery per request.
+// binary batch payloads the HTTP codec carries, minus HTTP. Every call rides
+// a pipelined connection (mux.go). Predict calls round-robin over conns
+// predict slots; control ops, and predict payloads too large for a
+// shared-memory ring slot, ride one more slot — the side slot at index conns,
+// a plain pipelined connection that never negotiates shared memory. Slots
+// are dialed on first use and open with the MTH2 hello; a server that
+// refuses it fails the call.
 type udsTransport struct {
 	path string
 	// conns and inflight are the multiplexer knobs (WithConns/WithInflight).
 	conns    int
 	inflight int
-	// poolCap and idleTimeout are the v1 pool-hygiene bounds (fixed
-	// defaults; fields so tests can tighten them).
-	poolCap     int
-	idleTimeout time.Duration
 
-	// shm asks new connections to negotiate a shared-memory ring segment
-	// (WithSharedMemory); shmLegacy latches once the server declines or a
-	// segment cannot be mapped, so later connections skip straight to v2.
-	shm bool
+	// shm asks new predict connections to negotiate a shared-memory ring
+	// segment (WithSharedMemory); noSHM latches once the server declines or
+	// a segment cannot be mapped, so later connections skip the attempt.
+	shm   bool
+	noSHM atomic.Bool
 
-	mu   sync.Mutex
-	idle []*udsConn
-	mux  []framedConn
-	// next round-robins predict calls over the mux connections.
+	mu sync.Mutex
+	// mux holds the conns predict slots followed by the side slot.
+	mux []framedConn
+	// next round-robins predict calls over the predict slots.
 	next atomic.Uint32
-	// legacy latches once a hello is answered with an error frame: the
-	// server speaks v1 only, and every later call skips the multiplexer.
-	legacy atomic.Bool
-	// shmLegacy is the shared-memory counterpart of legacy, one layer up.
-	shmLegacy atomic.Bool
 
 	// reqPool recycles request-payload build buffers across calls and
 	// goroutines; respPool recycles the response copies the mux reader hands
@@ -69,145 +46,63 @@ type udsTransport struct {
 	respPool sync.Pool
 }
 
-// udsConn is one pooled connection with its reusable read buffer.
-type udsConn struct {
-	c   net.Conn
-	br  *bufio.Reader
-	buf []byte
-	// idleSince is when the connection was last returned to the pool.
-	idleSince time.Time
-}
-
 func newUDSTransport(path string) *udsTransport {
 	t := &udsTransport{
-		path:        path,
-		conns:       defaultMuxConns,
-		inflight:    defaultMuxInflight,
-		poolCap:     defaultPoolCap,
-		idleTimeout: defaultIdleTimeout,
+		path:     path,
+		conns:    defaultMuxConns,
+		inflight: defaultMuxInflight,
 	}
 	t.reqPool.New = func() any { return new(bytes.Buffer) }
 	t.respPool.New = func() any { b := make([]byte, 0, 4096); return &b }
 	return t
 }
 
-// get pops an idle connection or dials a fresh one; pooled reports which, so
-// callers know whether an I/O failure may just be a stale socket worth one
-// retry. Connections idle past the deadline are closed, not reused: the
-// cheap redial beats inheriting a socket the server may have half torn down.
-func (t *udsTransport) get() (cn *udsConn, pooled bool, err error) {
-	t.mu.Lock()
-	for n := len(t.idle); n > 0; n = len(t.idle) {
-		cn = t.idle[n-1]
-		t.idle = t.idle[:n-1]
-		if time.Since(cn.idleSince) <= t.idleTimeout {
-			t.mu.Unlock()
-			return cn, true, nil
-		}
-		cn.c.Close()
-	}
-	t.mu.Unlock()
-	c, err := net.Dial("unix", t.path)
-	if err != nil {
-		return nil, false, fmt.Errorf("client: dial %s: %w", t.path, err)
-	}
-	return &udsConn{c: c, br: bufio.NewReaderSize(c, 64<<10)}, false, nil
-}
-
-// put returns a healthy connection to the pool, closing it instead when the
-// pool is at capacity.
-func (t *udsTransport) put(cn *udsConn) {
-	cn.idleSince = time.Now()
-	t.mu.Lock()
-	if len(t.idle) >= t.poolCap {
-		t.mu.Unlock()
-		cn.c.Close()
-		return
-	}
-	t.idle = append(t.idle, cn)
-	t.mu.Unlock()
-}
-
-// roundTrip sends one frame and reads the response payload. The returned
-// payload aliases the connection's read buffer — callers must fully decode
-// it before releasing the connection with t.put(cn). I/O failures on a
-// pooled connection get one retry on a fresh dial (the server may have
-// restarted since the connection was pooled); failures on a fresh connection
-// are final.
-func (t *udsTransport) roundTrip(ctx context.Context, payload []byte) (*udsConn, []byte, error) {
-	for {
-		cn, pooled, err := t.get()
-		if err != nil {
-			return nil, nil, err
-		}
-		deadline, _ := ctx.Deadline()
-		cn.c.SetDeadline(deadline) // zero deadline = none
-		if err := serve.WriteFrame(cn.c, payload); err == nil {
-			if cn.buf, err = serve.ReadFrame(cn.br, cn.buf); err == nil {
-				return cn, cn.buf, nil
-			}
-		}
-		cn.c.Close()
-		if pooled {
-			continue
-		}
-		return nil, nil, fmt.Errorf("client: %s: %w", t.path, err)
-	}
-}
-
-// udsCall is roundTrip plus the shared response handling: 503 retry with
-// backoff (mirroring the HTTP path's admission-control behavior) and "MTE1"
-// error mapping to *APIError. On success the handle function decodes the
-// full response payload (magic included) while the connection is still
-// owned. The connection is pooled again only after a cleanly decoded
-// response (success or well-formed error frame); a payload the client cannot
-// make sense of closes it — a peer that sent one undecodable frame cannot be
-// trusted to stay in sync.
-func (c *Client) udsCall(ctx context.Context, payload []byte, handle func(kind string, resp []byte) error) error {
+// udsCall sends one payload over the multiplexer — on the side slot when
+// side is set — with the shared response handling: 503 retried with doubling
+// backoff (mirroring the HTTP path's admission-control behavior), other
+// "MTE1" error frames surfaced as *APIError, and any other response handed to
+// handle, payload magic included, before its buffer is recycled.
+func (c *Client) udsCall(ctx context.Context, payload []byte, side bool, handle func(resp []byte) error) error {
 	backoff := c.backoff
 	for attempt := 0; ; attempt++ {
-		cn, resp, err := c.uds.roundTrip(ctx, payload)
+		buf, err := c.uds.muxCall(ctx, payload, side)
 		if err != nil {
 			return err
 		}
-		kind := serve.FrameKind(resp)
-		if kind == "MTE1" {
-			status, msg, perr := serve.DecodeErrorPayload(resp)
-			if perr != nil {
-				cn.c.Close()
-				return fmt.Errorf("client: %w", perr)
-			}
-			c.uds.put(cn)
-			if status == http.StatusServiceUnavailable && attempt < c.retries {
-				select {
-				case <-time.After(backoff):
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-				backoff *= 2
-				continue
-			}
-			return &APIError{Status: status, Msg: msg}
-		}
-		if err = handle(kind, resp); err != nil {
-			cn.c.Close()
+		resp := *buf
+		if serve.FrameKind(resp) != "MTE1" {
+			err := handle(resp)
+			c.uds.respPool.Put(buf)
 			return err
 		}
-		c.uds.put(cn)
-		return nil
+		status, msg, perr := serve.DecodeErrorPayload(resp)
+		c.uds.respPool.Put(buf)
+		if perr != nil {
+			return fmt.Errorf("client: %w", perr)
+		}
+		if status == http.StatusServiceUnavailable && attempt < c.retries {
+			select {
+			case <-time.After(backoff):
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			backoff *= 2
+			continue
+		}
+		return &APIError{Status: status, Msg: msg}
 	}
 }
 
-// udsControl runs one "MTQ1" control op and decodes the JSON response into
-// out.
+// udsControl runs one "MTQ1" control op on the side slot and decodes the
+// JSON response into out.
 func (c *Client) udsControl(ctx context.Context, op, name, dir string, out any) error {
 	payload, err := serve.ControlRequest(op, name, dir)
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	return c.udsCall(ctx, payload, func(kind string, resp []byte) error {
-		if kind != "MTJ1" {
-			return fmt.Errorf("client: control op %q answered with frame kind %q", op, kind)
+	return c.udsCall(ctx, payload, true, func(resp []byte) error {
+		if serve.FrameKind(resp) != "MTJ1" {
+			return fmt.Errorf("client: control op %q answered with frame kind %q", op, serve.FrameKind(resp))
 		}
 		if err := json.Unmarshal(serve.FrameBody(resp), out); err != nil {
 			return fmt.Errorf("client: decode %s response: %w", op, err)
@@ -216,11 +111,9 @@ func (c *Client) udsControl(ctx context.Context, op, name, dir string, out any) 
 	})
 }
 
-// udsPredictBatch runs a batch through the socket's predict frames: over the
-// pipelined multiplexer against a v2 server, or the one-at-a-time pooled
-// path once the server is known to be v1-only. The request payload is built
-// in a pooled buffer; the response payload is the standard binary batch
-// response.
+// udsPredictBatch runs a batch through the socket's predict frames. The
+// request payload is built in a pooled buffer; the response payload is the
+// standard binary batch response.
 func (c *Client) udsPredictBatch(ctx context.Context, model string, rows [][]float64) (*Prediction, error) {
 	buf := c.uds.reqPool.Get().(*bytes.Buffer)
 	defer c.uds.reqPool.Put(buf)
@@ -228,20 +121,10 @@ func (c *Client) udsPredictBatch(ctx context.Context, model string, rows [][]flo
 	if err := serve.EncodeBatchRequest(buf, model, rows); err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	if !c.uds.legacy.Load() {
-		p, fellBack, err := c.muxPredictBatch(ctx, buf.Bytes())
-		if !fellBack && !errors.Is(err, errSHMTooLarge) {
-			return p, err
-		}
-		// Fall through to the one-frame-at-a-time path: either the hello was
-		// refused (a v1 server; c.uds.legacy is latched now), or this one
-		// payload is too large for a shared-memory ring slot — the framed
-		// path has no such bound, and the connection stays upgraded.
-	}
 	var p *Prediction
-	err := c.udsCall(ctx, buf.Bytes(), func(kind string, resp []byte) error {
-		if kind != "MTB1" {
-			return fmt.Errorf("client: predict answered with frame kind %q", kind)
+	err := c.udsCall(ctx, buf.Bytes(), false, func(resp []byte) error {
+		if serve.FrameKind(resp) != "MTB1" {
+			return fmt.Errorf("client: predict answered with frame kind %q", serve.FrameKind(resp))
 		}
 		sp, err := serve.DecodeBatchResponse(bytes.NewReader(resp))
 		if err != nil {

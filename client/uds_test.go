@@ -120,48 +120,43 @@ func TestClientUDSControlOps(t *testing.T) {
 	}
 }
 
-// TestClientUDSConnectionReuse pins the pooling behavior: sequential predict
+// TestClientUDSConnectionReuse pins the slot layout: sequential predict
 // calls ride one multiplexed connection instead of redialing, and control
-// ops (always v1) keep exactly one pooled connection.
+// ops add exactly one more, the side slot.
 func TestClientUDSConnectionReuse(t *testing.T) {
 	sock, _ := testUDSServer(t)
 	c := New("unix://"+sock, WithConns(1))
 	ctx := context.Background()
+	live := func() int {
+		c.uds.mu.Lock()
+		defer c.uds.mu.Unlock()
+		n := 0
+		for _, fc := range c.uds.mux {
+			if fc != nil {
+				n++
+			}
+		}
+		return n
+	}
 	for i := 0; i < 5; i++ {
 		if _, err := c.PredictBatch(ctx, "cls", [][]float64{{0.5, 0.5}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.uds.mu.Lock()
-	muxLive := 0
-	for _, mc := range c.uds.mux {
-		if mc != nil {
-			muxLive++
-		}
+	if n := live(); n != 1 {
+		t.Fatalf("%d live connections after 5 sequential predicts, want 1", n)
 	}
-	idle := len(c.uds.idle)
-	c.uds.mu.Unlock()
-	if muxLive != 1 {
-		t.Fatalf("%d live mux connections after 5 sequential predicts, want 1", muxLive)
-	}
-	if idle != 0 {
-		t.Fatalf("%d idle v1 connections after predicts on a v2 server, want 0", idle)
-	}
-
 	for i := 0; i < 5; i++ {
 		if _, err := c.Stats(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.uds.mu.Lock()
-	idle = len(c.uds.idle)
-	c.uds.mu.Unlock()
-	if idle != 1 {
-		t.Fatalf("%d idle connections after 5 sequential control ops, want 1", idle)
+	if n := live(); n != 2 {
+		t.Fatalf("%d live connections after 5 sequential control ops, want 2", n)
 	}
 }
 
-// TestClientUDSReconnect pins the stale-connection retry: a pooled
+// TestClientUDSReconnect pins the stale-connection retry: an established
 // connection whose server died must be replaced transparently when a new
 // server accepts on the same path.
 func TestClientUDSReconnect(t *testing.T) {
@@ -179,7 +174,7 @@ func TestClientUDSReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart the server: the pooled connection is now dead.
+	// Restart the server: the established connection is now dead.
 	l.Close()
 	l2, err := serve.ListenUDS(sock)
 	if err != nil {
@@ -193,8 +188,8 @@ func TestClientUDSReconnect(t *testing.T) {
 	}
 }
 
-// TestClientUDSConcurrent exercises the pool under parallel callers with the
-// race detector in mind.
+// TestClientUDSConcurrent exercises the multiplexer under parallel callers
+// with the race detector in mind.
 func TestClientUDSConcurrent(t *testing.T) {
 	sock, _ := testUDSServer(t)
 	c := New("unix://" + sock)

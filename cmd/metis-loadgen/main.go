@@ -12,8 +12,8 @@
 // The traffic mix defaults to every served model with equal weight; -models
 // "abr:3,dcn:1" sends abr three times as often as dcn. Requests fan out over
 // -workers goroutines sharing one SDK client (the client multiplexes over
-// -conns pipelined socket connections against a v2 server); every request is
-// a -batch row binary-codec batch of uniform random feature rows.
+// -conns pipelined socket connections); every request is a -batch row
+// binary-codec batch of uniform random feature rows.
 //
 // Output is one "key value" pair per line (model_requests and hist_us carry
 // two values), so a script can pick off p99 with awk:
@@ -74,7 +74,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.StringVar(&cfg.replicas, "replicas", "",
 		"comma-separated http:// base URLs of equivalent replicas; requests go to the least-loaded one not currently shedding (overrides -addr; implies -transport http)")
 	fs.StringVar(&cfg.transport, "transport", "uds",
-		"socket transport: uds (pipelined v2 frames) or shm (negotiate shared-memory rings; needs a unix:// -addr and a server started with -shm)")
+		"socket transport: uds (pipelined frames) or shm (negotiate shared-memory rings; needs a unix:// -addr and a server started with -shm)")
 	fs.StringVar(&cfg.models, "models", "",
 		"traffic mix as name[:weight],… (default: every served model, equal weight)")
 	fs.Float64Var(&cfg.rate, "rate", 1000, "offered load in requests per second")

@@ -14,13 +14,14 @@
 //
 // Endpoints: GET /healthz, GET /v2/models[/{name}],
 // POST /v2/models/{name}:predict (JSON or application/x-metis-batch),
-// GET /v2/stats, POST /v2/admin/reload, GET /metrics — plus the v1 routes
-// as a compatibility shim.
+// GET /v2/stats, POST /v2/admin/reload, GET /metrics.
 //
 // With -uds /path.sock the daemon additionally serves the framed binary
 // protocol on a unix-domain socket: the same binary batch payloads without
 // the HTTP machinery, for co-located clients that need the full in-process
-// prediction rate (client.New("unix:///path.sock") speaks it).
+// prediction rate (client.New("unix:///path.sock") speaks it). Every socket
+// connection must open with the MTH2 hello and then pipelines its frames;
+// any other first frame is refused with a 426 error frame.
 //
 // Hot reload: SIGHUP (or POST /v2/admin/reload) re-scans the artifact
 // directory and swaps the model registry atomically — in-flight requests

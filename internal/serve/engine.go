@@ -10,8 +10,8 @@
 //   - codec.go: the wire codecs — JSON helpers and the binary row-major
 //     float64 batch format (application/x-metis-batch) for high-throughput
 //     clients, with a pooled scratch path for allocation-free serving loops.
-//   - http.go: the HTTP layer — the v2 route surface, the v1 shim, and the
-//     Prometheus /metrics rendering.
+//   - http.go: the HTTP layer — the v2 route surface and the Prometheus
+//     /metrics rendering.
 //   - uds.go: the framed unix-domain-socket transport — the same binary
 //     batch payloads without the HTTP machinery, for co-located clients
 //     that need the full in-process rate.

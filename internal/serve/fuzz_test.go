@@ -85,11 +85,12 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
-// FuzzReadFrameID drives the v2 frame reader with arbitrary byte streams:
+// FuzzReadFrameID drives both frame readers with arbitrary byte streams:
 // truncated headers, truncated payloads, and hostile declared lengths must
-// surface as errors, never panics or unbounded allocations — and every
+// surface as errors, never panics or unbounded allocations. Every
 // well-formed frame written by WriteFrameID must round-trip with its
-// correlation ID intact.
+// correlation ID intact, and ReadFrame must never return a payload over
+// maxShortFrame.
 func FuzzReadFrameID(f *testing.F) {
 	frame := func(id uint32, payload []byte) []byte {
 		var buf bytes.Buffer
@@ -113,6 +114,9 @@ func FuzzReadFrameID(f *testing.F) {
 	f.Add(hostile)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if short, err := ReadFrame(bytes.NewReader(data), nil); err == nil && len(short) > maxShortFrame {
+			t.Fatalf("ReadFrame returned a %d-byte payload past the %d bound", len(short), maxShortFrame)
+		}
 		id, payload, err := ReadFrameID(bytes.NewReader(data), nil)
 		if err != nil {
 			return

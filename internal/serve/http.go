@@ -27,10 +27,6 @@ const maxJSONBody = 64 << 20
 //	POST /v2/admin/reload              hot-reload the artifact directory
 //	GET  /metrics                      Prometheus text exposition
 //
-// plus the v1 surface, kept as a thin shim over the same engine:
-//
-//	GET  /v1/models, GET /v1/models/{name}, POST /v1/predict, GET /v1/stats
-//
 // Predict routes honor the X-Metis-Tenant header when the engine runs
 // weighted fair admission; requests without it are keyed by model name.
 func (e *Engine) Handler() http.Handler {
@@ -38,23 +34,12 @@ func (e *Engine) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
-
-	// v2: the engine-native surface.
 	mux.HandleFunc("GET /v2/models", e.handleModels)
 	mux.HandleFunc("GET /v2/models/{name}", e.handleModelDetail)
 	mux.HandleFunc("POST /v2/models/{action}", e.handleModelAction)
-	mux.HandleFunc("GET /v2/stats", e.handleStatsV2)
+	mux.HandleFunc("GET /v2/stats", e.handleStats)
 	mux.HandleFunc("POST /v2/admin/reload", e.handleReload)
 	mux.HandleFunc("GET /metrics", e.handleMetrics)
-
-	// v1 shim: same engine, original routes and response shapes. The mux
-	// patterns give v1 the same {name} matching as v2, fixing the old raw
-	// TrimPrefix resolution (percent-escapes now decode, and names with
-	// path separators can no longer alias other routes).
-	mux.HandleFunc("GET /v1/models", e.handleModels)
-	mux.HandleFunc("GET /v1/models/{name}", e.handleModelDetail)
-	mux.HandleFunc("POST /v1/predict", e.handlePredictJSON)
-	mux.HandleFunc("GET /v1/stats", e.handleStatsV1)
 	return mux
 }
 
@@ -164,7 +149,7 @@ func (e *Engine) handleModelAction(w http.ResponseWriter, r *http.Request) {
 		e.predictBinary(w, r, name)
 		return
 	}
-	e.predictJSONNamed(w, r, name)
+	e.predictJSON(w, r, name)
 }
 
 // contentType returns the media type of the request body without parameters.
@@ -206,8 +191,8 @@ func (e *Engine) predictBinary(w http.ResponseWriter, r *http.Request, name stri
 }
 
 // predictRequest is the JSON predict body: exactly one of X (single) or Xs
-// (batch) must be set. Model is required on /v1/predict and optional on the
-// per-model v2 route (where it must match the URL if present).
+// (batch) must be set. Model is optional (the URL names the model) and must
+// match the URL if present.
 type predictRequest struct {
 	Model string      `json:"model"`
 	X     []float64   `json:"x,omitempty"`
@@ -224,19 +209,16 @@ type predictResponse struct {
 	Values  [][]float64 `json:"values,omitempty"`
 }
 
-// handlePredictJSON is the v1 predict route: the model is named in the body.
-func (e *Engine) handlePredictJSON(w http.ResponseWriter, r *http.Request) {
-	req, ok := e.decodePredictJSON(w, r)
-	if !ok {
+// predictJSON is the per-model JSON predict: the URL names the model.
+func (e *Engine) predictJSON(w http.ResponseWriter, r *http.Request, name string) {
+	var req predictRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
+	if err := dec.Decode(&req); err != nil {
+		e.fail(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	e.servePredictJSON(w, r, req.Model, req)
-}
-
-// predictJSONNamed is the v2 per-model JSON predict: the URL names the model.
-func (e *Engine) predictJSONNamed(w http.ResponseWriter, r *http.Request, name string) {
-	req, ok := e.decodePredictJSON(w, r)
-	if !ok {
+	if (req.X != nil) == (req.Xs != nil) {
+		e.fail(w, http.StatusBadRequest, `set exactly one of "x" (single) or "xs" (batch)`)
 		return
 	}
 	if req.Model != "" && req.Model != name {
@@ -244,27 +226,6 @@ func (e *Engine) predictJSONNamed(w http.ResponseWriter, r *http.Request, name s
 			fmt.Sprintf("body names model %q but the URL names %q", req.Model, name))
 		return
 	}
-	e.servePredictJSON(w, r, name, req)
-}
-
-// decodePredictJSON parses and shape-checks a JSON predict body.
-func (e *Engine) decodePredictJSON(w http.ResponseWriter, r *http.Request) (*predictRequest, bool) {
-	var req predictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
-	if err := dec.Decode(&req); err != nil {
-		e.fail(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return nil, false
-	}
-	if (req.X != nil) == (req.Xs != nil) {
-		e.fail(w, http.StatusBadRequest, `set exactly one of "x" (single) or "xs" (batch)`)
-		return nil, false
-	}
-	return &req, true
-}
-
-// servePredictJSON runs the decoded request through the engine and renders
-// the JSON response.
-func (e *Engine) servePredictJSON(w http.ResponseWriter, r *http.Request, name string, req *predictRequest) {
 	single := req.X != nil
 	rows := req.Xs
 	if single {
@@ -289,20 +250,7 @@ func (e *Engine) servePredictJSON(w http.ResponseWriter, r *http.Request, name s
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (e *Engine) handleStatsV1(w http.ResponseWriter, r *http.Request) {
-	per := map[string]modelStats{}
-	for _, m := range e.Models() {
-		per[m.Name] = modelStats{Requests: m.requests.Load(), Predictions: m.predictions.Load()}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_s": time.Since(e.start).Seconds(),
-		"requests": e.requestsTotal(),
-		"errors":   e.errors.Load(),
-		"models":   per,
-	})
-}
-
-func (e *Engine) handleStatsV2(w http.ResponseWriter, r *http.Request) {
+func (e *Engine) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, e.statsBody())
 }
 
@@ -319,7 +267,7 @@ func latencyBody(h *histo.Histogram) map[string]any {
 	}
 }
 
-// statsBody builds the v2 stats document (shared by the HTTP route and the
+// statsBody builds the stats document (shared by the HTTP route and the
 // socket transport's "stats" control op). A multi-shard engine adds a
 // "shards" block, and tenant gating a "tenants" block.
 func (e *Engine) statsBody() map[string]any {

@@ -162,7 +162,7 @@ func TestV2PredictBinary(t *testing.T) {
 }
 
 // TestV2ModelRoutesAndEscaping: model names that need percent-escaping
-// resolve through the v2 and v1 detail routes (the old TrimPrefix routing
+// resolve through the detail and predict routes (the old TrimPrefix routing
 // mis-resolved these).
 func TestV2ModelRoutesAndEscaping(t *testing.T) {
 	dir, cls, _ := fixtureDir(t)
@@ -176,25 +176,23 @@ func TestV2ModelRoutesAndEscaping(t *testing.T) {
 	ts := httptest.NewServer(e.Handler())
 	defer ts.Close()
 
-	for _, route := range []string{"/v1/models/abr%20v2", "/v2/models/abr%20v2"} {
-		resp, err := http.Get(ts.URL + route)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var detail struct {
-			Name string `json:"name"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&detail); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 || detail.Name != "abr v2" {
-			t.Fatalf("%s: %d %+v", route, resp.StatusCode, detail)
-		}
+	resp, err := http.Get(ts.URL + "/v2/models/abr%20v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var detail struct {
+		Name string `json:"name"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&detail); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 || detail.Name != "abr v2" {
+		t.Fatalf("escaped detail: %d %+v", resp.StatusCode, detail)
 	}
 
 	// Predict against the escaped name.
-	resp, err := http.Post(ts.URL+"/v2/models/abr%20v2:predict", ContentTypeJSON, strings.NewReader(`{"x":[0.9,0.1]}`))
+	resp, err = http.Post(ts.URL+"/v2/models/abr%20v2:predict", ContentTypeJSON, strings.NewReader(`{"x":[0.9,0.1]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +213,7 @@ func TestV2StatsReloadAndMetrics(t *testing.T) {
 	ts := httptest.NewServer(e.Handler())
 	defer ts.Close()
 
-	if r, _ := post(t, ts, `{"model":"abr","x":[0.9,0.1]}`); r.StatusCode != 200 {
+	if r, _ := post(t, ts, "abr", `{"x":[0.9,0.1]}`); r.StatusCode != 200 {
 		t.Fatalf("predict: %d", r.StatusCode)
 	}
 
@@ -338,8 +336,8 @@ func TestFailAccounting(t *testing.T) {
 		route, ctype, body string
 		code               int
 	}{
-		{"/v1/predict", ContentTypeJSON, `not json`, 400},
-		{"/v1/predict", ContentTypeJSON, `{"model":"nope","x":[1,2]}`, 404},
+		{"/v2/models/abr:predict", ContentTypeJSON, `not json`, 400},
+		{"/v2/models/abr:predict", ContentTypeJSON, `{"model":"nope","x":[1,2]}`, 400},
 		{"/v2/models/nope:predict", ContentTypeJSON, `{"x":[1,2]}`, 404},
 		{"/v2/models/abr:predict", ContentTypeBinary, `garbage`, 400},
 		{"/v2/models/abr:predict", "text/csv", `a,b`, 400},

@@ -60,9 +60,10 @@ func fixtureDir(t *testing.T) (dir string, cls, reg *dtree.Tree) {
 	return dir, cls, reg
 }
 
-func post(t *testing.T, ts *httptest.Server, body string) (*http.Response, map[string]any) {
+// post sends a JSON predict body to model's predict route.
+func post(t *testing.T, ts *httptest.Server, model, body string) (*http.Response, map[string]any) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewBufferString(body))
+	resp, err := http.Post(ts.URL+"/v2/models/"+model+":predict", "application/json", bytes.NewBufferString(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestEngineEndToEnd(t *testing.T) {
 	resp.Body.Close()
 
 	// Registry listing.
-	resp, err = http.Get(ts.URL + "/v1/models")
+	resp, err = http.Get(ts.URL + "/v2/models")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestEngineEndToEnd(t *testing.T) {
 	}
 
 	// Single classification prediction matches the source tree.
-	r, out := post(t, ts, `{"model":"abr","x":[0.9,0.1]}`)
+	r, out := post(t, ts, "abr", `{"x":[0.9,0.1]}`)
 	if r.StatusCode != 200 {
 		t.Fatalf("predict: %d %v", r.StatusCode, out)
 	}
@@ -127,7 +128,7 @@ func TestEngineEndToEnd(t *testing.T) {
 	}
 
 	// Batch classification.
-	r, out = post(t, ts, `{"model":"abr","xs":[[0.9,0.1],[0.1,0.9]]}`)
+	r, out = post(t, ts, "abr", `{"model":"abr","xs":[[0.9,0.1],[0.1,0.9]]}`)
 	if r.StatusCode != 200 {
 		t.Fatalf("batch: %d %v", r.StatusCode, out)
 	}
@@ -137,7 +138,7 @@ func TestEngineEndToEnd(t *testing.T) {
 	}
 
 	// Regression prediction matches the tree.
-	r, out = post(t, ts, `{"model":"thresholds","x":[0.3,0.7]}`)
+	r, out = post(t, ts, "thresholds", `{"x":[0.3,0.7]}`)
 	if r.StatusCode != 200 {
 		t.Fatalf("reg predict: %d %v", r.StatusCode, out)
 	}
@@ -149,23 +150,23 @@ func TestEngineEndToEnd(t *testing.T) {
 
 	// Error paths.
 	for _, tc := range []struct {
-		body string
-		code int
+		model, body string
+		code        int
 	}{
-		{`{"model":"nope","x":[0,0]}`, 404},
-		{`{"model":"abr"}`, 400},
-		{`{"model":"abr","x":[1],"xs":[[1,2]]}`, 400},
-		{`{"model":"abr","x":[1,2,3]}`, 400},
-		{`{"model":"abr","xs":[]}`, 400},
-		{`not json`, 400},
+		{"nope", `{"x":[0,0]}`, 404},
+		{"abr", `{}`, 400},
+		{"abr", `{"x":[1],"xs":[[1,2]]}`, 400},
+		{"abr", `{"x":[1,2,3]}`, 400},
+		{"abr", `{"xs":[]}`, 400},
+		{"abr", `not json`, 400},
 	} {
-		if r, _ := post(t, ts, tc.body); r.StatusCode != tc.code {
-			t.Fatalf("body %s → %d, want %d", tc.body, r.StatusCode, tc.code)
+		if r, _ := post(t, ts, tc.model, tc.body); r.StatusCode != tc.code {
+			t.Fatalf("%s body %s → %d, want %d", tc.model, tc.body, r.StatusCode, tc.code)
 		}
 	}
 
 	// Stats reflect the traffic above.
-	resp, err = http.Get(ts.URL + "/v1/stats")
+	resp, err = http.Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +190,21 @@ func TestEngineEndToEnd(t *testing.T) {
 	if stats.Errors != 6 {
 		t.Fatalf("errors = %v, want 6", stats.Errors)
 	}
+
+	// The v1 surface is gone.
+	for _, route := range []string{"/v1/models", "/v1/stats"} {
+		resp, err := http.Get(ts.URL + route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: %d, want 404", route, resp.StatusCode)
+		}
+	}
 }
 
-// TestModelDetailEndpoint: /v1/models/{name} returns one model's kind,
+// TestModelDetailEndpoint: /v2/models/{name} returns one model's kind,
 // metadata, scenario tag, and live counters; unknown names 404.
 func TestModelDetailEndpoint(t *testing.T) {
 	dir, _, _ := fixtureDir(t)
@@ -203,11 +216,11 @@ func TestModelDetailEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	// Drive one prediction so the counters are non-zero.
-	if r, _ := post(t, ts, `{"model":"abr","x":[0.9,0.1]}`); r.StatusCode != 200 {
+	if r, _ := post(t, ts, "abr", `{"x":[0.9,0.1]}`); r.StatusCode != 200 {
 		t.Fatalf("predict: %d", r.StatusCode)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/models/abr")
+	resp, err := http.Get(ts.URL + "/v2/models/abr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +252,7 @@ func TestModelDetailEndpoint(t *testing.T) {
 	}
 
 	// Unknown model and wrong method.
-	resp, err = http.Get(ts.URL + "/v1/models/nope")
+	resp, err = http.Get(ts.URL + "/v2/models/nope")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,13 +260,17 @@ func TestModelDetailEndpoint(t *testing.T) {
 	if resp.StatusCode != 404 {
 		t.Fatalf("unknown model: %d, want 404", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/v1/models/abr", "application/json", nil)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v2/models/abr", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 405 {
-		t.Fatalf("POST detail: %d, want 405", resp.StatusCode)
+		t.Fatalf("DELETE detail: %d, want 405", resp.StatusCode)
 	}
 }
 

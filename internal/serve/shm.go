@@ -13,7 +13,7 @@ import (
 	"repro/internal/shmring"
 )
 
-// The shared-memory upgrade: once a connection is in v2 framing, a client may
+// The shared-memory upgrade: once a connection is past the hello, a client may
 // send an "MTS1" control frame negotiating a per-connection mmap'd segment
 // (see internal/shmring for the layout). After the handshake completes,
 // steady-state predict traffic moves entirely through the segment — requests
@@ -23,7 +23,7 @@ import (
 // advertised it was parked. While both sides stay busy, the server's predict
 // path makes zero syscalls and zero payload copies.
 //
-// Handshake, all frames v2-framed on the already-upgraded connection:
+// Handshake, all frames pipelined on the already-upgraded connection:
 //
 //	client → server  "MTS1" | op 0x00 | slots u32 | slotSize u32
 //	                 open: request a segment (zeros = server defaults; the
@@ -31,9 +31,9 @@ import (
 //	server → client  "MTS1" | slots u32 | slotSize u32 | pathLen u16 | path
 //	                 the segment is created and mapped at path; or an "MTE1"
 //	                 error frame, after which the connection keeps serving
-//	                 plain v2 — a non-speaking server produces the same MTE1
-//	                 organically, so the client's fallback path is one code
-//	                 path for both.
+//	                 plain pipelined frames — a non-speaking server produces
+//	                 the same MTE1 organically, so the client's fallback path
+//	                 is one code path for both.
 //	client → server  "MTS1" | op 0x01
 //	                 ready: the client has mapped the segment. The server
 //	                 unlinks the file (mappings survive; nothing leaks on
@@ -41,11 +41,11 @@ import (
 //	client → server  "MTS1" | op 0x02
 //	                 abort: the client could not map the segment (e.g. no
 //	                 common filesystem); the server discards it and the
-//	                 connection keeps serving plain v2.
+//	                 connection keeps serving plain pipelined frames.
 //
-// After ready, the socket carries only doorbell frames — v1-framed "MTD1"
-// payloads in both directions, content ignored; any readable frame means
-// "check your ring". Request payloads in the slab are byte-for-byte the v2
+// After ready, the socket carries only doorbell frames — short "MTD1" frames
+// in both directions, content ignored; any readable frame means "check your
+// ring". Request payloads in the slab are byte-for-byte the pipelined
 // payloads ("MTB1" predict, "MTQ1" control), responses likewise, so the two
 // transports share every codec and the engine cannot tell them apart.
 const (
@@ -108,10 +108,10 @@ func appendSHMAck(out []byte, g shmring.Geometry, path string) []byte {
 }
 
 // ServeSHM is ServeUDS with the shared-memory upgrade enabled: connections
-// are served identically (v1, v2 hello, same engine and stats) and may
-// additionally negotiate an MTS1 segment. Callers that pass a listener to
-// ServeUDS instead get a server that answers the open with an error — which
-// clients treat as "fall back to v2".
+// are served identically (the hello, pipelined frames, same engine and
+// stats) and may additionally negotiate an MTS1 segment. Callers that pass a
+// listener to ServeUDS instead get a server that answers the open with an
+// error — which clients treat as "stay on plain pipelined framing".
 func (e *Engine) ServeSHM(l net.Listener) error { return e.serveFramed(l, true) }
 
 // SHMWakes returns how many doorbell frames the server has written — the
@@ -165,7 +165,7 @@ func (e *Engine) createSHMSegment(g shmring.Geometry) (*shmring.Segment, error) 
 // whether the connection can continue (false kills it: a ready with no open
 // is a protocol violation the stream cannot recover from). Acks and errors
 // are enqueued through the normal response channel, so they interleave
-// correctly with in-flight v2 responses.
+// correctly with in-flight pipelined responses.
 func (e *Engine) shmHandshake(frame []byte, id uint32, pending **shmring.Segment, resps chan<- udsV2Resp) (ready *shmring.Segment, ok bool) {
 	reply := func(payload func(out []byte) []byte) {
 		outp := udsBufPool.Get().(*[]byte)

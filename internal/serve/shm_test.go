@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"net/http"
@@ -16,7 +17,8 @@ import (
 )
 
 // shmFixture starts a shared-memory-enabled server over the standard fixture
-// directory (segments under a per-test dir) and returns a connected conn.
+// directory (segments under a per-test dir) and returns a connection past
+// the hello.
 func shmFixture(t *testing.T, cfg Config) (*Engine, net.Conn, *bufio.Reader) {
 	t.Helper()
 	dir, _, _ := fixtureDir(t)
@@ -27,32 +29,16 @@ func shmFixture(t *testing.T, cfg Config) (*Engine, net.Conn, *bufio.Reader) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sock := filepath.Join(t.TempDir(), "metis.sock")
-	l, err := ListenUDS(sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- e.ServeSHM(l) }()
-	t.Cleanup(func() {
-		l.Close()
-		if err := <-done; err != nil {
-			t.Errorf("ServeSHM: %v", err)
-		}
-	})
-	conn, err := net.Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return e, conn, bufio.NewReader(conn)
+	conn, br := dialSocket(t, serveSocket(t, e, true))
+	sendHello(t, conn, br)
+	return e, conn, br
 }
 
-// shmOpen drives the client half of the full handshake — hello, open, map,
-// ready — and returns the mapped segment.
+// shmOpen drives the client half of the shared-memory handshake on a
+// connection past the hello — open, map, ready — and returns the mapped
+// segment.
 func shmOpen(t *testing.T, conn net.Conn, br *bufio.Reader, g shmring.Geometry) *shmring.Segment {
 	t.Helper()
-	helloV2(t, conn, br)
 	if err := WriteFrameID(conn, 1, EncodeSHMOpen(g)); err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +254,8 @@ func TestSHMDoorbell(t *testing.T) {
 	}
 }
 
-// TestSHMHandshakeMatrix pins every negotiation combination, mirroring
-// TestUDSHandshakeMatrix one layer up.
+// TestSHMHandshakeMatrix pins every MTS1 negotiation combination on
+// connections past the hello.
 func TestSHMHandshakeMatrix(t *testing.T) {
 	predictV2 := func(t *testing.T, e *Engine, conn net.Conn, br *bufio.Reader, id uint32) {
 		t.Helper()
@@ -305,7 +291,6 @@ func TestSHMHandshakeMatrix(t *testing.T) {
 		// ServeUDS declines MTS1: the open comes back as an error frame and
 		// the connection keeps serving plain v2 — the client's fallback path.
 		e, conn, br := udsFixture(t)
-		helloV2(t, conn, br)
 		if err := WriteFrameID(conn, 1, EncodeSHMOpen(shmring.Geometry{})); err != nil {
 			t.Fatal(err)
 		}
@@ -319,35 +304,9 @@ func TestSHMHandshakeMatrix(t *testing.T) {
 		predictV2(t, e, conn, br, 2)
 	})
 
-	t.Run("v1 client, shm server", func(t *testing.T) {
-		// A client that never upgrades is served in plain v1.
-		e, conn, br := shmFixture(t, Config{})
-		rows := [][]float64{{0.6, 0.2}}
-		var req bytes.Buffer
-		if err := EncodeBatchRequest(&req, "abr", rows); err != nil {
-			t.Fatal(err)
-		}
-		resp := call(t, conn, br, req.Bytes())
-		if FrameKind(resp) != batchMagic {
-			t.Fatalf("v1 predict answered kind=%q", FrameKind(resp))
-		}
-		got, err := DecodeBatchResponse(bytes.NewReader(resp))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := e.Predict("abr", rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Actions[0] != want.Actions[0] {
-			t.Fatalf("v1 predict action %d, want %d", got.Actions[0], want.Actions[0])
-		}
-	})
-
 	t.Run("v2 client, shm server", func(t *testing.T) {
 		// A v2 client that never negotiates shm is served pipelined as ever.
 		e, conn, br := shmFixture(t, Config{})
-		helloV2(t, conn, br)
 		predictV2(t, e, conn, br, 3)
 	})
 
@@ -355,7 +314,6 @@ func TestSHMHandshakeMatrix(t *testing.T) {
 		// An unusable segment dir fails the open with an error frame; the
 		// connection recovers into plain v2.
 		e, conn, br := shmFixture(t, Config{SHMDir: filepath.Join(t.TempDir(), "missing", "deeper")})
-		helloV2(t, conn, br)
 		if err := WriteFrameID(conn, 1, EncodeSHMOpen(shmring.Geometry{})); err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +335,6 @@ func TestSHMHandshakeMatrix(t *testing.T) {
 		// segment (file gone) and the connection keeps serving v2.
 		shmDir := t.TempDir()
 		e, conn, br := shmFixture(t, Config{SHMDir: shmDir})
-		helloV2(t, conn, br)
 		if err := WriteFrameID(conn, 1, EncodeSHMOpen(shmring.Geometry{})); err != nil {
 			t.Fatal(err)
 		}
@@ -410,25 +367,46 @@ func TestSHMHandshakeMatrix(t *testing.T) {
 }
 
 // TestSHMClientDisconnect pins teardown: a client that vanishes with a live
-// segment leaves no file behind and the conn goroutine exits.
+// segment — or sends a doorbell header claiming a 1 GiB short frame — leaves
+// no file behind, the conn goroutine exits, and the hostile header costs the
+// server no allocation for its claimed length.
 func TestSHMClientDisconnect(t *testing.T) {
-	e, conn, br := shmFixture(t, Config{})
-	seg := shmOpen(t, conn, br, shmring.Geometry{})
-	var req bytes.Buffer
-	if err := EncodeBatchRequest(&req, "abr", [][]float64{{0.1, 0.2}}); err != nil {
-		t.Fatal(err)
-	}
-	if rid, _ := shmCall(t, conn, seg, 1, req.Bytes()); rid != 1 {
-		t.Fatalf("rid = %d", rid)
-	}
-	waitGone(t, seg.Path())
-	conn.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for e.SHMConns() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("SHMConns still %d after disconnect", e.SHMConns())
-		}
-		time.Sleep(time.Millisecond)
+	for _, tc := range []struct {
+		name string
+		end  func(conn net.Conn) error
+	}{
+		{"close", func(conn net.Conn) error { return conn.Close() }},
+		{"1 GiB doorbell", func(conn net.Conn) error {
+			_, err := conn.Write(binary.LittleEndian.AppendUint32(nil, 1<<30))
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, conn, br := shmFixture(t, Config{})
+			seg := shmOpen(t, conn, br, shmring.Geometry{})
+			var req bytes.Buffer
+			if err := EncodeBatchRequest(&req, "abr", [][]float64{{0.1, 0.2}}); err != nil {
+				t.Fatal(err)
+			}
+			if rid, _ := shmCall(t, conn, seg, 1, req.Bytes()); rid != 1 {
+				t.Fatalf("rid = %d", rid)
+			}
+			waitGone(t, seg.Path())
+			before := totalAlloc()
+			if err := tc.end(conn); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for e.SHMConns() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("SHMConns still %d after disconnect", e.SHMConns())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if d := totalAlloc() - before; d >= 1<<20 {
+				t.Fatalf("the server allocated %d bytes tearing the connection down", d)
+			}
+		})
 	}
 }
 
@@ -489,25 +467,8 @@ func TestSHMShardedDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sock := filepath.Join(t.TempDir(), "metis.sock")
-	l, err := ListenUDS(sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.ServeSHM(l) }()
-	t.Cleanup(func() {
-		l.Close()
-		if err := <-done; err != nil {
-			t.Errorf("ServeSHM: %v", err)
-		}
-	})
-	conn, err := net.Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	br := bufio.NewReader(conn)
+	conn, br := dialSocket(t, serveSocket(t, s, true))
+	sendHello(t, conn, br)
 	seg := shmOpen(t, conn, br, shmring.Geometry{})
 
 	// Pipeline a burst of requests across all 8 models (spread over the 4

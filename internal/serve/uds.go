@@ -18,90 +18,94 @@ import (
 )
 
 // The unix-domain-socket transport: the binary batch codec without the HTTP
-// machinery. A connection starts in v1 framing — a sequence of
-// length-prefixed frames, each answered in order with exactly one response
-// frame:
+// machinery. Every connection opens with the hello: the client's first frame
+// is a short frame whose payload is exactly "MTH2",
 //
-//	v1 frame: length uint32 LE | payload [length]byte
+//	short frame: length uint32 LE | payload [length]byte
+//
+// and the server acknowledges with a short frame whose payload starts with
+// "MTH2". Both sides then speak pipelined framing for the rest of the
+// connection:
+//
+//	frame: length uint32 LE | id uint32 LE | payload [length]byte
+//
+// where id is a correlation ID chosen by the client (length counts the
+// payload only). The server dispatches every request to its inference pool
+// without waiting for earlier responses; responses carry the request's id
+// and may arrive IN ANY ORDER. Any first frame other than the hello is
+// refused with one short "MTE1" frame (status 426, Upgrade Required, naming
+// "MTH2"), counted once as an error, and the connection is closed.
 //
 // The first four payload bytes tag the frame kind:
 //
 //	"MTB1"  predict — the payload is exactly one binary batch request
-//	        (the application/x-metis-batch body); the response frame is a
-//	        binary batch response under the same magic.
+//	        (the application/x-metis-batch body); the response is a binary
+//	        batch response under the same magic.
 //	"MTQ1"  control — the magic is followed by a JSON request
 //	        {"op": "models"|"model"|"stats"|"reload", "name": …, "dir": …};
-//	        the response frame is "MTJ1" followed by the same JSON body the
+//	        the response is "MTJ1" followed by the same JSON body the
 //	        corresponding HTTP route renders.
 //	"MTE1"  error (response only) — status uint16 LE (the HTTP status the
 //	        error maps to) followed by the message bytes.
-//	"MTH2"  hello (v2 upgrade) — see below.
+//	"MTS1"  shared-memory upgrade (ServeSHM only; see shm.go).
 //
-// Version negotiation — pipelined v2 framing. A client that wants multiple
-// outstanding requests per connection sends, as its FIRST frame, a v1 frame
-// whose payload is exactly "MTH2". A v2 server answers with a v1 frame whose
-// payload starts with "MTH2", and both sides switch to v2 framing for the
-// rest of the connection:
-//
-//	v2 frame: length uint32 LE | id uint32 LE | payload [length]byte
-//
-// where id is a correlation ID chosen by the client (length counts the
-// payload only). The server dispatches every v2 request to its inference
-// pool without waiting for earlier responses; responses carry the request's
-// id and may arrive IN ANY ORDER. Payload kinds are unchanged.
-//
-// A v1 server answers the hello like any other unknown magic: an "MTE1"
-// error frame, after which the connection keeps working in v1 — so a v2
-// client downgrades by reading the hello response, and a v1 client (which
-// never sends a hello) is served exactly as before. The handshake costs one
-// round-trip once per connection in either direction.
+// Short frames carry only the hello, its ack or refusal, and the doorbells
+// of a shared-memory connection, so they are bounded by maxShortFrame: a
+// peer cannot make the server allocate more than that before a payload byte
+// arrives.
 //
 // Framing is the only thing this layer adds: predict payloads are byte-for-
 // byte the HTTP binary bodies, so the two transports share one codec, one
 // engine, one admission-control path, and one stats surface. What the socket
 // removes is everything HTTP spends per request — header parsing, routing,
-// header rendering, chunked encoding — and what v2 removes on top is the
-// request/response round-trip of dead air: frames pipeline, and both sides
-// coalesce adjacent frames into vectored writes.
+// header rendering, chunked encoding — and the request/response round-trip of
+// dead air: frames pipeline, and both sides coalesce adjacent frames into
+// vectored writes.
 const (
 	controlMagic = "MTQ1"
 	jsonMagic    = "MTJ1"
 	errMagic     = "MTE1"
 )
 
-// HelloMagic is the payload of the v2 upgrade hello and the prefix of its
-// acknowledgement (future servers may append capability bytes after it;
-// clients must accept any ack payload starting with these four bytes).
+// HelloMagic is the payload of the hello that opens every connection and the
+// prefix of its acknowledgement (future servers may append capability bytes
+// after it; clients must accept any ack payload starting with these four
+// bytes).
 const HelloMagic = "MTH2"
 
-// maxFramePayload bounds one frame. The largest legitimate payload is a
-// maxBinaryElems float64 matrix (1 GiB) plus the batch header; anything
+// maxFramePayload bounds one pipelined frame. The largest legitimate payload
+// is a maxBinaryElems float64 matrix (1 GiB) plus the batch header; anything
 // claiming more is a corrupt or hostile peer and kills the connection.
 const maxFramePayload = maxBinaryElems*8 + 1<<16
+
+// maxShortFrame bounds one short (ID-less) frame: the hello, its ack or
+// refusal, and doorbells are all a few bytes.
+const maxShortFrame = 4 << 10
 
 // ErrBadFrame reports a malformed unix-socket frame.
 var ErrBadFrame = errors.New("serve: malformed socket frame")
 
-// WriteFrame writes payload as one length-prefixed frame. The two byte
-// ranges go out in a single writev, so no copy into a joined buffer happens
-// on either side of the socket.
+// WriteFrame writes payload as one short frame. The two byte ranges go out
+// in a single writev, so no copy into a joined buffer happens on either side
+// of the socket.
 func WriteFrame(w io.Writer, payload []byte) error {
+	if len(payload) > maxShortFrame {
+		return fmt.Errorf("%w: %d-byte short frame exceeds the %d limit", ErrBadFrame, len(payload), maxShortFrame)
+	}
 	var head [4]byte
 	binary.LittleEndian.PutUint32(head[:], uint32(len(payload)))
-	if len(payload) > maxFramePayload {
-		return fmt.Errorf("%w: %d-byte payload exceeds the %d limit", ErrBadFrame, len(payload), maxFramePayload)
-	}
 	bufs := net.Buffers{head[:], payload}
 	_, err := bufs.WriteTo(w)
 	return err
 }
 
-// ReadFrame reads one frame into buf (reused when it fits, grown otherwise)
-// and returns the payload. io.EOF is returned untouched when the peer closed
-// between frames, so callers can distinguish a clean close from truncation.
-// The header is staged through buf too — a stack-local header array would
-// escape through the io.Reader interface and cost an allocation per frame,
-// which the serving loops cannot afford.
+// ReadFrame reads one short frame into buf (reused when it fits, grown
+// otherwise) and returns the payload. A declared length over maxShortFrame
+// fails before anything is allocated for it. io.EOF is returned untouched
+// when the peer closed between frames, so callers can distinguish a clean
+// close from truncation. The header is staged through buf too — a
+// stack-local header array would escape through the io.Reader interface and
+// cost an allocation per frame, which the doorbell loops cannot afford.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	buf = growBytes(buf, 4)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -111,8 +115,8 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: short length prefix: %v", ErrBadFrame, err)
 	}
 	n := int64(binary.LittleEndian.Uint32(buf))
-	if n > maxFramePayload {
-		return nil, fmt.Errorf("%w: %d-byte payload exceeds the %d limit", ErrBadFrame, n, maxFramePayload)
+	if n > maxShortFrame {
+		return nil, fmt.Errorf("%w: %d-byte short frame exceeds the %d limit", ErrBadFrame, n, maxShortFrame)
 	}
 	buf = growBytes(buf, int(n))
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -121,8 +125,9 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteFrameID writes payload as one v2 frame under the given correlation
-// ID. Like WriteFrame, the header and payload go out as one vectored write.
+// WriteFrameID writes payload as one pipelined frame under the given
+// correlation ID. Like WriteFrame, the header and payload go out as one
+// vectored write.
 func WriteFrameID(w io.Writer, id uint32, payload []byte) error {
 	if len(payload) > maxFramePayload {
 		return fmt.Errorf("%w: %d-byte payload exceeds the %d limit", ErrBadFrame, len(payload), maxFramePayload)
@@ -135,7 +140,7 @@ func WriteFrameID(w io.Writer, id uint32, payload []byte) error {
 	return err
 }
 
-// ReadFrameID reads one v2 frame into buf (reused when it fits, grown
+// ReadFrameID reads one pipelined frame into buf (reused when it fits, grown
 // otherwise) and returns its correlation ID and payload. io.EOF is returned
 // untouched when the peer closed between frames.
 func ReadFrameID(r io.Reader, buf []byte) (id uint32, payload []byte, err error) {
@@ -146,7 +151,7 @@ func ReadFrameID(r io.Reader, buf []byte) (id uint32, payload []byte, err error)
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
-		return 0, nil, fmt.Errorf("%w: short v2 header: %v", ErrBadFrame, err)
+		return 0, nil, fmt.Errorf("%w: short header: %v", ErrBadFrame, err)
 	}
 	n := int64(binary.LittleEndian.Uint32(buf[0:4]))
 	id = binary.LittleEndian.Uint32(buf[4:8])
@@ -226,7 +231,7 @@ func ListenUDS(path string) (net.Listener, error) {
 // registry, one admission-control gate, one stats surface — a SIGHUP reload
 // is visible on the socket and over HTTP in the same instant. It returns nil
 // on a clean listener close. Shared-memory negotiation is declined (clients
-// fall back to v2); see ServeSHM.
+// keep plain pipelined framing); see ServeSHM.
 func (e *Engine) ServeUDS(l net.Listener) error { return e.serveFramed(l, false) }
 
 // serveFramed is the accept loop shared by ServeUDS and ServeSHM.
@@ -252,55 +257,42 @@ func (e *Engine) serveFramed(l net.Listener, allowSHM bool) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.serveUDSConn(conn, true, allowSHM)
+			e.serveUDSConn(conn, allowSHM)
 		}()
 	}
 }
 
-// serveUDSConn answers one connection's frames in v1 order, upgrading to the
-// pipelined v2 mode when the first frame is a hello (and allowV2 — tests use
-// false to emulate a pre-v2 server). allowSHM additionally accepts the MTS1
-// shared-memory handshake inside v2 mode. All per-connection v1 state — the
-// frame buffer, the decode/predict/encode scratch, the response buffer — is
-// allocated once and reused for every frame, so a pinned connection serves
-// at a steady-state allocation rate of zero.
-func (e *Engine) serveUDSConn(conn net.Conn, allowV2, allowSHM bool) {
+// serveUDSConn serves one connection. A first frame that is the hello is
+// acknowledged and the connection is served pipelined, where allowSHM
+// additionally accepts the MTS1 shared-memory upgrade. Any other first frame
+// — a request from a client that skipped the hello, an over-long short
+// frame, or garbage — is refused with one 426 error frame naming the hello,
+// counted once, and the connection is closed. A peer that closes before
+// sending a byte is not an error.
+func (e *Engine) serveUDSConn(conn net.Conn, allowSHM bool) {
 	defer conn.Close()
 	// 256 KiB: large enough that a full default-max-batch predict frame fits
 	// the pipelined mode's zero-copy peek window, and cheap at the handful of
 	// co-located connections a unix socket serves.
 	br := bufio.NewReaderSize(conn, 256<<10)
-	s := batchScratchPool.Get().(*batchScratch)
-	defer batchScratchPool.Put(s)
-	var (
-		frame []byte
-		out   []byte
-		first = true
-	)
-	for {
-		var err error
-		if frame, err = ReadFrame(br, frame); err != nil {
-			// Clean close, peer crash, or framing violation: nothing can be
-			// answered on a stream that lost sync, so the connection ends
-			// either way.
-			return
-		}
-		if first && allowV2 && string(frame) == HelloMagic {
-			if err := WriteFrame(conn, []byte(HelloMagic)); err != nil {
-				return
-			}
-			e.serveUDSPipelined(conn, br, allowSHM)
-			return
-		}
-		first = false
-		out = e.udsDispatch(frame, s, out[:0])
-		if err := WriteFrame(conn, out); err != nil {
-			return
-		}
+	hello, err := ReadFrame(br, nil)
+	if err == io.EOF {
+		return
 	}
+	if err != nil || string(hello) != HelloMagic {
+		e.errors.Add(1)
+		// Best effort: the connection closes whether or not the peer reads it.
+		WriteFrame(conn, appendErrorPayload(nil, http.StatusUpgradeRequired,
+			fmt.Sprintf("the first frame must be the %q hello: this server speaks pipelined framing only", HelloMagic)))
+		return
+	}
+	if err := WriteFrame(conn, []byte(HelloMagic)); err != nil {
+		return
+	}
+	e.serveUDSPipelined(conn, br, allowSHM)
 }
 
-// udsDispatch answers one request payload (either framing version) into out.
+// udsDispatch answers one raw request payload into out.
 func (e *Engine) udsDispatch(frame []byte, s *batchScratch, out []byte) []byte {
 	switch FrameKind(frame) {
 	case batchMagic:
@@ -353,7 +345,7 @@ type udsV2Resp struct {
 	out *[]byte
 }
 
-// serveUDSPipelined serves one connection in v2 framing: the reader hands
+// serveUDSPipelined serves one connection in pipelined framing: the reader hands
 // every frame to a small per-connection worker pool without waiting for
 // earlier responses, and a single writer goroutine matches completed
 // responses (out of order) back onto the wire, coalescing adjacent ones into
@@ -533,8 +525,8 @@ func (e *Engine) serveUDSPipelined(conn net.Conn, br *bufio.Reader, allowSHM boo
 // frame) into out. The frame is decoded in place — no copy of the feature
 // payload is made.
 func (e *Engine) udsPredict(frame []byte, s *batchScratch, out []byte) []byte {
-	// aliasOK: frame is the connection's own read buffer, untouched until
-	// the next ReadFrame — and the rows are consumed right here.
+	// aliasOK: frame is the job's own copied buffer, released only after
+	// this returns — and the rows are consumed right here.
 	model, rows, err := s.decodeRequestBytes(frame, e.maxBatch(), true)
 	return e.udsPredictDecoded(model, rows, err, &s.pred, out)
 }
@@ -638,7 +630,7 @@ func errorStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// dispatchWorkers resolves the per-connection v2 decode/encode worker count:
+// dispatchWorkers resolves the per-connection decode/encode worker count:
 // Config.DispatchWorkers when set, else two workers growing with available
 // cores up to four — enough to overlap decode with inference without
 // drowning a small box in per-connection goroutines.

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -13,8 +14,69 @@ import (
 	"repro/internal/artifact"
 )
 
+// serveSocket serves e's framed socket protocol on a fresh unix socket —
+// through ServeSHM when shm is set, ServeUDS otherwise — and returns its
+// path.
+func serveSocket(t *testing.T, e *Engine, shm bool) string {
+	t.Helper()
+	sock := filepath.Join(t.TempDir(), "metis.sock")
+	l, err := ListenUDS(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := e.ServeUDS
+	if shm {
+		run = e.ServeSHM
+	}
+	done := make(chan error, 1)
+	go func() { done <- run(l) }()
+	t.Cleanup(func() {
+		l.Close()
+		if err := <-done; err != nil {
+			t.Errorf("serving %s: %v", sock, err)
+		}
+	})
+	return sock
+}
+
+// dialSocket opens a raw connection to sock, before any hello.
+func dialSocket(t *testing.T, sock string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.Dial("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn, bufio.NewReader(conn)
+}
+
+// hello performs the client side of the hello; it fails unless the server
+// acknowledges.
+func hello(conn net.Conn, br *bufio.Reader) error {
+	if err := WriteFrame(conn, []byte(HelloMagic)); err != nil {
+		return err
+	}
+	ack, err := ReadFrame(br, nil)
+	if err != nil {
+		return err
+	}
+	if !bytes.HasPrefix(ack, []byte(HelloMagic)) {
+		return fmt.Errorf("hello answered with %q, want a %q ack", FrameKind(ack), HelloMagic)
+	}
+	return nil
+}
+
+// sendHello is hello on the test's own goroutine.
+func sendHello(t *testing.T, conn net.Conn, br *bufio.Reader) {
+	t.Helper()
+	if err := hello(conn, br); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // udsFixture starts a framed socket server over the standard fixture
-// directory and returns a connected client conn plus its buffered reader.
+// directory and returns a connection past the hello plus its buffered
+// reader.
 func udsFixture(t *testing.T) (*Engine, net.Conn, *bufio.Reader) {
 	t.Helper()
 	dir, _, _ := fixtureDir(t)
@@ -22,36 +84,23 @@ func udsFixture(t *testing.T) (*Engine, net.Conn, *bufio.Reader) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sock := filepath.Join(t.TempDir(), "metis.sock")
-	l, err := ListenUDS(sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- e.ServeUDS(l) }()
-	t.Cleanup(func() {
-		l.Close()
-		if err := <-done; err != nil {
-			t.Errorf("ServeUDS: %v", err)
-		}
-	})
-	conn, err := net.Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return e, conn, bufio.NewReader(conn)
+	conn, br := dialSocket(t, serveSocket(t, e, false))
+	sendHello(t, conn, br)
+	return e, conn, br
 }
 
-// call sends one frame and reads the response payload.
+// call sends one frame and reads its response payload.
 func call(t *testing.T, conn net.Conn, br *bufio.Reader, payload []byte) []byte {
 	t.Helper()
-	if err := WriteFrame(conn, payload); err != nil {
+	if err := WriteFrameID(conn, 1, payload); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ReadFrame(br, nil)
+	id, resp, err := ReadFrameID(br, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if id != 1 {
+		t.Fatalf("response carries id %d, want 1", id)
 	}
 	return resp
 }

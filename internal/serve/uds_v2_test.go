@@ -3,61 +3,17 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
-	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
-
-// helloV2 performs the client side of the v2 upgrade on a fresh connection
-// and fails the test unless the server acknowledges.
-func helloV2(t *testing.T, conn net.Conn, br *bufio.Reader) {
-	t.Helper()
-	if err := WriteFrame(conn, []byte(HelloMagic)); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := ReadFrame(br, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(ack, []byte(HelloMagic)) {
-		t.Fatalf("hello answered with %q, want a %q ack", FrameKind(ack), HelloMagic)
-	}
-}
-
-// udsFixtureV1 starts a server that refuses the v2 upgrade (a pre-v2 build),
-// for the new-client/old-server half of the handshake matrix.
-func udsFixtureV1(t *testing.T) (*Engine, net.Conn, *bufio.Reader) {
-	t.Helper()
-	dir, _, _ := fixtureDir(t)
-	e, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sock := filepath.Join(t.TempDir(), "metis.sock")
-	l, err := ListenUDS(sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go e.serveUDSConn(conn, false, false)
-		}
-	}()
-	conn, err := net.Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return e, conn, bufio.NewReader(conn)
-}
 
 // TestUDSV2PipelinedRoundTrip upgrades a connection, pipelines a burst of
 // predict frames without reading a single response, then collects them all
@@ -65,7 +21,6 @@ func udsFixtureV1(t *testing.T) (*Engine, net.Conn, *bufio.Reader) {
 // are free to arrive in any order.
 func TestUDSV2PipelinedRoundTrip(t *testing.T) {
 	e, conn, br := udsFixture(t)
-	helloV2(t, conn, br)
 
 	// Distinct rows per ID so a response matched to the wrong request is
 	// caught, and non-sequential IDs so nothing can pass by echoing a
@@ -130,7 +85,6 @@ func TestUDSV2PipelinedRoundTrip(t *testing.T) {
 // control ops work pipelined alongside predicts on one connection.
 func TestUDSV2ErrorAndControlFrames(t *testing.T) {
 	_, conn, br := udsFixture(t)
-	helloV2(t, conn, br)
 
 	var req bytes.Buffer
 	if err := EncodeBatchRequest(&req, "nope", [][]float64{{1, 2}}); err != nil {
@@ -183,64 +137,75 @@ func TestUDSV2ErrorAndControlFrames(t *testing.T) {
 	}
 }
 
-// TestUDSHandshakeMatrix pins both downgrade directions: an old (v1) client
-// against a new server never upgrades — including when it sends a stray
-// hello mid-stream, which is just an unknown magic — and a new client
-// against an old server reads the error ack and keeps the same connection in
-// v1 framing.
+// TestUDSHandshakeMatrix pins the one upgrade point on both listeners. A
+// client that skips the hello — its first frame a short-framed predict, as a
+// client that predates the hello sends, or a bare header claiming a 1 GiB
+// short frame — gets one 426 error frame naming the hello, is counted as one
+// error, and is disconnected, without the server allocating for the claimed
+// length. A fresh connection that sends the hello is still acknowledged.
 func TestUDSHandshakeMatrix(t *testing.T) {
-	t.Run("old client, new server", func(t *testing.T) {
-		_, conn, br := udsFixture(t)
-		// First frame is a plain v1 predict: the server must serve v1.
-		var req bytes.Buffer
-		if err := EncodeBatchRequest(&req, "abr", [][]float64{{0.9, 0.1}}); err != nil {
-			t.Fatal(err)
-		}
-		if resp := call(t, conn, br, req.Bytes()); FrameKind(resp) != batchMagic {
-			t.Fatalf("v1 predict answered with %q", FrameKind(resp))
-		}
-		// A hello after the first frame is NOT an upgrade — unknown magic,
-		// 400, connection stays v1.
-		resp := call(t, conn, br, []byte(HelloMagic))
-		if status, _, _ := DecodeErrorPayload(resp); FrameKind(resp) != errMagic || status != http.StatusBadRequest {
-			t.Fatalf("mid-stream hello answered %q status %d, want %q 400", FrameKind(resp), status, errMagic)
-		}
-		if resp := call(t, conn, br, req.Bytes()); FrameKind(resp) != batchMagic {
-			t.Fatalf("connection did not stay v1 after mid-stream hello: %q", FrameKind(resp))
-		}
-	})
-
-	t.Run("new client, old server", func(t *testing.T) {
-		e, conn, br := udsFixtureV1(t)
-		// The hello comes back as an error frame (not an ack), after which
-		// the same connection serves v1 frames.
-		ack := call(t, conn, br, []byte(HelloMagic))
-		if bytes.HasPrefix(ack, []byte(HelloMagic)) {
-			t.Fatal("v1 server acknowledged the v2 hello")
-		}
-		if status, _, _ := DecodeErrorPayload(ack); FrameKind(ack) != errMagic || status != http.StatusBadRequest {
-			t.Fatalf("hello refused with %q status %d, want %q 400", FrameKind(ack), status, errMagic)
-		}
-		rows := [][]float64{{0.9, 0.1}, {0.1, 0.9}}
-		var req bytes.Buffer
-		if err := EncodeBatchRequest(&req, "abr", rows); err != nil {
-			t.Fatal(err)
-		}
-		resp := call(t, conn, br, req.Bytes())
-		p, err := DecodeBatchResponse(bytes.NewReader(resp))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := e.Predict("abr", rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Actions {
-			if p.Actions[i] != want.Actions[i] {
-				t.Fatalf("row %d after downgrade: socket %d, engine %d", i, p.Actions[i], want.Actions[i])
+	for _, tc := range []struct {
+		name string
+		shm  bool
+	}{{"old client, new server", false}, {"v1 client, shm server", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, _, _ := fixtureDir(t)
+			e, err := NewEngine(dir, Config{SHMDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
+			sock := serveSocket(t, e, tc.shm)
+			var req, predict bytes.Buffer
+			if err := EncodeBatchRequest(&req, "abr", [][]float64{{0.9, 0.1}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteFrame(&predict, req.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			firsts := []struct {
+				what  string
+				bytes []byte
+			}{
+				{"short-framed predict", predict.Bytes()},
+				{"1 GiB header", binary.LittleEndian.AppendUint32(nil, 1<<30)},
+			}
+			for i, first := range firsts {
+				what := first.what
+				conn, br := dialSocket(t, sock)
+				before := totalAlloc()
+				if _, err := conn.Write(first.bytes); err != nil {
+					t.Fatal(err)
+				}
+				conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+				resp, err := ReadFrame(br, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				status, msg, _ := DecodeErrorPayload(resp)
+				if FrameKind(resp) != errMagic || status != http.StatusUpgradeRequired || !strings.Contains(msg, HelloMagic) {
+					t.Fatalf("%s answered %q status %d %q, want %q 426 naming %q", what, FrameKind(resp), status, msg, errMagic, HelloMagic)
+				}
+				if _, err := ReadFrame(br, nil); err != io.EOF {
+					t.Fatalf("%s: after the refusal read %v, want EOF", what, err)
+				}
+				if d := totalAlloc() - before; d >= 1<<20 {
+					t.Fatalf("%s: the server allocated %d bytes refusing it", what, d)
+				}
+				if got := e.errors.Load(); got != int64(i+1) {
+					t.Fatalf("%s: engine counted %d errors, want %d", what, got, i+1)
+				}
+			}
+			conn, br := dialSocket(t, sock)
+			sendHello(t, conn, br)
+		})
+	}
+}
+
+// totalAlloc returns the bytes this process has allocated so far.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }
 
 // TestUDSV2ConcurrentConnections drives several pipelined connections at
@@ -252,13 +217,7 @@ func TestUDSV2ConcurrentConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sock := filepath.Join(t.TempDir(), "metis.sock")
-	l, err := ListenUDS(sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go e.ServeUDS(l)
+	sock := serveSocket(t, e, false)
 
 	const conns, frames = 4, 60
 	var wg sync.WaitGroup
@@ -274,7 +233,10 @@ func TestUDSV2ConcurrentConnections(t *testing.T) {
 			}
 			defer conn.Close()
 			br := bufio.NewReader(conn)
-			helloV2(t, conn, br)
+			if err := hello(conn, br); err != nil {
+				errs <- err
+				return
+			}
 			var req bytes.Buffer
 			if err := EncodeBatchRequest(&req, "abr", [][]float64{{0.3, 0.7}}); err != nil {
 				errs <- err

@@ -228,7 +228,7 @@ func WithReloadOnSIGHUP() ServeOption {
 }
 
 // Server is the embeddable serving runtime: a hot-reloadable model registry
-// with the v1+v2 HTTP API (see Handler). Build one with NewServer.
+// with the v2 HTTP API (see Handler). Build one with NewServer.
 type Server struct {
 	engine *serve.Engine
 	stop   func()
@@ -237,12 +237,9 @@ type Server struct {
 // NewServer loads every model artifact in dir into a serving engine. The
 // returned server exposes the metis-serve HTTP API — GET /v2/models[/{name}],
 // POST /v2/models/{name}:predict (JSON or the binary batch codec),
-// GET /v2/stats, POST /v2/admin/reload, GET /metrics, GET /healthz, plus
-// the v1 routes as a compatibility shim — backed by lock-free quantized-tree
-// inference.
-//
-// NewServer replaces the v1 facade call Serve(dir, workers); the per-request
-// workers knob became the server-wide WithWorkers pool.
+// GET /v2/stats, POST /v2/admin/reload, GET /metrics and GET /healthz —
+// backed by lock-free quantized-tree inference. The server-wide WithWorkers
+// pool sizes inference parallelism.
 func NewServer(dir string, opts ...ServeOption) (*Server, error) {
 	var o serveOptions
 	for _, opt := range opts {

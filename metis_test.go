@@ -115,7 +115,7 @@ func TestPublicCriticalConnections(t *testing.T) {
 
 // TestPublicSaveServe covers the deployment loop end to end through the
 // facade: distill → SaveTree → LoadTree → Compile parity → NewServer →
-// prediction over both the v1 shim and the v2 client SDK.
+// prediction over both a plain JSON POST and the client SDK.
 func TestPublicSaveServe(t *testing.T) {
 	res, err := Distill(&scanEnv{}, stairPolicy{}, DistillConfig{
 		MaxLeaves: 8, Iterations: 2, EpisodesPerIter: 15, MaxSteps: 25,
@@ -155,9 +155,9 @@ func TestPublicSaveServe(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// v1 shim still answers.
-	resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
-		bytes.NewBufferString(`{"model":"stair","x":[0.9]}`))
+	// A plain single-row JSON predict answers.
+	resp, err := http.Post(ts.URL+"/v2/models/stair:predict", "application/json",
+		bytes.NewBufferString(`{"x":[0.9]}`))
 	if err != nil {
 		t.Fatal(err)
 	}

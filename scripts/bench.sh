@@ -15,7 +15,8 @@ BENCHTIME="${1:-3x}"
 BENCHES='BenchmarkFig07DecisionTree|BenchmarkMaskSearch$|BenchmarkMaskSearchSerial|BenchmarkCARTBuild|BenchmarkExtractionOverhead|BenchmarkFig27InterpBaselines|BenchmarkTreeDecision|BenchmarkDNNDecision|BenchmarkQuantizedPredictBatch|BenchmarkServePredictBatch$|BenchmarkServePredictBatchBinary|BenchmarkServePredictBatchUDS$|BenchmarkServePredictBatchUDSPipelined|BenchmarkServePredictBatchSHM|BenchmarkServeMultiTenantContention|BenchmarkScenarioPipeline$|BenchmarkScenarioPipelineAll'
 # The serving subset gets its own trajectory file (BENCH_SERVE_*.json) so the
 # transport story — the quantized walk in-process, HTTP JSON vs HTTP
-# binary vs UDS framed through the daemon, flat vs sharded over the ring —
+# binary vs the unix socket through the daemon (one frame in flight vs
+# pipelined), flat vs sharded over the ring —
 # can be tracked without wading through the training/figure benches.
 SERVE_BENCHES='BenchmarkQuantizedPredictBatch|BenchmarkServePredictBatch|BenchmarkServeMultiTenantContention'
 DATE="$(date +%Y-%m-%d)"
