@@ -141,8 +141,8 @@ func WriteFrameID(w io.Writer, id uint32, payload []byte) error {
 }
 
 // ReadFrameID reads one pipelined frame into buf (reused when it fits, grown
-// otherwise) and returns its correlation ID and payload. io.EOF is returned
-// untouched when the peer closed between frames.
+// as the payload arrives otherwise) and returns its correlation ID and
+// payload. io.EOF is returned untouched when the peer closed between frames.
 func ReadFrameID(r io.Reader, buf []byte) (id uint32, payload []byte, err error) {
 	// As in ReadFrame, the header is staged through buf to keep the steady
 	// state allocation-free.
@@ -158,11 +158,36 @@ func ReadFrameID(r io.Reader, buf []byte) (id uint32, payload []byte, err error)
 	if n > maxFramePayload {
 		return 0, nil, fmt.Errorf("%w: %d-byte payload exceeds the %d limit", ErrBadFrame, n, maxFramePayload)
 	}
-	buf = growBytes(buf, int(n))
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if buf, err = readGrowing(r, buf, int(n)); err != nil {
 		return 0, nil, fmt.Errorf("%w: short payload: %v", ErrBadFrame, err)
 	}
 	return id, buf, nil
+}
+
+// frameReadChunk is the most readGrowing allocates ahead of bytes that have
+// actually arrived.
+const frameReadChunk = 1 << 20
+
+// readGrowing reads exactly n bytes into buf, reusing its capacity and
+// otherwise growing it as the bytes arrive: by at most frameReadChunk at
+// first, then doubling. A header that declares a huge payload and never
+// sends it therefore costs at most one chunk, not the declared length, while
+// a real large frame still arrives in O(n) total copying.
+func readGrowing(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), len(buf)+min(n-len(buf), max(frameReadChunk, len(buf))))
+			copy(grown, buf)
+			buf = grown
+		}
+		end := min(n, cap(buf))
+		if _, err := io.ReadFull(r, buf[len(buf):end]); err != nil {
+			return nil, err
+		}
+		buf = buf[:end]
+	}
+	return buf, nil
 }
 
 // ControlRequest builds an "MTQ1" control payload. Fields irrelevant to the

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -198,6 +199,106 @@ func TestUDSHandshakeMatrix(t *testing.T) {
 			conn, br := dialSocket(t, sock)
 			sendHello(t, conn, br)
 		})
+	}
+}
+
+// TestUDSPipelinedHeaderAllocatesByArrival pins the post-hello twin of the
+// matrix's 1 GiB case on both listeners: a pipelined header claiming a 1 GiB
+// payload (past the read buffer, so it takes the copying fallback) followed
+// by nothing but a close costs the server at most one read chunk, not the
+// declared length, and ends in a disconnect.
+func TestUDSPipelinedHeaderAllocatesByArrival(t *testing.T) {
+	for _, shm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("shm=%v", shm), func(t *testing.T) {
+			dir, _, _ := fixtureDir(t)
+			e, err := NewEngine(dir, Config{SHMDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, br := dialSocket(t, serveSocket(t, e, shm))
+			sendHello(t, conn, br)
+			before := totalAlloc()
+			var head [8]byte
+			binary.LittleEndian.PutUint32(head[0:4], 1<<30)
+			binary.LittleEndian.PutUint32(head[4:8], 9)
+			if _, err := conn.Write(head[:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.(*net.UnixConn).CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if _, _, err := ReadFrameID(br, nil); err != io.EOF {
+				t.Fatalf("after a bodiless 1 GiB header read %v, want the server's close (EOF)", err)
+			}
+			if d := totalAlloc() - before; d >= 2<<20 {
+				t.Fatalf("the server allocated %d bytes for a header with no body", d)
+			}
+		})
+	}
+}
+
+// TestUDSPipelinedLargeFrames sends predicts past the read buffer, one of
+// them past a whole read chunk (65,536 two-feature rows, just over 1 MiB),
+// and checks every answer against the engine: growing as bytes arrive keeps
+// a large frame intact.
+func TestUDSPipelinedLargeFrames(t *testing.T) {
+	e, conn, br := udsFixture(t)
+	var req bytes.Buffer
+	for i, n := range []int{20000, DefaultMaxBatch, 100} {
+		rows := make([][]float64, n)
+		for r := range rows {
+			rows[r] = []float64{float64(r%997) / 997, float64((r*7+i)%991) / 991}
+		}
+		req.Reset()
+		if err := EncodeBatchRequest(&req, "abr", rows); err != nil {
+			t.Fatal(err)
+		}
+		p, err := DecodeBatchResponse(bytes.NewReader(call(t, conn, br, req.Bytes())))
+		if err != nil {
+			t.Fatalf("%d rows: %v", n, err)
+		}
+		want, err := e.Predict("abr", rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Actions) != n {
+			t.Fatalf("%d rows answered with %d actions", n, len(p.Actions))
+		}
+		for r := range want.Actions {
+			if p.Actions[r] != want.Actions[r] {
+				t.Fatalf("%d rows: row %d socket says %d, engine says %d", n, r, p.Actions[r], want.Actions[r])
+			}
+		}
+	}
+}
+
+// TestReadGrowing feeds frames through a reader that trickles a few bytes
+// per call, into buffers too small, exactly big enough and nil: every
+// payload arrives intact, and a buffer that already fits is reused.
+func TestReadGrowing(t *testing.T) {
+	for _, n := range []int{0, 1, 4096, frameReadChunk, frameReadChunk + 1, 3*frameReadChunk + 12345} {
+		want := make([]byte, n)
+		for i := range want {
+			want[i] = byte(i*31 + i>>11)
+		}
+		for _, buf := range [][]byte{nil, make([]byte, 0, 100), make([]byte, min(3, n), n)} {
+			got, err := readGrowing(iotest.HalfReader(bytes.NewReader(want)), buf, n)
+			if err != nil {
+				t.Fatalf("n=%d cap=%d: %v", n, cap(buf), err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("n=%d cap=%d: payload corrupted", n, cap(buf))
+			}
+			if cap(buf) >= n && n > 0 && &got[0] != &buf[:1][0] {
+				t.Fatalf("n=%d cap=%d: a buffer that fits was not reused", n, cap(buf))
+			}
+		}
+		if n > 0 {
+			if _, err := readGrowing(bytes.NewReader(want[:n-1]), nil, n); err == nil {
+				t.Fatalf("n=%d: a truncated payload read without error", n)
+			}
+		}
 	}
 }
 

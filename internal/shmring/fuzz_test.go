@@ -3,14 +3,16 @@ package shmring
 import (
 	"encoding/binary"
 	"testing"
+	"unsafe"
 )
 
 // FuzzRingDescriptor feeds adversarial bytes through both trust boundaries of
 // the package: FromBuffer's header validation, and — when the header parses —
 // the consumer-side ring walk over attacker-controlled cursors and
-// descriptors. The invariant under fuzz is purely memory safety: no input may
+// descriptors. The invariants under fuzz are memory safety — no input may
 // panic, and every payload Peek hands back must alias the input buffer, never
-// memory outside it.
+// memory outside it — and slot ownership: two descriptors the producer
+// publishes without an Advance between them never share slab bytes.
 func FuzzRingDescriptor(f *testing.F) {
 	// Seed 1: a pristine minimal segment.
 	small := Geometry{Slots: MinSlots, SlotSize: MinSlotSize}
@@ -82,16 +84,36 @@ func FuzzRingDescriptor(f *testing.F) {
 				}
 				r.Advance()
 			}
-			if slot, ok := r.Reserve(); ok {
-				// Producer side must also stay in-bounds: fill the slot.
+			// Producer side must also stay in-bounds, and two publishes with
+			// no Advance between them must own disjoint slab slots.
+			var prev []byte
+			for k := 0; k < 2; k++ {
+				slot, ok := r.Reserve()
+				if !ok {
+					break
+				}
 				slot = slot[:cap(slot)]
 				for i := range slot {
 					slot[i] = 0xA5
 				}
-				r.Publish(1, len(slot))
+				if prev != nil && overlap(prev, slot) {
+					t.Fatalf("two unconsumed publishes share slab bytes")
+				}
+				r.Publish(uint32(k), len(slot))
+				d := r.descs[((r.tail.Load()-1)&r.mask)*descSize:]
+				if off := binary.LittleEndian.Uint32(d[0:4]); &r.slab[off] != &slot[0] {
+					t.Fatalf("descriptor offset %d is not the reserved slot", off)
+				}
+				prev = slot
 			}
 			r.SetWaiting()
 			r.TakeWaiting()
 		}
 	})
+}
+
+// overlap reports whether two non-empty slices share any byte of memory.
+func overlap(a, b []byte) bool {
+	a0, b0 := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return a0 < b0+uintptr(len(b)) && b0 < a0+uintptr(len(a))
 }

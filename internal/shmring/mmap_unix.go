@@ -10,7 +10,8 @@ import (
 // mmap maps size bytes of f shared and read-write: both peers see each
 // other's stores, and the mapping outlives the descriptor (f is closed right
 // after mapping) and the file name (the creator unlinks once both sides are
-// mapped). Slots are touched at random, so read-ahead is advised off.
+// mapped). Producers reuse a few recently freed slots rather than walking
+// the slab, so access is never a stream and read-ahead is advised off.
 func mmap(f *os.File, size int) ([]byte, error) {
 	data, err := syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {

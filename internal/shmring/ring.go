@@ -18,6 +18,14 @@ import (
 // gives the acquire/release ordering both directions need; everything else
 // in the ring is plain memory guarded by those two cursors.
 //
+// Which slab slot a descriptor points at is the producer's private business.
+// It keeps a last-in-first-out free list of slot indices outside the shared
+// segment and reuses the slot the consumer most recently released, so a
+// connection with k requests in flight touches k slots, not all Slots: its
+// resident memory follows its in-flight depth rather than the ring's depth.
+// head is written by the peer, so it is trusted only inside the window of
+// this producer's own unreclaimed publishes; anywhere else it reads as full.
+//
 // The waiting flag is the doorbell contract: a consumer that found the ring
 // empty sets it, re-checks the ring (the lost-wakeup guard), and parks on
 // its connection; a producer that observes-and-clears it (TakeWaiting) after
@@ -32,6 +40,15 @@ type Ring struct {
 	slots    uint64
 	mask     uint64
 	slotSize uint64
+
+	// Producer-local slab allocator; never in shared memory. free is a stack
+	// of free slot indices, owner[seq&mask] the slot behind descriptor seq,
+	// pub the count of this producer's publishes (the tail it writes), and
+	// freed how many of those have had their slot returned to free.
+	free  []uint32
+	owner []uint32
+	pub   uint64
+	freed uint64
 }
 
 // Slots returns the ring's descriptor capacity.
@@ -40,23 +57,31 @@ func (r *Ring) Slots() int { return int(r.slots) }
 // SlotSize returns the payload capacity of one slot.
 func (r *Ring) SlotSize() int { return int(r.slotSize) }
 
-// Reserve returns the payload buffer of the next free slot (length 0,
+// Reserve returns the payload buffer of a free slab slot (length 0,
 // capacity SlotSize) for the producer to encode into, or ok=false when the
-// ring is full. A cursor pair torn into impossibility reads as full, never
-// as a wild slot index.
+// ring is full. It first takes back the slots of every descriptor the
+// consumer has advanced past, then offers the most recently freed one; the
+// slot is claimed only by the Publish that follows, so a Reserve on its own
+// changes nothing. A consumer cursor outside this producer's outstanding
+// publishes reads as full, never as a wild or doubly-freed slot.
 func (r *Ring) Reserve() (slot []byte, ok bool) {
-	t := r.tail.Load()
 	h := r.head.Load()
-	if t-h >= r.slots {
+	if h-r.freed > r.pub-r.freed {
 		return nil, false
 	}
-	off := (t & r.mask) * r.slotSize
+	for ; r.freed != h; r.freed++ {
+		r.free = append(r.free, r.owner[r.freed&r.mask])
+	}
+	if len(r.free) == 0 {
+		return nil, false
+	}
+	off := uint64(r.free[len(r.free)-1]) * r.slotSize
 	return r.slab[off : off : off+r.slotSize], true
 }
 
-// Publish commits the slot returned by the last Reserve with the request id
-// and payload length n, making it visible to the consumer. n must not exceed
-// the slot capacity.
+// Publish claims the slot offered by the last Reserve and commits it with
+// the request id and payload length n, making it visible to the consumer. n
+// must not exceed the slot capacity.
 func (r *Ring) Publish(id uint32, n int) { r.PublishAt(id, 0, n) }
 
 // PublishAt is Publish with the payload starting skip bytes into the slot.
@@ -70,13 +95,19 @@ func (r *Ring) PublishAt(id uint32, skip, n int) {
 	if skip < 0 || n < 0 || uint64(skip)+uint64(n) > r.slotSize {
 		panic(fmt.Sprintf("shmring: PublishAt(%d, %d) outside a %d-byte slot", skip, n, r.slotSize))
 	}
-	t := r.tail.Load()
-	off := (t&r.mask)*r.slotSize + uint64(skip)
+	if len(r.free) == 0 {
+		panic("shmring: PublishAt without a successful Reserve")
+	}
+	s := r.free[len(r.free)-1]
+	r.free = r.free[:len(r.free)-1]
+	t := r.pub
+	r.owner[t&r.mask] = s
 	d := r.descs[(t&r.mask)*descSize:]
-	binary.LittleEndian.PutUint32(d[0:4], uint32(off))
+	binary.LittleEndian.PutUint32(d[0:4], uint32(uint64(s)*r.slotSize+uint64(skip)))
 	binary.LittleEndian.PutUint32(d[4:8], uint32(n))
 	binary.LittleEndian.PutUint32(d[8:12], id)
-	r.tail.Store(t + 1)
+	r.pub = t + 1
+	r.tail.Store(r.pub)
 }
 
 // Peek returns the oldest unconsumed entry without consuming it: its id and

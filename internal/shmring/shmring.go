@@ -20,18 +20,22 @@
 //	reqSlab         slots × slotSize payload bytes (client → server)
 //	respSlab        slots × slotSize payload bytes (server → client)
 //
-// Descriptor slot i owns slab bytes [i*slotSize, (i+1)*slotSize); cursors are
-// free-running uint64 sequence numbers (slot = seq & (slots-1)). The segment
-// is plain shared memory written by another — possibly hostile or crashed —
-// process, so every consumer-side read revalidates what it loads: torn or
-// runaway cursors and out-of-bounds descriptors surface as ErrCorrupt, never
-// as a read outside the mapping.
+// A descriptor points at one whole slab slot its producer owns until the
+// consumer advances past it. Which slot that is stays the producer's private
+// business (it reuses recently freed slots, so a lightly loaded connection
+// keeps only a few slab pages resident); consumers accept any in-bounds
+// offset. Cursors are free-running uint64 sequence numbers (descriptor index
+// = seq & (slots-1)). The segment is plain shared memory written by another
+// — possibly hostile or crashed — process, so every consumer-side read
+// revalidates what it loads: torn or runaway cursors and out-of-bounds
+// descriptors surface as ErrCorrupt, never as a read outside the mapping.
 package shmring
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"sync/atomic"
 	"unsafe"
@@ -115,17 +119,7 @@ func ceilPow2(v uint32) uint32 {
 	if v > 1<<31 {
 		return 1 << 31
 	}
-	return 1 << (32 - bitsLeadingZeros32(v-1))
-}
-
-// bitsLeadingZeros32 avoids importing math/bits for one call site.
-func bitsLeadingZeros32(v uint32) uint {
-	n := uint(0)
-	for v != 0 {
-		v >>= 1
-		n++
-	}
-	return 32 - n
+	return 1 << (32 - bits.LeadingZeros32(v-1))
 }
 
 // ringBytes is one ring's header + descriptor area.
@@ -312,6 +306,11 @@ func (s *Segment) Unlink() error {
 // slot-size multiples), which the atomic cursor pointers require.
 func ringAt(data []byte, ringOff, slabOff int64, g Geometry) *Ring {
 	hdr := data[ringOff:]
+	// The free stack pops slot 0 first.
+	free := make([]uint32, g.Slots)
+	for i := range free {
+		free[i] = g.Slots - 1 - uint32(i)
+	}
 	return &Ring{
 		head:     (*atomic.Uint64)(unsafe.Pointer(&hdr[0])),
 		tail:     (*atomic.Uint64)(unsafe.Pointer(&hdr[64])),
@@ -321,5 +320,7 @@ func ringAt(data []byte, ringOff, slabOff int64, g Geometry) *Ring {
 		slots:    uint64(g.Slots),
 		mask:     uint64(g.Slots) - 1,
 		slotSize: uint64(g.SlotSize),
+		free:     free,
+		owner:    make([]uint32, g.Slots),
 	}
 }

@@ -391,3 +391,163 @@ func payloadFor(id uint32) []byte {
 	}
 	return b
 }
+
+// slotOf returns the slab slot a consumer-visible payload lives in.
+func slotOf(r *Ring, payload []byte) uint64 {
+	off := uintptr(unsafe.Pointer(unsafe.SliceData(payload))) - uintptr(unsafe.Pointer(&r.slab[0]))
+	return uint64(off) / r.slotSize
+}
+
+// inflightSlots returns the slab slot of every published, unconsumed
+// descriptor, oldest first, read straight from the descriptor ring.
+func inflightSlots(r *Ring) []uint64 {
+	var out []uint64
+	for seq := r.head.Load(); seq != r.tail.Load(); seq++ {
+		d := r.descs[(seq&r.mask)*descSize:]
+		out = append(out, uint64(binary.LittleEndian.Uint32(d[0:4]))/r.slotSize)
+	}
+	return out
+}
+
+// assertDistinctSlots fails if two in-flight descriptors share a slab slot.
+func assertDistinctSlots(t *testing.T, r *Ring, what string) {
+	t.Helper()
+	seen := make(map[uint64]bool)
+	for _, s := range inflightSlots(r) {
+		if seen[s] {
+			t.Fatalf("%s: slab slot %d backs two in-flight descriptors (%v)", what, s, inflightSlots(r))
+		}
+		seen[s] = true
+	}
+}
+
+// publishOne reserves, fills and publishes one payload, failing on a full
+// ring.
+func publishOne(t *testing.T, r *Ring, id uint32) {
+	t.Helper()
+	slot, ok := r.Reserve()
+	if !ok {
+		t.Fatalf("id %d: ring full", id)
+	}
+	r.Publish(id, len(append(slot, byte(id), byte(id>>8))))
+}
+
+// TestRingSlabWorkingSet pins the residency claim at its source: a producer
+// that never has more than k descriptors in flight hands out exactly k
+// distinct slab slots, however many requests pass through.
+func TestRingSlabWorkingSet(t *testing.T) {
+	for k := 1; k <= 3; k++ {
+		seg, err := NewInMemory(Geometry{Slots: 64, SlotSize: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := seg.Req
+		used := make(map[uint64]bool)
+		inflight := 0
+		for i := 0; i < 10000; i++ {
+			if inflight == k {
+				_, payload, ok, err := r.Peek()
+				if err != nil || !ok {
+					t.Fatalf("k=%d round %d: ok=%v err=%v", k, i, ok, err)
+				}
+				used[slotOf(r, payload)] = true
+				r.Advance()
+				inflight--
+			}
+			publishOne(t, r, uint32(i))
+			inflight++
+		}
+		if len(used) != k {
+			t.Fatalf("k=%d: %d distinct slab slots used, want %d", k, len(used), k)
+		}
+	}
+}
+
+// TestRingSlabNoOverlap fills the ring to its depth and checks that every
+// in-flight descriptor owns a different slab slot, after a full FIFO drain
+// and refill and after partial drains that interleave freed and fresh slots.
+func TestRingSlabNoOverlap(t *testing.T) {
+	seg, err := NewInMemory(Geometry{Slots: 16, SlotSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := seg.Req
+	id := uint32(0)
+	fill := func() {
+		for {
+			slot, ok := r.Reserve()
+			if !ok {
+				break
+			}
+			r.Publish(id, len(append(slot, byte(id))))
+			id++
+		}
+	}
+	drain := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, _, ok, err := r.Peek(); err != nil || !ok {
+				t.Fatalf("drain: ok=%v err=%v", ok, err)
+			}
+			r.Advance()
+		}
+	}
+	fill()
+	if got := len(inflightSlots(r)); got != r.Slots() {
+		t.Fatalf("filled ring holds %d descriptors, want %d", got, r.Slots())
+	}
+	assertDistinctSlots(t, r, "first fill")
+	drain(r.Slots())
+	fill()
+	assertDistinctSlots(t, r, "refill after full drain")
+	for _, n := range []int{1, 5, 16, 3, 11} {
+		drain(n)
+		fill()
+		assertDistinctSlots(t, r, fmt.Sprintf("refill after draining %d", n))
+	}
+}
+
+// TestRingSlabHostileConsumer rewinds and overshoots the consumer cursor the
+// peer controls: either reads as full, and once a sane cursor is back the
+// producer still never hands out a slot an unconsumed descriptor owns.
+func TestRingSlabHostileConsumer(t *testing.T) {
+	seg, err := NewInMemory(Geometry{Slots: 8, SlotSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := seg.Req
+	for i := uint32(0); i < 4; i++ {
+		publishOne(t, r, i)
+	}
+	// head 2: two descriptors consumed, two still owned. The next Reserve
+	// reclaims the two consumed slots (freed 2, pub 4).
+	r.Advance()
+	r.Advance()
+	if _, ok := r.Reserve(); !ok {
+		t.Fatal("Reserve failed with a sane cursor")
+	}
+	for _, h := range []uint64{0, 1, 5, 1 << 40, ^uint64(0)} {
+		r.head.Store(h) // below freed (a replayed free) or past pub
+		if _, ok := r.Reserve(); ok {
+			t.Fatalf("head %d (freed 2, pub 4): Reserve handed out a slot", h)
+		}
+	}
+	r.head.Store(2)
+	owned := map[uint64]bool{}
+	for _, s := range inflightSlots(r) {
+		owned[s] = true
+	}
+	for i := uint32(4); ; i++ {
+		slot, ok := r.Reserve()
+		if !ok {
+			break
+		}
+		if s := slotOf(r, slot[:1]); owned[s] {
+			t.Fatalf("Reserve handed out slot %d while an unconsumed descriptor owns it", s)
+		}
+		r.Publish(i, len(append(slot, 'x')))
+		assertDistinctSlots(t, r, fmt.Sprintf("publish %d", i))
+	}
+	if got := len(inflightSlots(r)); got != r.Slots() {
+		t.Fatalf("refilled ring holds %d descriptors, want %d", got, r.Slots())
+	}
+}
