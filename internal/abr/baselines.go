@@ -249,36 +249,69 @@ func (m *RobustMPC) Select(obs Observation) int {
 	if horizon <= 0 {
 		return 0
 	}
-	bestFirst, bestQoE := 0, math.Inf(-1)
-	// Exhaustive enumeration of bitrate sequences over the horizon.
-	seq := make([]int, horizon)
-	var walk func(depth int, buffer float64, last int, qoe float64)
-	walk = func(depth int, buffer float64, last int, qoe float64) {
-		if depth == horizon {
-			if qoe > bestQoE {
-				bestQoE = qoe
-				bestFirst = seq[0]
-			}
-			return
-		}
-		for q := 0; q < NumBitrates; q++ {
-			size := obs.NextChunkBits[q] // approximate all horizon chunks by the next chunk's sizes
-			dt := size / (robust * 1000)
-			reb := 0.0
-			nb := buffer
-			if dt > nb {
-				reb = dt - nb
-				nb = 0
-			} else {
-				nb -= dt
-			}
-			nb += ChunkSeconds
-			stepQoE := BitratesKbps[q]/1000 - rp*reb - sp*math.Abs(BitratesKbps[q]-BitratesKbps[last])/1000
-			seq[depth] = q
-			walk(depth+1, nb, q, qoe+stepQoE)
+	// Every horizon chunk is approximated by the next chunk's sizes, so a
+	// step's download time, bitrate utility and switching penalty depend
+	// only on (q, last): compute them once, with the expressions of the
+	// per-step QoE, rather than at each of the 6^horizon leaves.
+	var dt, rate [NumBitrates]float64
+	var smooth [NumBitrates][NumBitrates]float64
+	for q := 0; q < NumBitrates; q++ {
+		dt[q] = obs.NextChunkBits[q] / (robust * 1000)
+		rate[q] = BitratesKbps[q] / 1000
+		for last := 0; last < NumBitrates; last++ {
+			smooth[q][last] = sp * math.Abs(BitratesKbps[q]-BitratesKbps[last]) / 1000
 		}
 	}
-	walk(0, obs.BufferSec, obs.LastAction, 0)
+	// step plays quality q after last with buffer seconds left and returns
+	// the new buffer and the running QoE.
+	step := func(q, last int, buffer, qoe float64) (float64, float64) {
+		reb := 0.0
+		if dt[q] > buffer {
+			reb = dt[q] - buffer
+			buffer = 0
+		} else {
+			buffer -= dt[q]
+		}
+		return buffer + ChunkSeconds, qoe + (rate[q] - rp*reb - smooth[q][last])
+	}
+
+	// Exhaustive depth-first enumeration of bitrate sequences over the
+	// horizon, in lexicographic order; the first sequence with the
+	// strictly highest QoE wins. Frame d holds the state before depth d's
+	// choice and the next quality to try there; the last depth is scored
+	// inline.
+	type frame struct {
+		buffer, qoe float64
+		last, next  int
+	}
+	stack := make([]frame, horizon)
+	stack[0] = frame{buffer: obs.BufferSec, last: obs.LastAction}
+	bestFirst, bestQoE := 0, math.Inf(-1)
+	for d := 0; d >= 0; {
+		f := &stack[d]
+		if d == horizon-1 {
+			for q := 0; q < NumBitrates; q++ {
+				if _, qoe := step(q, f.last, f.buffer, f.qoe); qoe > bestQoE {
+					bestQoE = qoe
+					bestFirst = q
+					if d > 0 {
+						bestFirst = stack[0].next - 1
+					}
+				}
+			}
+			d--
+			continue
+		}
+		if f.next == NumBitrates {
+			d--
+			continue
+		}
+		q := f.next
+		f.next++
+		buffer, qoe := step(q, f.last, f.buffer, f.qoe)
+		d++
+		stack[d] = frame{buffer: buffer, qoe: qoe, last: q}
+	}
 	return bestFirst
 }
 

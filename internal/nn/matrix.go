@@ -9,6 +9,13 @@
 // perceptrons, optionally with a skip connection that re-injects selected raw
 // inputs just before the output layer (used by the §6.2 "modified structure"
 // experiment).
+//
+// Network.Forward and Network.Backward return slices owned by the network,
+// overwritten by its next call, and allocate nothing: each layer keeps its
+// own scratch. The dense kernels may work on several rows at once, but each
+// output keeps the same float operations in the same order as a plain loop
+// (no reassociation, no explicit FMA), so a faster kernel never changes a
+// trained network's bits.
 package nn
 
 import (
@@ -55,12 +62,33 @@ func (m *Matrix) Zero() {
 }
 
 // MulVec computes y = M·x for a vector x of length Cols.
+//
+// Four rows share each pass over x, each with its own accumulator; every
+// y[i] is still the sum of w·x[j] in ascending j, one rounding per term, so
+// the result is bit-identical to a plain row-by-row loop.
 func (m *Matrix) MulVec(x, y []float64) {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic(fmt.Sprintf("nn: MulVec shape mismatch: %dx%d by %d into %d", m.Rows, m.Cols, len(x), len(y)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+	n := len(x)
+	i := 0
+	for ; i+4 <= len(y); i += 4 {
+		r0 := m.Data[i*n : i*n+n]
+		r1 := m.Data[(i+1)*n : (i+1)*n+n]
+		r2 := m.Data[(i+2)*n : (i+2)*n+n]
+		r3 := m.Data[(i+3)*n : (i+3)*n+n]
+		r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		y[i], y[i+1], y[i+2], y[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(y); i++ {
+		row := m.Data[i*n : i*n+n]
 		s := 0.0
 		for j, w := range row {
 			s += w * x[j]
@@ -98,7 +126,7 @@ func (m *Matrix) AddOuter(a, b []float64, s float64) {
 		if ai == 0 {
 			continue
 		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		row := m.Data[i*m.Cols : (i+1)*m.Cols][:len(b)]
 		f := ai * s
 		for j, bj := range b {
 			row[j] += f * bj

@@ -100,23 +100,33 @@ type Dense struct {
 	GW *Matrix
 	GB []float64
 
-	// Forward caches (single-sample training).
-	x []float64
-	a []float64
+	// Forward caches (single-sample training) and scratch, so that forward
+	// and backward allocate nothing.
+	x, a      []float64
+	z, dz, dx []float64
 }
 
-// newDense creates a Dense layer with He/Xavier-style initialization.
-func newDense(in, out int, act Activation, rng *rand.Rand) *Dense {
-	d := &Dense{
+// newLayer wraps existing weights W (out×in, row-major) and biases B in a
+// Dense layer with zeroed gradients and fresh scratch.
+func newLayer(in, out int, act Activation, w, b []float64) *Dense {
+	return &Dense{
 		In: in, Out: out,
-		W:   NewMatrix(out, in),
-		B:   make([]float64, out),
+		W:   &Matrix{Rows: out, Cols: in, Data: w},
+		B:   b,
 		Act: act,
 		GW:  NewMatrix(out, in),
 		GB:  make([]float64, out),
 		x:   make([]float64, in),
 		a:   make([]float64, out),
+		z:   make([]float64, out),
+		dz:  make([]float64, out),
+		dx:  make([]float64, in),
 	}
+}
+
+// newDense creates a Dense layer with He/Xavier-style initialization.
+func newDense(in, out int, act Activation, rng *rand.Rand) *Dense {
+	d := newLayer(in, out, act, make([]float64, out*in), make([]float64, out))
 	scale := math.Sqrt(2.0 / float64(in))
 	if act == Tanh || act == Sigmoid || act == Identity || act == SoftmaxAct {
 		scale = math.Sqrt(1.0 / float64(in))
@@ -129,22 +139,20 @@ func newDense(in, out int, act Activation, rng *rand.Rand) *Dense {
 
 func (d *Dense) forward(x []float64) []float64 {
 	copy(d.x, x)
-	z := make([]float64, d.Out)
-	d.W.MulVec(x, z)
-	Axpy(1, d.B, z)
-	d.Act.apply(z, d.a)
+	d.W.MulVec(x, d.z)
+	Axpy(1, d.B, d.z)
+	d.Act.apply(d.z, d.a)
 	return d.a
 }
 
-// backward accumulates gradients given dL/da and returns dL/dx.
+// backward accumulates gradients given dL/da and returns dL/dx, a slice
+// owned by the layer.
 func (d *Dense) backward(da []float64) []float64 {
-	dz := make([]float64, d.Out)
-	d.Act.derivMul(d.a, da, dz)
-	d.GW.AddOuter(dz, d.x, 1)
-	Axpy(1, dz, d.GB)
-	dx := make([]float64, d.In)
-	d.W.MulVecT(dz, dx)
-	return dx
+	d.Act.derivMul(d.a, da, d.dz)
+	d.GW.AddOuter(d.dz, d.x, 1)
+	Axpy(1, d.dz, d.GB)
+	d.W.MulVecT(d.dz, d.dx)
+	return d.dx
 }
 
 // Network is a feed-forward network of Dense layers. If SkipInputs is
@@ -155,7 +163,7 @@ type Network struct {
 	Layers     []*Dense
 	SkipInputs []int
 
-	lastIn []float64 // cached raw input for skip backward
+	aug []float64 // last layer's input: hidden activation, then skip inputs
 }
 
 // Config describes a Network architecture.
@@ -211,20 +219,18 @@ func (n *Network) Forward(x []float64) []float64 {
 	if len(x) != n.inputDim() {
 		panic(fmt.Sprintf("nn: Forward input dim %d, want %d", len(x), n.inputDim()))
 	}
-	if n.lastIn == nil {
-		n.lastIn = make([]float64, len(x))
-	}
-	copy(n.lastIn, x)
 	h := x
 	last := len(n.Layers) - 1
 	for i, l := range n.Layers {
 		if i == last && len(n.SkipInputs) > 0 {
-			aug := make([]float64, len(h)+len(n.SkipInputs))
-			copy(aug, h)
-			for k, idx := range n.SkipInputs {
-				aug[len(h)+k] = x[idx]
+			if len(n.aug) != l.In {
+				n.aug = make([]float64, l.In)
 			}
-			h = aug
+			copy(n.aug, h)
+			for k, idx := range n.SkipInputs {
+				n.aug[len(h)+k] = x[idx]
+			}
+			h = n.aug
 		}
 		h = l.forward(h)
 	}
@@ -240,7 +246,9 @@ func (n *Network) inputDim() int {
 }
 
 // Backward back-propagates dL/dOutput through the network, accumulating
-// parameter gradients. It returns dL/dInput (excluding skip paths).
+// parameter gradients. It returns dL/dInput (excluding skip paths); like
+// Forward's result, the slice is owned by the network and overwritten by the
+// next call.
 func (n *Network) Backward(dOut []float64) []float64 {
 	grad := dOut
 	for i := len(n.Layers) - 1; i >= 0; i-- {
@@ -308,14 +316,8 @@ func (n *Network) ClipGrad(max float64) {
 func (n *Network) Clone() *Network {
 	c := &Network{SkipInputs: append([]int(nil), n.SkipInputs...)}
 	for _, l := range n.Layers {
-		nl := &Dense{
-			In: l.In, Out: l.Out,
-			W: l.W.Clone(), B: append([]float64(nil), l.B...),
-			Act: l.Act,
-			GW:  NewMatrix(l.Out, l.In), GB: make([]float64, l.Out),
-			x: make([]float64, l.In), a: make([]float64, l.Out),
-		}
-		c.Layers = append(c.Layers, nl)
+		w := append([]float64(nil), l.W.Data...)
+		c.Layers = append(c.Layers, newLayer(l.In, l.Out, l.Act, w, append([]float64(nil), l.B...)))
 	}
 	return c
 }
@@ -346,25 +348,71 @@ func (n *Network) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// maxWidth bounds a decoded layer's declared In and Out.
+const maxWidth = 1 << 20
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. It rejects any
+// network whose shapes Forward and Backward could not run on: no layers, a
+// width outside [1, 2^20], weights or biases of the wrong length, a layer
+// whose fan-in is not the previous layer's width (plus the skip inputs, on
+// the last layer), a skip index outside the raw input, or an unknown
+// activation. On error the receiver is left unchanged.
 func (n *Network) UnmarshalBinary(data []byte) error {
 	var w netWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return fmt.Errorf("nn: decode network: %w", err)
 	}
+	if err := w.validate(); err != nil {
+		return fmt.Errorf("nn: decode network: %w", err)
+	}
 	n.SkipInputs = w.SkipInputs
 	n.Layers = nil
 	for _, lw := range w.Layers {
-		l := &Dense{
-			In: lw.In, Out: lw.Out, Act: lw.Act,
-			W:  &Matrix{Rows: lw.Out, Cols: lw.In, Data: lw.W},
-			B:  lw.B,
-			GW: NewMatrix(lw.Out, lw.In), GB: make([]float64, lw.Out),
-			x: make([]float64, lw.In), a: make([]float64, lw.Out),
-		}
-		n.Layers = append(n.Layers, l)
+		n.Layers = append(n.Layers, newLayer(lw.In, lw.Out, lw.Act, lw.W, lw.B))
 	}
-	n.lastIn = nil
+	n.aug = nil
+	return nil
+}
+
+// validate checks the invariants UnmarshalBinary documents.
+func (w *netWire) validate() error {
+	if len(w.Layers) == 0 {
+		return fmt.Errorf("no layers")
+	}
+	last := len(w.Layers) - 1
+	for i, l := range w.Layers {
+		if l.In < 1 || l.In > maxWidth || l.Out < 1 || l.Out > maxWidth {
+			return fmt.Errorf("layer %d: shape %d→%d outside [1, %d]", i, l.In, l.Out, maxWidth)
+		}
+		if int64(len(l.W)) != int64(l.In)*int64(l.Out) || len(l.B) != l.Out {
+			return fmt.Errorf("layer %d: %d weights and %d biases for %d→%d", i, len(l.W), len(l.B), l.In, l.Out)
+		}
+		if l.Act < Identity || l.Act > SoftmaxAct {
+			return fmt.Errorf("layer %d: unknown %v", i, l.Act)
+		}
+		if i == 0 {
+			continue
+		}
+		want := w.Layers[i-1].Out
+		if i == last {
+			want += len(w.SkipInputs)
+		}
+		if l.In != want {
+			return fmt.Errorf("layer %d: fan-in %d, want %d", i, l.In, want)
+		}
+	}
+	raw := w.Layers[0].In
+	if last == 0 {
+		raw -= len(w.SkipInputs)
+	}
+	if raw < 1 {
+		return fmt.Errorf("%d skip inputs leave no raw input", len(w.SkipInputs))
+	}
+	for _, idx := range w.SkipInputs {
+		if idx < 0 || idx >= raw {
+			return fmt.Errorf("skip input %d outside raw input of %d", idx, raw)
+		}
+	}
 	return nil
 }
 

@@ -90,8 +90,8 @@ func (t *A2C) episode(env Env, seed int64, rng *rand.Rand, maxSteps int) ([]tran
 	var traj []transition
 	total := 0.0
 	for step := 0; step < maxSteps; step++ {
-		probs := t.ActionProbs(s)
-		a := nn.Sample(rng, probs)
+		// Sample reads the actor's output in place; no copy is needed.
+		a := nn.Sample(rng, t.Actor.Forward(s))
 		next, r, done := env.Step(a)
 		traj = append(traj, transition{state: append([]float64(nil), s...), action: a, reward: r})
 		total += r
@@ -156,22 +156,25 @@ func (t *A2C) Train(env Env, episodes, maxSteps int, seed int64) TrainResult {
 		// Standardize advantages across the batch: with sparse catastrophic
 		// rewards (e.g. rebuffering) raw advantages have enormous variance
 		// and stall learning.
+		inv := 1.0 / float64(totalSteps)
 		advs := make([]float64, len(all))
-		vals := make([]float64, len(all))
 		meanAdv, m2 := 0.0, 0.0
+		var dv [1]float64
 		for i, l := range all {
-			vals[i] = t.Critic.Forward(l.tr.state)[0]
-			advs[i] = l.ret - vals[i]
+			v := t.Critic.Forward(l.tr.state)[0]
+			advs[i] = l.ret - v
 			meanAdv += advs[i]
+			// Critic: MSE toward the Monte-Carlo return. Its gradient
+			// needs no batch statistics, so it is taken on this pass.
+			dv[0] = 2 * (v - l.ret) * inv
+			t.Critic.Backward(dv[:])
 		}
 		meanAdv /= float64(len(all))
 		for _, a := range advs {
 			m2 += (a - meanAdv) * (a - meanAdv)
 		}
 		stdAdv := math.Sqrt(m2/float64(len(all))) + 1e-8
-		inv := 1.0 / float64(totalSteps)
 		for i, l := range all {
-			v := vals[i]
 			adv := (advs[i] - meanAdv) / stdAdv
 			// Actor: policy-gradient step plus entropy bonus.
 			probs := t.Actor.Forward(l.tr.state)
@@ -184,9 +187,6 @@ func (t *A2C) Train(env Env, episodes, maxSteps int, seed int64) TrainResult {
 				}
 			}
 			t.Actor.Backward(grad)
-			// Critic: MSE toward the Monte-Carlo return.
-			t.Critic.Forward(l.tr.state)
-			t.Critic.Backward([]float64{2 * (v - l.ret) * inv})
 		}
 		t.Actor.ClipGrad(5)
 		t.Critic.ClipGrad(5)

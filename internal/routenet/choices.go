@@ -380,19 +380,14 @@ func (c *Choices) readout(h []float64) float64 {
 }
 
 // dense evaluates a single-layer network on x into out without touching
-// the network's scratch state. It performs the same float operations in
-// the same order as nn.Network.Forward, so its output is bit-identical.
+// the network's scratch state. It calls the kernels nn.Network.Forward
+// calls, W·x then + B (1·B[o] is exact, so Axpy(1, B, out) rounds once as
+// out[o] + B[o] would), so its output is bit-identical by construction.
 func (c *Choices) dense(n *nn.Network, x, out []float64) {
 	c.evals++
 	l := n.Layers[0]
-	for o := range out {
-		row := l.W.Data[o*l.In : (o+1)*l.In]
-		s := 0.0
-		for j, w := range row {
-			s += w * x[j]
-		}
-		out[o] = s + l.B[o]
-	}
+	l.W.MulVec(x, out)
+	nn.Axpy(1, l.B, out)
 	switch l.Act {
 	case nn.Tanh:
 		for o, v := range out {
