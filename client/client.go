@@ -206,6 +206,16 @@ type Stats struct {
 	Dir           string                `json:"dir"`
 	Models        map[string]ModelStats `json:"models"`
 	Shadow        ShadowStats           `json:"shadow"`
+	Runtime       RuntimeStats          `json:"runtime"`
+}
+
+// RuntimeStats is the runtime block of GET /v2/stats: the daemon process's
+// cumulative heap allocations and completed GC cycles. Each only grows, so
+// the difference between two reads is the cost of the work in between.
+type RuntimeStats struct {
+	HeapAllocBytes   uint64 `json:"heap_alloc_bytes"`
+	HeapAllocObjects uint64 `json:"heap_alloc_objects"`
+	GCCycles         uint64 `json:"gc_cycles"`
 }
 
 // do issues one request with 503-retry, returning the response body for a

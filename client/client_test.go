@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -289,5 +290,37 @@ func TestClientReload(t *testing.T) {
 	}
 	if st.Reloads != 1 || len(st.Models) != 2 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestClientStatsRuntime: both transports' stats carry the daemon's
+// cumulative allocation and GC counters, which never decrease across
+// predicts.
+func TestClientStatsRuntime(t *testing.T) {
+	ts, _, _ := testServer(t)
+	sock, _ := testUDSServer(t)
+	ctx := context.Background()
+	for _, c := range []*Client{New(ts.URL), New("unix://" + sock)} {
+		// The engine runs in this process; one forced cycle makes the GC
+		// count non-zero however little the test has allocated so far.
+		runtime.GC()
+		var prev RuntimeStats
+		for i := 0; i < 3; i++ {
+			st, err := c.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := st.Runtime
+			if rt.HeapAllocBytes == 0 || rt.HeapAllocObjects == 0 || rt.GCCycles == 0 {
+				t.Fatalf("runtime block has a zero counter: %+v", rt)
+			}
+			if rt.HeapAllocBytes < prev.HeapAllocBytes || rt.HeapAllocObjects < prev.HeapAllocObjects || rt.GCCycles < prev.GCCycles {
+				t.Fatalf("runtime counters decreased: %+v after %+v", rt, prev)
+			}
+			prev = rt
+			if _, err := c.PredictBatch(ctx, "cls", [][]float64{{0.9, 0.1}, {0.1, 0.9}}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -94,10 +94,10 @@ func WritePayload(w io.Writer, kind string, meta map[string]string, payload []by
 	if err := gob.NewEncoder(&hbuf).Encode(h); err != nil {
 		return fmt.Errorf("artifact: encode header: %w", err)
 	}
-	prefix := make([]byte, 14)
+	prefix := make([]byte, prefixLen)
 	copy(prefix, Magic)
 	binary.BigEndian.PutUint16(prefix[8:10], Version)
-	binary.BigEndian.PutUint32(prefix[10:14], uint32(hbuf.Len()))
+	binary.BigEndian.PutUint32(prefix[10:prefixLen], uint32(hbuf.Len()))
 	for _, chunk := range [][]byte{prefix, hbuf.Bytes(), payload} {
 		if _, err := w.Write(chunk); err != nil {
 			return fmt.Errorf("artifact: write: %w", err)
@@ -136,27 +136,51 @@ func Save(path, kind string, meta map[string]string, model encoding.BinaryMarsha
 	return nil
 }
 
+// prefixLen is the length of the fixed magic, version and header-length
+// prefix.
+const prefixLen = 14
+
 // Read parses a container from r, verifying magic, version, and checksum.
 func Read(r io.Reader) (*Artifact, error) {
-	prefix := make([]byte, 14)
-	if _, err := io.ReadFull(r, prefix); err != nil {
-		return nil, fmt.Errorf("%w (short read: %v)", ErrBadMagic, err)
-	}
-	if string(prefix[:8]) != Magic {
-		return nil, ErrBadMagic
-	}
-	if v := binary.BigEndian.Uint16(prefix[8:10]); v != Version {
-		return nil, fmt.Errorf("%w: file is v%d, this build reads v%d", ErrVersion, v, Version)
-	}
-	// The length fields are not themselves checksummed, so never allocate
-	// from them: read what the stream actually holds and validate the
-	// claimed lengths against it. A corrupted length then surfaces as a
-	// typed error instead of a huge make() panic.
-	rest, err := io.ReadAll(r)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("artifact: read: %w", err)
 	}
-	hlen := int64(binary.BigEndian.Uint32(prefix[10:14]))
+	return parse(data)
+}
+
+// Open parses the artifact at path. The file is read in one call into a
+// buffer of its own size, which the returned Payload aliases.
+func Open(path string) (*Artifact, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("artifact: open: %w", err)
+	}
+	a, err := parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return a, nil
+}
+
+// parse validates and splits one whole container. The returned Payload
+// aliases data.
+func parse(data []byte) (*Artifact, error) {
+	if len(data) < prefixLen {
+		return nil, fmt.Errorf("%w (short read: %d of %d prefix bytes)", ErrBadMagic, len(data), prefixLen)
+	}
+	if string(data[:8]) != Magic {
+		return nil, ErrBadMagic
+	}
+	if v := binary.BigEndian.Uint16(data[8:10]); v != Version {
+		return nil, fmt.Errorf("%w: file is v%d, this build reads v%d", ErrVersion, v, Version)
+	}
+	// The length fields are not themselves checksummed, so never allocate
+	// from them: validate the claimed lengths against the bytes actually
+	// held. A corrupted length then surfaces as a typed error instead of a
+	// huge make() panic.
+	rest := data[prefixLen:]
+	hlen := int64(binary.BigEndian.Uint32(data[10:prefixLen]))
 	if hlen > int64(len(rest)) {
 		return nil, fmt.Errorf("%w (header length %d exceeds file)", ErrChecksum, hlen)
 	}
@@ -172,18 +196,4 @@ func Read(r io.Reader) (*Artifact, error) {
 		return nil, ErrChecksum
 	}
 	return &Artifact{Kind: h.Kind, Meta: h.Meta, Payload: payload}, nil
-}
-
-// Open parses the artifact at path.
-func Open(path string) (*Artifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("artifact: open: %w", err)
-	}
-	defer f.Close()
-	a, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return a, nil
 }

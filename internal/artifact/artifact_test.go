@@ -22,7 +22,7 @@ import (
 )
 
 // smallTree builds a deterministic classification tree.
-func smallTree(t *testing.T) *dtree.Tree {
+func smallTree(t testing.TB) *dtree.Tree {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	d := &dtree.Dataset{}

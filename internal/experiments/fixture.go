@@ -212,7 +212,7 @@ func (f *Fixture) FixedEnv(kbps float64, chunks int) *abr.Env {
 // the shared scenarios recipe, or restored from CacheDir).
 func (f *Fixture) Pensieve() *pensieve.Agent {
 	f.oncePensieve.Do(func() {
-		f.agent = pensieve.NewAgent(2, false)
+		f.agent = new(pensieve.Agent)
 		if f.loadCached("pensieve", f.agent) {
 			return
 		}
@@ -242,13 +242,13 @@ func (f *Fixture) PensieveTree() *dtree.DistillResult {
 func (f *Fixture) AuTo() (lrla *auto.LRLA, srla *auto.SRLA, lrlaTree, srlaTree *dtree.Tree) {
 	f.onceAuto.Do(func() {
 		s := f.Scale
-		f.lrla = auto.NewLRLA(21)
+		f.lrla = new(auto.LRLA)
 		if !f.loadCached("auto-lrla", f.lrla) {
 			f.lrla = scenarios.TrainAuTOLRLA(s.FlowsPerRun, s.AuToGenerations)
 			f.TeachersTrained++
 			f.saveCached("auto-lrla", f.lrla)
 		}
-		f.srla = auto.NewSRLA(25)
+		f.srla = new(auto.SRLA)
 		if !f.loadCached("auto-srla", f.srla) {
 			f.srla = scenarios.TrainAuTOSRLA(s.FlowsPerRun, s.AuToGenerations)
 			f.TeachersTrained++
@@ -283,7 +283,7 @@ func (f *Fixture) AuTo() (lrla *auto.LRLA, srla *auto.SRLA, lrlaTree, srlaTree *
 func (f *Fixture) RouteNet() (*topo.Graph, *routenet.Model) {
 	f.onceRoute.Do(func() {
 		f.graph = scenarios.NSFNetGraph()
-		f.rnet = routenet.NewModel(41)
+		f.rnet = new(routenet.Model)
 		if f.loadCached("routenet", f.rnet) {
 			return
 		}

@@ -98,6 +98,10 @@ func (m *Matrix) MulVec(x, y []float64) {
 }
 
 // MulVecT computes y = Mᵀ·x for a vector x of length Rows.
+//
+// Each pass over a row updates four entries of y, for the reason AddOuter
+// gives; every y[j] still sums w·x[i] in ascending i, so the result is
+// bit-identical.
 func (m *Matrix) MulVecT(x, y []float64) {
 	if len(x) != m.Rows || len(y) != m.Cols {
 		panic(fmt.Sprintf("nn: MulVecT shape mismatch: %dx%d by %d into %d", m.Rows, m.Cols, len(x), len(y)))
@@ -106,18 +110,32 @@ func (m *Matrix) MulVecT(x, y []float64) {
 		y[j] = 0
 	}
 	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		row := m.Data[i*m.Cols : (i+1)*m.Cols][:len(y)]
 		xi := x[i]
 		if xi == 0 {
 			continue
 		}
-		for j, w := range row {
-			y[j] += w * xi
+		j := 0
+		for ; j+4 <= len(y); j += 4 {
+			w, yj := row[j:j+4:j+4], y[j:j+4:j+4]
+			yj[0] += w[0] * xi
+			yj[1] += w[1] * xi
+			yj[2] += w[2] * xi
+			yj[3] += w[3] * xi
+		}
+		for ; j < len(y); j++ {
+			y[j] += row[j] * xi
 		}
 	}
 }
 
 // AddOuter accumulates the outer product a·bᵀ scaled by s into the matrix.
+//
+// Each pass updates four columns. Every element still gets the one product
+// and one sum a one-column loop gives it, so the result is bit-identical.
+// The one-column loops here and in MulVecT were 32 bytes of code whose
+// speed depended on where the linker put them: shifted across a 64-byte
+// line, they made cold distillation sweeps over 10% slower.
 func (m *Matrix) AddOuter(a, b []float64, s float64) {
 	if len(a) != m.Rows || len(b) != m.Cols {
 		panic("nn: AddOuter shape mismatch")
@@ -128,8 +146,16 @@ func (m *Matrix) AddOuter(a, b []float64, s float64) {
 		}
 		row := m.Data[i*m.Cols : (i+1)*m.Cols][:len(b)]
 		f := ai * s
-		for j, bj := range b {
-			row[j] += f * bj
+		j := 0
+		for ; j+4 <= len(b); j += 4 {
+			r, bj := row[j:j+4:j+4], b[j:j+4:j+4]
+			r[0] += f * bj[0]
+			r[1] += f * bj[1]
+			r[2] += f * bj[2]
+			r[3] += f * bj[3]
+		}
+		for ; j < len(b); j++ {
+			row[j] += f * b[j]
 		}
 	}
 }

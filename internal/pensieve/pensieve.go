@@ -42,12 +42,18 @@ func NewAgent(seed int64, modified bool) *Agent {
 			Seed:       seed,
 		})
 	}
-	a.A2C.Gamma = 0.9
-	a.A2C.EntropyWeight = 0.01
-	a.A2C.ActorLR = 1e-4
-	a.A2C.CriticLR = 1e-3
-	a.A2C.BatchEpisodes = 16
+	tune(a.A2C)
 	return a
+}
+
+// tune sets the teacher's A2C hyperparameters. NewAgent and the decoder
+// both call it, so a loaded agent fine-tunes exactly like a fresh one.
+func tune(t *rl.A2C) {
+	t.Gamma = 0.9
+	t.EntropyWeight = 0.01
+	t.ActorLR = 1e-4
+	t.CriticLR = 1e-3
+	t.BatchEpisodes = 16
 }
 
 // TrainStandard runs the standard teacher recipe: behavior-cloning pretraining

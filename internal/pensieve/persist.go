@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/nn"
+	"repro/internal/rl"
 )
 
 // agentWire is the gob wire format for a trained agent.
@@ -39,7 +40,6 @@ func (a *Agent) UnmarshalBinary(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return fmt.Errorf("pensieve: decode agent: %w", err)
 	}
-	loaded := NewAgent(0, w.Modified)
 	var actor, critic nn.Network
 	if err := actor.UnmarshalBinary(w.Actor); err != nil {
 		return fmt.Errorf("pensieve: decode actor: %w", err)
@@ -47,9 +47,9 @@ func (a *Agent) UnmarshalBinary(data []byte) error {
 	if err := critic.UnmarshalBinary(w.Critic); err != nil {
 		return fmt.Errorf("pensieve: decode critic: %w", err)
 	}
-	loaded.Actor = &actor
-	loaded.Critic = &critic
-	*a = *loaded
+	t := &rl.A2C{Actor: &actor, Critic: &critic}
+	tune(t)
+	*a = Agent{A2C: t, Modified: w.Modified}
 	return nil
 }
 

@@ -96,7 +96,7 @@ func (sc abrScenario) Train(cfg scenario.Config) (scenario.Teacher, error) {
 	if !ok {
 		return nil, fmt.Errorf("abr: unknown scale %q", cfg.Scale)
 	}
-	t := &abrTeacher{agent: pensieve.NewAgent(seedPensieveAgent, false), params: p}
+	t := &abrTeacher{agent: new(pensieve.Agent), params: p}
 	if !cfg.LoadCachedTeacher("abr", sc.Fingerprint(cfg), t.agent) {
 		t.agent = TrainPensieve(t.train(), p.PretrainEps, p.FinetuneEps, p.VideoChunks+2, cfg.Workers)
 		if err := cfg.SaveCachedTeacher("abr", sc.Fingerprint(cfg), t.agent); err != nil {

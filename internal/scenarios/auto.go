@@ -73,7 +73,7 @@ func (sc lrlaScenario) Train(cfg scenario.Config) (scenario.Teacher, error) {
 	if !ok {
 		return nil, fmt.Errorf("auto-lrla: unknown scale %q", cfg.Scale)
 	}
-	l := auto.NewLRLA(seedLRLAAgent)
+	l := new(auto.LRLA)
 	if !cfg.LoadCachedTeacher("auto-lrla", sc.Fingerprint(cfg), l) {
 		l = TrainAuTOLRLA(p.FlowsPerRun, p.Generations)
 		if err := cfg.SaveCachedTeacher("auto-lrla", sc.Fingerprint(cfg), l); err != nil {
@@ -206,7 +206,7 @@ func (sc srlaScenario) Train(cfg scenario.Config) (scenario.Teacher, error) {
 	if !ok {
 		return nil, fmt.Errorf("auto-srla: unknown scale %q", cfg.Scale)
 	}
-	s := auto.NewSRLA(seedSRLAAgent)
+	s := new(auto.SRLA)
 	if !cfg.LoadCachedTeacher("auto-srla", sc.Fingerprint(cfg), s) {
 		s = TrainAuTOSRLA(p.FlowsPerRun, p.Generations)
 		if err := cfg.SaveCachedTeacher("auto-srla", sc.Fingerprint(cfg), s); err != nil {

@@ -125,7 +125,7 @@ func (sc routenetScenario) Train(cfg scenario.Config) (scenario.Teacher, error) 
 		return nil, fmt.Errorf("routenet: unknown scale %q", cfg.Scale)
 	}
 	g := NSFNetGraph()
-	model := routenet.NewModel(seedRouteNetModel)
+	model := new(routenet.Model)
 	if !cfg.LoadCachedTeacher("routenet", sc.Fingerprint(cfg), model) {
 		model = TrainRouteNet(g, p.Demands, p.Generations)
 		if err := cfg.SaveCachedTeacher("routenet", sc.Fingerprint(cfg), model); err != nil {

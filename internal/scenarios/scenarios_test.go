@@ -201,7 +201,7 @@ func TestTeacherCacheSkipsRetraining(t *testing.T) {
 	// The first run must have populated the cache with an artifact loadable
 	// under the scenario's fingerprint — that is what the second run hits.
 	cfg := scenario.Config{Scale: scenario.ScaleTiny, CacheDir: cache}
-	if !cfg.LoadCachedTeacher("auto-srla", sc.Fingerprint(cfg), auto.NewSRLA(seedSRLAAgent)) {
+	if !cfg.LoadCachedTeacher("auto-srla", sc.Fingerprint(cfg), new(auto.SRLA)) {
 		t.Fatal("first run left no loadable teacher in the cache")
 	}
 	second := run()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"time"
@@ -299,6 +300,7 @@ func (e *Engine) statsBody() map[string]any {
 			"wakes": e.shm.wakes.Load(),
 		},
 		"latency": latencyBody(e.Latency()),
+		"runtime": runtimeBody(),
 	}
 	if e.ShardCount() > 1 {
 		body["shards"] = e.shardStats()
@@ -307,6 +309,23 @@ func (e *Engine) statsBody() map[string]any {
 		body["tenants"] = e.gate.snapshot()
 	}
 	return body
+}
+
+// runtimeBody is the process's cumulative heap allocation and GC cycle
+// counts. They never decrease, so the difference between two reads is what
+// the process allocated and collected in between.
+func runtimeBody() map[string]uint64 {
+	samples := []metrics.Sample{
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	metrics.Read(samples)
+	return map[string]uint64{
+		"heap_alloc_bytes":   samples[0].Value.Uint64(),
+		"heap_alloc_objects": samples[1].Value.Uint64(),
+		"gc_cycles":          samples[2].Value.Uint64(),
+	}
 }
 
 // reloadRequest is the optional /v2/admin/reload body.

@@ -12,9 +12,13 @@ import (
 // registered scenario and "scale" naming its scale (metis-exp stamps both on
 // every student it exports). For each such model the bridge resolves the
 // teacher through the scenario's Train path with CacheDir pointed at the
-// monitor's Dir, so a pre-cached teacher artifact (metis-exp -cache <dir>)
-// loads in milliseconds; absent a cache the teacher is trained in-process,
-// which is only sensible at tiny scale.
+// monitor's Dir. A pre-cached teacher artifact (metis-exp -cache <dir>) is
+// read once and its networks decoded; nothing is trained or initialised.
+// A refittable model also decodes its cached corpus. At test scale that is
+// a few milliseconds per model, most of it gob decoding (the lRLA teacher
+// is a 0.6 MB payload). Absent a cache the teacher is trained in-process,
+// which is only sensible at tiny scale. Every teacher and corpus is loaded
+// and validated here, before the daemon serves.
 //
 // Models whose scenario implements scenario.Refitter AND has a cached
 // distillation corpus under Dir are enrolled with the full drift→refit→
