@@ -571,7 +571,7 @@ func BenchmarkServePredictBatchSHMShadowed(b *testing.B) { benchServeSHM(b, 0.01
 
 // BenchmarkServePredictBatchSHMSharded is the ring benchmark against a
 // 4-shard engine serving eight models: every request is consistent-hash
-// routed to the shard owning its model before the fused predict runs, so the
+// routed to the shard owning its model before the predict runs, so the
 // preds/s gap against the one-shard SHM bench is the cost of routing across
 // shards. The ring loop answers requests in order on one consumer either
 // way; parallelism within a batch comes from the shard's inference pool.

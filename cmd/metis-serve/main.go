@@ -110,7 +110,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&cfg.shards, "shards", 1,
 		"engine shards, each with its own inference pool and counters; models are partitioned across them by consistent hash (0 = one shard per core)")
 	fs.StringVar(&cfg.tenants, "tenants", "",
-		"weighted fair admission as name:weight pairs, e.g. \"teamA:3,teamB:1\" (tenant = X-Metis-Tenant header, else the model name; unknown tenants get weight 1)")
+		"weighted fair admission as name:weight pairs, e.g. \"teamA:3,teamB:1\" (tenant = the X-Metis-Tenant header when it names one of these, else the model name; models not listed get weight 1)")
 	fs.IntVar(&cfg.tenantQueue, "tenant-queue", 0,
 		fmt.Sprintf("max queued requests per tenant under overload before 503 (0 = %d)", serve.DefaultTenantQueue))
 	fs.Float64Var(&cfg.shadowRate, "shadow-rate", 0,

@@ -76,53 +76,6 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// RecordBatch adds a batch of observations with one atomic pass: values are
-// grouped into buckets locally first, so flushing K accumulated latencies
-// costs one atomic add per distinct bucket (plus the count/sum/max updates)
-// instead of 3K+ — the cheap half of the serving loops' batched stats flush.
-// Negative values are clamped to zero.
-func (h *Histogram) RecordBatch(vs []int64) {
-	if len(vs) == 0 {
-		return
-	}
-	var sum, mx int64
-	// Batches are small (the serving flush window); a sorted-run scan beats
-	// a map and allocates nothing. Values usually land in a handful of
-	// buckets, so runs of equal bucket indices are collapsed locally.
-	for i := 0; i < len(vs); {
-		v := vs[i]
-		if v < 0 {
-			v = 0
-		}
-		idx := bucketIndex(v)
-		n := uint64(0)
-		for i < len(vs) {
-			w := vs[i]
-			if w < 0 {
-				w = 0
-			}
-			if bucketIndex(w) != idx {
-				break
-			}
-			n++
-			sum += w
-			if w > mx {
-				mx = w
-			}
-			i++
-		}
-		h.counts[idx].Add(n)
-	}
-	h.count.Add(uint64(len(vs)))
-	h.sum.Add(sum)
-	for {
-		cur := h.max.Load()
-		if mx <= cur || h.max.CompareAndSwap(cur, mx) {
-			break
-		}
-	}
-}
-
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 

@@ -100,55 +100,74 @@ func EncodeBatchRequest(w io.Writer, model string, rows [][]float64) error {
 // claimed batch size before allocating. The returned rows are views into one
 // contiguous backing array (a single allocation for the whole matrix).
 func DecodeBatchRequest(r io.Reader, maxRows int) (model string, rows [][]float64, err error) {
-	var head [14]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return "", nil, fmt.Errorf("%w: short header: %v", ErrBadBatchEncoding, err)
+	frame, err := readBatchRequest(r, nil, maxRows)
+	if err != nil {
+		return "", nil, err
+	}
+	// aliasOK: frame is this call's own buffer, so the rows may keep it.
+	return new(batchScratch).decodeRequestBytes(frame, maxRows, true)
+}
+
+// batchHeader is the validated fixed prefix of a binary batch request.
+type batchHeader struct{ nameLen, rows, features int }
+
+// bodyLen is the byte length of the name and matrix that follow the header.
+func (h batchHeader) bodyLen() int { return h.nameLen + h.rows*h.features*8 }
+
+// parseBatchHeader validates the fixed prefix of a binary batch request, the
+// one header check every decoder shares. The sizes are checked in 64-bit
+// space before any int conversion or allocation: on 32-bit platforms a
+// uint32 header field could wrap int negative and bypass the limit checks. A
+// *BatchSizeError (more than maxRows rows) still returns the parsed header.
+func parseBatchHeader(head []byte, maxRows int) (batchHeader, error) {
+	if len(head) < batchHeaderSize {
+		return batchHeader{}, fmt.Errorf("%w: short header: %d bytes", ErrBadBatchEncoding, len(head))
 	}
 	if string(head[:4]) != batchMagic {
-		return "", nil, fmt.Errorf("%w: bad magic %q", ErrBadBatchEncoding, head[:4])
+		return batchHeader{}, fmt.Errorf("%w: bad magic %q", ErrBadBatchEncoding, head[:4])
 	}
-	// Validate the claimed sizes in 64-bit space before any int conversion
-	// or allocation: on 32-bit platforms a uint32 header field could wrap
-	// int negative and bypass the limit checks.
 	nameLen := int(binary.LittleEndian.Uint16(head[4:6]))
 	rows64 := int64(binary.LittleEndian.Uint32(head[6:10]))
 	features64 := int64(binary.LittleEndian.Uint32(head[10:14]))
 	if rows64 > int64(maxRows) {
-		return "", nil, &BatchSizeError{Rows: int(min(rows64, 1<<31-1)), Max: maxRows}
+		return batchHeader{nameLen: nameLen}, &BatchSizeError{Rows: int(min(rows64, 1<<31-1)), Max: maxRows}
 	}
 	if features64 > maxBinaryFeatures {
-		return "", nil, fmt.Errorf("%w: %d features per row exceeds the %d limit", ErrBadBatchEncoding, features64, maxBinaryFeatures)
+		return batchHeader{}, fmt.Errorf("%w: %d features per row exceeds the %d limit", ErrBadBatchEncoding, features64, maxBinaryFeatures)
 	}
 	if rows64*features64 > maxBinaryElems {
-		return "", nil, fmt.Errorf("%w: %d×%d matrix exceeds the %d-element limit", ErrBadBatchEncoding, rows64, features64, maxBinaryElems)
+		return batchHeader{}, fmt.Errorf("%w: %d×%d matrix exceeds the %d-element limit", ErrBadBatchEncoding, rows64, features64, maxBinaryElems)
 	}
-	nRows, features := int(rows64), int(features64)
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, nameBuf); err != nil {
-		return "", nil, fmt.Errorf("%w: short model name: %v", ErrBadBatchEncoding, err)
+	return batchHeader{nameLen: nameLen, rows: int(rows64), features: int(features64)}, nil
+}
+
+// readBatchRequest reads one binary batch request from r into buf (reused
+// when it fits) and returns the whole frame, header included, for
+// decodeRequestBytes. The header is checked before the body is read, so a
+// hostile header fails before anything is allocated for its claim.
+func readBatchRequest(r io.Reader, buf []byte, maxRows int) ([]byte, error) {
+	head := growBytes(buf, batchHeaderSize)
+	if _, err := io.ReadFull(r, head); err != nil {
+		return nil, fmt.Errorf("%w: short header: %v", ErrBadBatchEncoding, err)
 	}
-	payload := make([]byte, nRows*features*8)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return "", nil, fmt.Errorf("%w: short payload: %v", ErrBadBatchEncoding, err)
+	h, err := parseBatchHeader(head, maxRows)
+	if err != nil {
+		return nil, err
 	}
-	flat := make([]float64, nRows*features)
-	for i := range flat {
-		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
+	frame := growBytes(head, batchHeaderSize+h.bodyLen())
+	copy(frame, head)
+	if _, err := io.ReadFull(r, frame[batchHeaderSize:]); err != nil {
+		return nil, fmt.Errorf("%w: short body: %v", ErrBadBatchEncoding, err)
 	}
-	rows = make([][]float64, nRows)
-	for i := range rows {
-		rows[i] = flat[i*features : (i+1)*features : (i+1)*features]
-	}
-	return string(nameBuf), rows, nil
+	return frame, nil
 }
 
 // batchScratch is the reusable per-call state of one binary predict: the
-// request read buffers, the decoded matrix, the prediction outputs, and the
+// request body buffer, the decoded matrix, the prediction outputs, and the
 // response encode buffer. Serving loops borrow one from batchScratchPool so
 // the steady-state binary path allocates only when a batch outgrows every
 // buffer seen before.
 type batchScratch struct {
-	nameBuf []byte
 	payload []byte
 	flat    []float64
 	rows    [][]float64
@@ -170,62 +189,13 @@ func growBytes(b []byte, n int) []byte {
 	return make([]byte, n, max(n, 2*cap(b)))
 }
 
-// decodeRequest is DecodeBatchRequest reading into the scratch's buffers.
-// The returned rows alias s.flat and are valid until the next decodeRequest
-// on s.
-func (s *batchScratch) decodeRequest(r io.Reader, maxRows int) (model string, rows [][]float64, err error) {
-	var head [14]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return "", nil, fmt.Errorf("%w: short header: %v", ErrBadBatchEncoding, err)
-	}
-	if string(head[:4]) != batchMagic {
-		return "", nil, fmt.Errorf("%w: bad magic %q", ErrBadBatchEncoding, head[:4])
-	}
-	nameLen := int(binary.LittleEndian.Uint16(head[4:6]))
-	rows64 := int64(binary.LittleEndian.Uint32(head[6:10]))
-	features64 := int64(binary.LittleEndian.Uint32(head[10:14]))
-	if rows64 > int64(maxRows) {
-		return "", nil, &BatchSizeError{Rows: int(min(rows64, 1<<31-1)), Max: maxRows}
-	}
-	if features64 > maxBinaryFeatures {
-		return "", nil, fmt.Errorf("%w: %d features per row exceeds the %d limit", ErrBadBatchEncoding, features64, maxBinaryFeatures)
-	}
-	if rows64*features64 > maxBinaryElems {
-		return "", nil, fmt.Errorf("%w: %d×%d matrix exceeds the %d-element limit", ErrBadBatchEncoding, rows64, features64, maxBinaryElems)
-	}
-	nRows, features := int(rows64), int(features64)
-	s.nameBuf = growBytes(s.nameBuf, nameLen)
-	if _, err := io.ReadFull(r, s.nameBuf); err != nil {
-		return "", nil, fmt.Errorf("%w: short model name: %v", ErrBadBatchEncoding, err)
-	}
-	s.payload = growBytes(s.payload, nRows*features*8)
-	if _, err := io.ReadFull(r, s.payload); err != nil {
-		return "", nil, fmt.Errorf("%w: short payload: %v", ErrBadBatchEncoding, err)
-	}
-	if cap(s.flat) >= nRows*features {
-		s.flat = s.flat[:nRows*features]
-	} else {
-		s.flat = make([]float64, nRows*features)
-	}
-	for i := range s.flat {
-		s.flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(s.payload[i*8:]))
-	}
-	if cap(s.rows) >= nRows {
-		s.rows = s.rows[:nRows]
-	} else {
-		s.rows = make([][]float64, nRows)
-	}
-	for i := range s.rows {
-		s.rows[i] = s.flat[i*features : (i+1)*features : (i+1)*features]
-	}
-	return string(s.nameBuf), s.rows, nil
-}
-
-// decodeRequestBytes is decodeRequest over a fully-buffered request frame
-// (magic included), as the socket transport holds one: the name and the
-// feature rows decode straight out of the frame bytes, with no intermediate
-// payload copy through an io.Reader. The returned rows alias s.flat and are
-// valid until the next decode on s.
+// decodeRequestBytes is the one binary batch decoder: it parses a
+// fully-buffered request frame (magic included) — a socket frame, a ring
+// slot, or a body read by readBatchRequest — decoding the name and the
+// feature rows straight out of the frame bytes. The returned rows alias
+// s.flat and are valid until the next decode on s. The model name is
+// returned whenever the frame holds it, even alongside an error, so a batch
+// refused for its row count can be reported against its model.
 //
 // aliasOK extends that to the frame itself: when true AND the float matrix
 // happens to be 8-byte-aligned on a little-endian host, the rows alias
@@ -234,43 +204,17 @@ func (s *batchScratch) decodeRequest(r io.Reader, maxRows int) (model string, ro
 // use of the rows — a shared-memory slot held until Advance, a
 // request/response connection buffer — never for a transient bufio peek.
 func (s *batchScratch) decodeRequestBytes(frame []byte, maxRows int, aliasOK bool) (model string, rows [][]float64, err error) {
-	model, flat, nRows, features, err := s.decodeRequestFlat(frame, maxRows, aliasOK)
+	h, err := parseBatchHeader(frame, maxRows)
+	if nameEnd := batchHeaderSize + h.nameLen; len(frame) >= nameEnd {
+		model = string(frame[batchHeaderSize:nameEnd])
+	}
 	if err != nil {
-		return "", nil, err
+		return model, nil, err
 	}
-	return model, s.rowsFromFlat(flat, nRows, features), nil
-}
-
-// decodeRequestFlat is the header-and-matrix half of decodeRequestBytes: it
-// validates the frame and returns the flat row-major matrix without building
-// the per-row slice views. Serving paths that consume the matrix directly
-// (the quantized flat fast path) skip the rows rebuild entirely and call
-// rowsFromFlat only on fallback. Aliasing rules are decodeRequestBytes's.
-func (s *batchScratch) decodeRequestFlat(frame []byte, maxRows int, aliasOK bool) (model string, flat []float64, nRows, features int, err error) {
-	if len(frame) < batchHeaderSize {
-		return "", nil, 0, 0, fmt.Errorf("%w: short header: %d bytes", ErrBadBatchEncoding, len(frame))
+	n := h.rows * h.features
+	if len(frame) < batchHeaderSize+h.bodyLen() {
+		return model, nil, fmt.Errorf("%w: short payload: %d bytes for %d×%d", ErrBadBatchEncoding, len(frame)-batchHeaderSize, h.rows, h.features)
 	}
-	if string(frame[:4]) != batchMagic {
-		return "", nil, 0, 0, fmt.Errorf("%w: bad magic %q", ErrBadBatchEncoding, frame[:4])
-	}
-	nameLen := int(binary.LittleEndian.Uint16(frame[4:6]))
-	rows64 := int64(binary.LittleEndian.Uint32(frame[6:10]))
-	features64 := int64(binary.LittleEndian.Uint32(frame[10:14]))
-	if rows64 > int64(maxRows) {
-		return "", nil, 0, 0, &BatchSizeError{Rows: int(min(rows64, 1<<31-1)), Max: maxRows}
-	}
-	if features64 > maxBinaryFeatures {
-		return "", nil, 0, 0, fmt.Errorf("%w: %d features per row exceeds the %d limit", ErrBadBatchEncoding, features64, maxBinaryFeatures)
-	}
-	if rows64*features64 > maxBinaryElems {
-		return "", nil, 0, 0, fmt.Errorf("%w: %d×%d matrix exceeds the %d-element limit", ErrBadBatchEncoding, rows64, features64, maxBinaryElems)
-	}
-	nRows, features = int(rows64), int(features64)
-	n := nRows * features
-	if len(frame) < batchHeaderSize+nameLen+n*8 {
-		return "", nil, 0, 0, fmt.Errorf("%w: short payload: %d bytes for %d×%d", ErrBadBatchEncoding, len(frame)-batchHeaderSize, nRows, features)
-	}
-	name := frame[batchHeaderSize : batchHeaderSize+nameLen]
 	// This is the serving hot path; the wire format is little-endian
 	// float64, so on a matching host no per-element conversion is needed.
 	// Three tiers, fastest first:
@@ -282,55 +226,27 @@ func (s *batchScratch) decodeRequestFlat(frame []byte, maxRows int, aliasOK bool
 	//     every caller consumes them inside the same request.
 	//  2. Little-endian host, unaligned: one memmove into the scratch
 	//     array's backing store, at copy bandwidth.
-	//  3. Other hosts: an 8-way unrolled load/convert/store loop.
-	p := frame[batchHeaderSize+nameLen:]
-	flat = s.flat
+	//  3. Other hosts: a load/convert/store loop.
+	p := frame[batchHeaderSize+h.nameLen:]
+	var flat []float64
 	if aliasOK && hostLittleEndian && n > 0 && uintptr(unsafe.Pointer(&p[0]))%8 == 0 {
 		flat = unsafe.Slice((*float64)(unsafe.Pointer(&p[0])), n)
 	} else {
-		if cap(flat) >= n {
-			flat = flat[:n]
-		} else {
-			flat = make([]float64, n)
-		}
-		s.flat = flat
-		f := flat
+		s.flat = grow(s.flat, n)
+		flat = s.flat
 		if hostLittleEndian && n > 0 {
-			copy(unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), n*8), p[:n*8])
-			f, p = nil, nil
-		}
-		for len(p) >= 64 && len(f) >= 8 {
-			f[0] = math.Float64frombits(binary.LittleEndian.Uint64(p[0:]))
-			f[1] = math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
-			f[2] = math.Float64frombits(binary.LittleEndian.Uint64(p[16:]))
-			f[3] = math.Float64frombits(binary.LittleEndian.Uint64(p[24:]))
-			f[4] = math.Float64frombits(binary.LittleEndian.Uint64(p[32:]))
-			f[5] = math.Float64frombits(binary.LittleEndian.Uint64(p[40:]))
-			f[6] = math.Float64frombits(binary.LittleEndian.Uint64(p[48:]))
-			f[7] = math.Float64frombits(binary.LittleEndian.Uint64(p[56:]))
-			p = p[64:]
-			f = f[8:]
-		}
-		for i := range f {
-			f[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
+			copy(unsafe.Slice((*byte)(unsafe.Pointer(&flat[0])), n*8), p[:n*8])
+		} else {
+			for i := range flat {
+				flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
+			}
 		}
 	}
-	return string(name), flat, nRows, features, nil
-}
-
-// rowsFromFlat builds the per-row views over a flat matrix returned by
-// decodeRequestFlat, reusing the scratch's row-header slice. The rows alias
-// flat and share its validity.
-func (s *batchScratch) rowsFromFlat(flat []float64, nRows, features int) [][]float64 {
-	if cap(s.rows) >= nRows {
-		s.rows = s.rows[:nRows]
-	} else {
-		s.rows = make([][]float64, nRows)
-	}
+	s.rows = grow(s.rows, h.rows)
 	for i := range s.rows {
-		s.rows[i] = flat[i*features : (i+1)*features : (i+1)*features]
+		s.rows[i] = flat[i*h.features : (i+1)*h.features : (i+1)*h.features]
 	}
-	return s.rows
+	return model, s.rows, nil
 }
 
 // SHMAlignSkip returns how many bytes of padding to leave before payload in

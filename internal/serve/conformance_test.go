@@ -1,0 +1,347 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/shmring"
+)
+
+// countingMirror is a Mirror that only counts its observations.
+type countingMirror struct{ observes atomic.Int64 }
+
+func (m *countingMirror) Observe(string, [][]float64, []int) { m.observes.Add(1) }
+func (m *countingMirror) Snapshot() MirrorSnapshot           { return MirrorSnapshot{} }
+
+// confCounters is the engine accounting the conformance suite compares.
+type confCounters struct{ requests, predictions, errors, rejected, observes int64 }
+
+func (c confCounters) minus(d confCounters) confCounters {
+	return confCounters{c.requests - d.requests, c.predictions - d.predictions,
+		c.errors - d.errors, c.rejected - d.rejected, c.observes - d.observes}
+}
+
+// confAnswer is one transport's answer to one request: the HTTP-equivalent
+// status, the error message on failure, the prediction on success, and how
+// the engine's counters moved meanwhile.
+type confAnswer struct {
+	status int
+	msg    string
+	pred   *Prediction
+	delta  confCounters
+}
+
+// confTransport sends one predict request over one transport.
+type confTransport struct {
+	name string
+	call func(t *testing.T, model string, rows [][]float64) (status int, msg string, p *Prediction)
+}
+
+// wireAnswer splits a binary response or "MTE1" error payload.
+func wireAnswer(t *testing.T, payload []byte) (int, string, *Prediction) {
+	t.Helper()
+	if FrameKind(payload) == errMagic {
+		status, msg, err := DecodeErrorPayload(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return status, msg, nil
+	}
+	p, err := DecodeBatchResponse(bytes.NewReader(payload))
+	if err != nil {
+		t.Fatalf("answer kind %q: %v", FrameKind(payload), err)
+	}
+	return http.StatusOK, "", p
+}
+
+// confTransports serves e over HTTP and its framed socket (with the
+// shared-memory upgrade) and returns a caller for every transport: the
+// in-process API, HTTP binary, the pipelined socket, and the rings.
+func confTransports(t *testing.T, e *Engine) []confTransport {
+	ts := httptest.NewServer(e.Handler())
+	t.Cleanup(ts.Close)
+	sock := serveSocket(t, e, true)
+	udsConn, udsBR := dialSocket(t, sock)
+	sendHello(t, udsConn, udsBR)
+	shmConn, shmBR := dialSocket(t, sock)
+	sendHello(t, shmConn, shmBR)
+	seg := shmOpen(t, shmConn, shmBR, shmring.Geometry{})
+	var shmID atomic.Uint32
+	shmID.Store(100)
+
+	encode := func(t *testing.T, model string, rows [][]float64) []byte {
+		var buf bytes.Buffer
+		if err := EncodeBatchRequest(&buf, model, rows); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	return []confTransport{
+		{"in-process", func(t *testing.T, model string, rows [][]float64) (int, string, *Prediction) {
+			var p Prediction
+			if err := e.PredictInto(model, rows, &p); err != nil {
+				return errorStatus(err), err.Error(), nil
+			}
+			return http.StatusOK, "", &p
+		}},
+		{"http-binary", func(t *testing.T, model string, rows [][]float64) (int, string, *Prediction) {
+			resp, err := http.Post(ts.URL+"/v2/models/"+model+":predict", ContentTypeBinary,
+				bytes.NewReader(encode(t, model, rows)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				var doc map[string]string
+				if err := json.Unmarshal(body, &doc); err != nil {
+					t.Fatal(err)
+				}
+				return resp.StatusCode, doc["error"], nil
+			}
+			p, err := DecodeBatchResponse(bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return http.StatusOK, "", p
+		}},
+		{"uds-pipelined", func(t *testing.T, model string, rows [][]float64) (int, string, *Prediction) {
+			return wireAnswer(t, call(t, udsConn, udsBR, encode(t, model, rows)))
+		}},
+		{"shm", func(t *testing.T, model string, rows [][]float64) (int, string, *Prediction) {
+			id := shmID.Add(1)
+			rid, payload := shmCall(t, shmConn, seg, id, encode(t, model, rows))
+			if rid != id {
+				t.Fatalf("ring answered id %d, want %d", rid, id)
+			}
+			return wireAnswer(t, payload)
+		}},
+	}
+}
+
+// TestTransportConformance sends the same requests over every transport —
+// in-process, HTTP binary, the pipelined socket and the shared-memory rings —
+// at one and four shards, with and without a mirror installed. Every
+// transport must give the same answer or the same status and message, and
+// move the requests, predictions, rejected and mirror counters by the same
+// amounts; the errors counter moves once per failed wire request (the
+// in-process API leaves error accounting to its caller). With the only
+// admission token held, an unknown model is still a 404 everywhere and a
+// valid batch a 503.
+func TestTransportConformance(t *testing.T) {
+	dir, _, _ := fixtureDir(t)
+	three := [][]float64{{0.9, 0.1}, {0.2, 0.7}, {0.5, 0.5}}
+	cases := []struct {
+		name, model string
+		rows        [][]float64
+		status      int
+	}{
+		{"classifier", "abr", three, http.StatusOK},
+		{"regressor", "thresholds", three, http.StatusOK},
+		{"unknown model", "nope", three, http.StatusNotFound},
+		{"dimension mismatch", "abr", [][]float64{{1, 2, 3}, {4, 5, 6}}, http.StatusBadRequest},
+		{"empty batch", "abr", nil, http.StatusBadRequest},
+		{"over the row cap", "abr", [][]float64{{1, 2}, {1, 2}, {1, 2}, {1, 2}, {1, 2}}, http.StatusRequestEntityTooLarge},
+	}
+	for _, shards := range []int{1, 4} {
+		for _, mirrored := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/mirror=%v", shards, mirrored), func(t *testing.T) {
+				e, err := NewEngine(dir, Config{MaxBatch: 4, MaxInflight: 1, Shards: shards, SHMDir: t.TempDir()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				mirror := &countingMirror{}
+				if mirrored {
+					e.SetMirror(mirror)
+				}
+				counters := func() confCounters {
+					c := confCounters{requests: e.requestsTotal(), errors: e.errors.Load(),
+						rejected: e.rejected.Load(), observes: mirror.observes.Load()}
+					for _, m := range e.Models() {
+						c.predictions += m.predictions.Load()
+					}
+					return c
+				}
+				transports := confTransports(t, e)
+				ask := func(t *testing.T, tr confTransport, model string, rows [][]float64) confAnswer {
+					before := counters()
+					status, msg, p := tr.call(t, model, rows)
+					return confAnswer{status: status, msg: msg, pred: p, delta: counters().minus(before)}
+				}
+				check := func(t *testing.T, model string, rows [][]float64, wantStatus int) {
+					t.Helper()
+					ref := ask(t, transports[0], model, rows)
+					if ref.status != wantStatus {
+						t.Fatalf("in-process: status %d (%s), want %d", ref.status, ref.msg, wantStatus)
+					}
+					if ref.delta.errors != 0 {
+						t.Fatalf("in-process: errors moved by %d", ref.delta.errors)
+					}
+					for _, tr := range transports[1:] {
+						got := ask(t, tr, model, rows)
+						if got.status != ref.status || got.msg != ref.msg {
+							t.Fatalf("%s: status %d %q, in-process %d %q", tr.name, got.status, got.msg, ref.status, ref.msg)
+						}
+						if !samePrediction(got.pred, ref.pred) {
+							t.Fatalf("%s: answer %+v, in-process %+v", tr.name, got.pred, ref.pred)
+						}
+						want := ref.delta
+						if ref.status != http.StatusOK {
+							want.errors = 1
+						}
+						if got.delta != want {
+							t.Fatalf("%s: counters moved by %+v, want %+v", tr.name, got.delta, want)
+						}
+					}
+				}
+				for _, c := range cases {
+					t.Run(c.name, func(t *testing.T) { check(t, c.model, c.rows, c.status) })
+				}
+				t.Run("admission token held", func(t *testing.T) {
+					e.inflight <- struct{}{}
+					defer func() { <-e.inflight }()
+					check(t, "nope", three, http.StatusNotFound)
+					check(t, "abr", three, http.StatusServiceUnavailable)
+				})
+			})
+		}
+	}
+}
+
+// samePrediction reports whether two predictions (nil for a failed call)
+// carry the same actions and bit-identical values.
+func samePrediction(a, b *Prediction) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if !slices.Equal(a.Actions, b.Actions) || len(a.Values) != len(b.Values) {
+		return false
+	}
+	for i := range a.Values {
+		if !slices.EqualFunc(a.Values[i], b.Values[i], func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y)
+		}) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPredictPathAllocs pins the steady-state allocations of the ring and
+// pipelined-socket predict paths at one per request: the model-name string
+// the decoder returns. Rows, outputs and the response all reuse scratch.
+func TestPredictPathAllocs(t *testing.T) {
+	dir, _, _ := fixtureDir(t)
+	e, err := NewEngine(dir, Config{MaxInflight: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]float64, 8)
+	for i := range rows {
+		rows[i] = []float64{float64(i) / 8, 1 - float64(i)/8}
+	}
+	for _, model := range []string{"abr", "thresholds"} {
+		frame := validRequest(t, model, rows)
+		var s batchScratch
+		slot := make([]byte, 0, 4<<10)
+		ringReq := alignedCopy(frame)
+		ring := func() {
+			if out := e.shmEncode(ringReq, &s, slot); FrameKind(out) != batchMagic {
+				t.Fatalf("%s: ring answered %q", model, out)
+			}
+		}
+		ring()
+		if allocs := testing.AllocsPerRun(200, ring); allocs > 1 {
+			t.Errorf("%s: shmEncode made %.1f allocations per request, want at most 1", model, allocs)
+		}
+		out := make([]byte, 0, 4<<10)
+		socket := func() {
+			// The pipelined reader decodes out of a bufio peek (aliasOK=false)
+			// and a dispatch worker answers.
+			name, rows, derr := s.decodeRequestBytes(frame, e.maxBatch(), false)
+			if out = e.udsPredictDecoded(name, rows, derr, &s.pred, out[:0]); FrameKind(out) != batchMagic {
+				t.Fatalf("%s: socket answered %q", model, out)
+			}
+		}
+		socket()
+		if allocs := testing.AllocsPerRun(200, socket); allocs > 1 {
+			t.Errorf("%s: the pipelined worker path made %.1f allocations per request, want at most 1", model, allocs)
+		}
+	}
+}
+
+// TestTenantsBoundedByConfig: peer input cannot grow the fair gate's tenant
+// set. Predicts naming unknown models, and X-Metis-Tenant values outside the
+// configured map, leave at most the configured tenants plus the served
+// models in the gate and in the stats document's tenants block.
+func TestTenantsBoundedByConfig(t *testing.T) {
+	dir, _, _ := fixtureDir(t)
+	e, err := NewEngine(dir, Config{Tenants: map[string]float64{"gold": 3}, MaxInflight: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(e.Handler())
+	defer ts.Close()
+	post := func(model, tenant string) int {
+		req, err := http.NewRequest("POST", ts.URL+"/v2/models/"+model+":predict",
+			bytes.NewBufferString(`{"x":[0.5,0.5]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(TenantHeader, tenant)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const n = 300
+	for i := 0; i < n; i++ {
+		if _, err := e.Predict(fmt.Sprintf("nope-%d", i), [][]float64{{0.5, 0.5}}); err == nil {
+			t.Fatal("an unknown model predicted")
+		}
+		if code := post("abr", fmt.Sprintf("peer-%d", i)); code != http.StatusOK {
+			t.Fatalf("tenant peer-%d: status %d", i, code)
+		}
+		if code := post(fmt.Sprintf("nope-%d", i), fmt.Sprintf("other-%d", i)); code != http.StatusNotFound {
+			t.Fatalf("unknown model: status %d", code)
+		}
+	}
+	if code := post("abr", "gold"); code != http.StatusOK {
+		t.Fatalf("tenant gold: status %d", code)
+	}
+	bound := len(e.cfg.Tenants) + len(e.Models())
+	tenants := e.gate.snapshot()
+	if len(tenants) > bound {
+		t.Fatalf("%d tenants after %d peer-named calls, want at most %d", len(tenants), 3*n, bound)
+	}
+	if tenants["abr"].Admitted != n || tenants["gold"].Admitted != 1 {
+		t.Fatalf("tenants %+v: want abr admitted %d and gold 1", tenants, n)
+	}
+	var stats struct {
+		Tenants map[string]TenantStats `json:"tenants"`
+	}
+	resp, err := http.Get(ts.URL + "/v2/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Tenants) > bound {
+		t.Fatalf("/v2/stats lists %d tenants, want at most %d", len(stats.Tenants), bound)
+	}
+}

@@ -2,19 +2,25 @@
 // built as a transport-agnostic inference engine with codec layers on top:
 //
 //   - engine.go (this file): Engine — an atomic-pointer model registry with
-//     lock-free hot reload, the one admission layer, and the core Predict
-//     API returning typed errors. The engine knows nothing about HTTP.
+//     lock-free hot reload, the one admission layer, and the one predict
+//     path that the in-process API and every transport end in. A request is
+//     validated before it is admitted and returns typed errors. The engine
+//     knows nothing about HTTP.
 //   - shard.go: the shards the registry is partitioned across by a
 //     consistent-hash ring over model names, each with its own inference
 //     pool and counters.
 //   - codec.go: the wire codecs — JSON helpers and the binary row-major
-//     float64 batch format (application/x-metis-batch) for high-throughput
-//     clients, with a pooled scratch path for allocation-free serving loops.
+//     float64 batch format (application/x-metis-batch), with one request
+//     decoder for HTTP bodies, socket frames and ring slots, and a pooled
+//     scratch path for allocation-free serving loops.
 //   - http.go: the HTTP layer — the v2 route surface and the Prometheus
 //     /metrics rendering.
 //   - uds.go: the framed unix-domain-socket transport — the same binary
 //     batch payloads without the HTTP machinery, for co-located clients
 //     that need the full in-process rate.
+//   - shm.go: the shared-memory ring upgrade of a socket connection —
+//     requests decoded in place out of one slab and answered into another,
+//     with counters updated per request like every other transport.
 //
 // Serving rides one flat-array tree representation, dtree.Quantized, for
 // every model — evaluation walks immutable arrays, so the hot path takes no
@@ -26,7 +32,6 @@
 package serve
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -175,8 +180,9 @@ type Config struct {
 	Shards int
 	// Tenants maps tenant names to weighted-fair-admission weights. When
 	// set, the MaxInflight fail-fast semaphore is replaced by per-tenant
-	// weighted fair queuing with MaxInflight as the concurrency capacity;
-	// tenants outside the map get weight 1.
+	// weighted fair queuing with MaxInflight as the concurrency capacity. A
+	// request naming no tenant, or one outside the map, is keyed by its
+	// model name, at weight 1 unless the map names that model.
 	Tenants map[string]float64
 	// TenantQueue bounds each tenant's admission queue (0 = 16). Arrivals
 	// beyond it fail with *BusyError carrying a computed Retry-After.
@@ -456,9 +462,9 @@ type Prediction struct {
 }
 
 // Predict runs rows through the named model on its shard's inference pool.
-// It validates admission (ErrBusy), the model name (*UnknownModelError),
-// the batch size (ErrEmptyBatch, *BatchSizeError), and every row's width
-// (*DimensionError) before touching the model. Every call counts once in
+// It validates the model name (*UnknownModelError), the batch size
+// (ErrEmptyBatch, *BatchSizeError), and every row's width (*DimensionError),
+// and only then admission (ErrBusy). Every call counts once in
 // the request total, whichever way it ends. Failed calls are not accounted
 // in the error counter here — each transport's error path is its single
 // accounting point.
@@ -480,8 +486,30 @@ func (e *Engine) PredictInto(name string, rows [][]float64, p *Prediction) error
 }
 
 // predictTenant is PredictInto under a tenant identity for weighted fair
-// admission ("" = the model name keys the tenant).
+// admission, and the only code that walks a tree for a served request: the
+// in-process API and every transport end here. The request is validated —
+// model lookup, empty batch, row cap, row width — before it is admitted, so
+// a request that cannot be served never takes an admission token or creates
+// a tenant. Every call counts once: on its model's shard when it fails
+// validation or is admitted, in the rejected counter when admission turns it
+// away.
 func (e *Engine) predictTenant(tenant, name string, rows [][]float64, p *Prediction) error {
+	st := e.state.Load()
+	sh := st.shardOf(name)
+	m, err := e.validate(st, name, len(rows))
+	if err == nil {
+		features := m.NumFeatures()
+		for i, row := range rows {
+			if len(row) != features {
+				err = &DimensionError{Model: m.Name, Row: i, Got: len(row), Want: features}
+				break
+			}
+		}
+	}
+	if err != nil {
+		sh.requests.Add(1)
+		return err
+	}
 	if e.gate != nil || e.inflight != nil {
 		release, err := e.admit(tenant, name)
 		if err != nil {
@@ -490,36 +518,29 @@ func (e *Engine) predictTenant(tenant, name string, rows [][]float64, p *Predict
 		defer release()
 	}
 	t0 := time.Now()
-	st := e.state.Load()
-	sh := st.shardOf(name)
 	sh.requests.Add(1)
-	m, ok := st.models[name]
-	if !ok {
-		return &UnknownModelError{Name: name}
-	}
-	if len(rows) == 0 {
-		return ErrEmptyBatch
-	}
-	if max := e.maxBatch(); len(rows) > max {
-		return &BatchSizeError{Rows: len(rows), Max: max}
-	}
-	features := m.NumFeatures()
-	for i, row := range rows {
-		if len(row) != features {
-			return &DimensionError{Model: m.Name, Row: i, Got: len(row), Want: features}
-		}
-	}
 	m.requests.Add(1)
 	m.predictions.Add(int64(len(rows)))
 	p.Model = m.Name
 	q := m.Quantized
+	// Batches that fit one pool task walk on this goroutine directly; only a
+	// larger batch builds the chunk closure the shard's pool runs.
+	serial := sh.sem == nil || len(rows) <= predictChunk
 	if q.IsRegression() {
-		out := growRows(p.Values, len(rows))
-		sh.forEachChunk(len(rows), func(lo, hi int) { q.PredictRegBatchInto(rows[lo:hi], out[lo:hi], 1) })
+		out := grow(p.Values, len(rows))
+		if serial {
+			q.PredictRegBatchInto(rows, out, 1)
+		} else {
+			sh.forEachChunk(len(rows), func(lo, hi int) { q.PredictRegBatchInto(rows[lo:hi], out[lo:hi], 1) })
+		}
 		p.Actions, p.Values = nil, out
 	} else {
-		out := growInts(p.Actions, len(rows))
-		sh.forEachChunk(len(rows), func(lo, hi int) { q.PredictBatchInto(rows[lo:hi], out[lo:hi], 1) })
+		out := grow(p.Actions, len(rows))
+		if serial {
+			q.PredictBatchInto(rows, out, 1)
+		} else {
+			sh.forEachChunk(len(rows), func(lo, hi int) { q.PredictBatchInto(rows[lo:hi], out[lo:hi], 1) })
+		}
 		p.Actions, p.Values = out, nil
 	}
 	sh.latency.Record(time.Since(t0).Nanoseconds())
@@ -531,13 +552,54 @@ func (e *Engine) predictTenant(tenant, name string, rows [][]float64, p *Predict
 	return nil
 }
 
-// admit runs admission control for tenant ("" = keyed by the model name).
-// Callers skip it when neither the gate nor the semaphore is configured, so
-// an ungated engine pays nothing here. It returns the release func on
-// success; a rejection counts in requestsTotal.
+// validate resolves name in st and checks a batch of n rows against it, in
+// the order every transport reports failures: model lookup, empty batch, row
+// cap. predictTenant adds the row-width check.
+func (e *Engine) validate(st *shardSet, name string, n int) (*Model, error) {
+	m, ok := st.models[name]
+	switch {
+	case !ok:
+		return nil, &UnknownModelError{Name: name}
+	case n == 0:
+		return nil, ErrEmptyBatch
+	case n > e.maxBatch():
+		return nil, &BatchSizeError{Rows: n, Max: e.maxBatch()}
+	}
+	return m, nil
+}
+
+// decodeRefusal returns the error a transport reports for a binary request
+// its decoder refused (nil when derr is nil, and the request goes on to
+// predictTenant). A decoder refuses a batch that claims more than MaxBatch
+// rows before building it; that refusal is reported and counted as
+// predictTenant would have done (model lookup first, one request on the
+// model's shard), so the row cap reads the same on every transport. Any
+// other decode error passes through uncounted.
+func (e *Engine) decodeRefusal(name string, derr error) error {
+	if derr == nil {
+		return nil
+	}
+	var size *BatchSizeError
+	if !errors.As(derr, &size) {
+		return derr
+	}
+	st := e.state.Load()
+	st.shardOf(name).requests.Add(1)
+	if _, err := e.validate(st, name, size.Rows); err != nil {
+		return err
+	}
+	return derr
+}
+
+// admit runs admission control. A tenant named in Config.Tenants keys its own
+// share; any other value ("" included) is keyed by the model name, so peer
+// input cannot grow the gate's tenant set beyond the configured tenants plus
+// the models. Callers skip admit when neither the gate nor the semaphore is
+// configured, so an ungated engine pays nothing here. It returns the release
+// func on success; a rejection counts in requestsTotal.
 func (e *Engine) admit(tenant, model string) (func(), error) {
 	if e.gate != nil {
-		if tenant == "" {
+		if _, ok := e.cfg.Tenants[tenant]; !ok {
 			tenant = model
 		}
 		release, err := e.gate.acquire(tenant)
@@ -611,118 +673,10 @@ func (e *Engine) busyRetryAfter() time.Duration {
 	return clampRetryAfter(time.Duration(e.Latency().Mean()))
 }
 
-// statFlushEvery is the serving loops' stats-batching window: per-batch
-// counter and latency updates accumulate locally and flush every this many
-// batches (or on idle, or when the target model changes).
-const statFlushEvery = 64
-
-// statBatch accumulates the per-predict accounting of a serving loop — the
-// shard/model request counters and the latency samples — so the steady
-// state pays a handful of atomic adds per statFlushEvery batches instead of
-// five per batch. A loop owns one statBatch, notes every fast-path predict
-// into it, and must flush before parking idle and at teardown.
-type statBatch struct {
-	sh    *shard
-	m     *Model
-	reqs  int64
-	preds int64
-	lat   [statFlushEvery]int64
-	n     int
-}
-
-// note records one successful predict of preds rows of m on sh.
-func (st *statBatch) note(sh *shard, m *Model, preds, latNs int64) {
-	if st.sh != sh || st.m != m {
-		st.flush()
-		st.sh, st.m = sh, m
-	}
-	st.reqs++
-	st.preds += preds
-	st.lat[st.n] = latNs
-	st.n++
-	if st.n == statFlushEvery {
-		st.flush()
-	}
-}
-
-// flush publishes the accumulated counters. Safe to call when empty.
-func (st *statBatch) flush() {
-	if st.sh == nil || st.reqs == 0 {
-		return
-	}
-	st.sh.requests.Add(st.reqs)
-	st.m.requests.Add(st.reqs)
-	st.m.predictions.Add(st.preds)
-	st.sh.latency.RecordBatch(st.lat[:st.n])
-	st.reqs, st.preds, st.n = 0, 0, 0
-}
-
-// predictFlatSlot is the shared-memory transport's fast path: quantized
-// classification straight off a flat row-major matrix, each row's action
-// going from the tree walk into the response slot as a little-endian int32
-// — no intermediate Actions slice, no second pass — with stats accumulated
-// into st. handled=false means the caller must take the generic
-// decode+predict path (a regression model, a mirror tapping
-// predictions, an empty batch, or a response that would not fit the slot);
-// nothing was accounted then. A non-nil error is a terminal request failure,
-// already counted.
-func (e *Engine) predictFlatSlot(name string, flat []float64, nRows, features int, slot []byte, st *statBatch) ([]byte, bool, error) {
-	t0 := time.Now()
-	set := e.state.Load()
-	sh := set.shardOf(name)
-	m, ok := set.models[name]
-	if !ok {
-		sh.requests.Add(1)
-		return nil, true, &UnknownModelError{Name: name}
-	}
-	q := m.Quantized
-	if q.IsRegression() || e.mirror.Load() != nil || nRows == 0 || 13+nRows*4 > cap(slot) {
-		return nil, false, nil
-	}
-	// One width check for the whole batch: the wire format guarantees every
-	// row has the header's width, so the per-row validation loop of the
-	// generic path collapses to this single comparison.
-	if features != q.NumFeatures {
-		sh.requests.Add(1)
-		return nil, true, &DimensionError{Model: m.Name, Row: 0, Got: features, Want: q.NumFeatures}
-	}
-	// Eligibility first, admission second: a request the fast path cannot
-	// serve falls back to the generic path without ever holding (and
-	// double-charging) an admission token.
-	if e.gate != nil || e.inflight != nil {
-		release, err := e.admit("", name)
-		if err != nil {
-			return nil, true, err
-		}
-		defer release()
-	}
-	out := slot[:13+nRows*4]
-	copy(out, batchMagic)
-	out[4] = batchKindActions
-	binary.LittleEndian.PutUint32(out[5:9], uint32(nRows))
-	binary.LittleEndian.PutUint32(out[9:13], 1)
-	sh.forEachChunk(nRows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			binary.LittleEndian.PutUint32(out[13+i*4:],
-				uint32(int32(q.Predict(flat[i*features:(i+1)*features]))))
-		}
-	})
-	st.note(sh, m, int64(nRows), time.Since(t0).Nanoseconds())
-	return out, true, nil
-}
-
-// growInts resizes s to n entries, reusing its backing array when it fits.
-func growInts(s []int, n int) []int {
+// grow resizes s to n entries, reusing its backing array when it fits.
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]int, n)
-}
-
-// growRows resizes s to n row slots, reusing its backing array when it fits.
-func growRows(s [][]float64, n int) [][]float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([][]float64, n)
+	return make([]T, n)
 }

@@ -3,8 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
+	"unsafe"
+
+	"repro/internal/shmring"
 )
 
 // fuzzMaxRows mirrors a production MaxBatch setting; the decoder must
@@ -22,10 +26,67 @@ func validRequest(tb testing.TB, model string, rows [][]float64) []byte {
 	return buf.Bytes()
 }
 
-// FuzzDecodeBatch drives both binary batch decoders with arbitrary bytes:
+// alignedCopy copies data into a fresh buffer the way shared-memory
+// producers place a request in a ring slot (SHMAlignSkip bytes into an
+// 8-byte-aligned allocation), so a batch request's float matrix lands
+// 8-byte-aligned and the decoder's aliasing tier can take it.
+func alignedCopy(data []byte) []byte {
+	skip := SHMAlignSkip(data)
+	words := make([]uint64, (skip+len(data))/8+1)
+	buf := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*8)
+	return append(buf[skip:skip], data...)
+}
+
+// errClass names the class of a decode error: the typed row-cap refusal,
+// a malformed encoding, or success.
+func errClass(err error) string {
+	var size *BatchSizeError
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.As(err, &size):
+		return "size"
+	case errors.Is(err, ErrBadBatchEncoding):
+		return "encoding"
+	}
+	return "unclassified: " + err.Error()
+}
+
+// sameDecode fails t unless the server's frame decoder, at the given aliasing
+// tier, agrees with the stream decoder's result on frame: the same error
+// class, and on success the same model name, row count, row widths and
+// float bits.
+func sameDecode(t *testing.T, tier string, frame []byte, aliasOK bool, model string, rows [][]float64, err error) {
+	t.Helper()
+	var s batchScratch
+	model2, rows2, err2 := s.decodeRequestBytes(frame, fuzzMaxRows, aliasOK)
+	if errClass(err2) != errClass(err) {
+		t.Fatalf("%s: frame decoder says %v, stream decoder %v", tier, err2, err)
+	}
+	if err != nil {
+		return
+	}
+	if model2 != model || len(rows2) != len(rows) {
+		t.Fatalf("%s: frame decoder gives %q with %d rows, stream decoder %q with %d", tier, model2, len(rows2), model, len(rows))
+	}
+	for i := range rows {
+		if len(rows2[i]) != len(rows[i]) {
+			t.Fatalf("%s: row %d has %d features, want %d", tier, i, len(rows2[i]), len(rows[i]))
+		}
+		for j := range rows[i] {
+			if math.Float64bits(rows2[i][j]) != math.Float64bits(rows[i][j]) {
+				t.Fatalf("%s: row %d feature %d is %x, want %x", tier, i, j, math.Float64bits(rows2[i][j]), math.Float64bits(rows[i][j]))
+			}
+		}
+	}
+}
+
+// FuzzDecodeBatch drives every binary batch decoder with arbitrary bytes:
 // malformed headers, truncated rows, and huge declared dimensions must
 // surface as errors (or size-limit rejections), never as panics or
-// unbounded allocations. Well-formed inputs must round-trip.
+// unbounded allocations. Well-formed inputs must round-trip. The server's
+// frame decoder must agree with the exported stream decoder on every input,
+// through both its copying tier and, on an aligned copy, its aliasing tier.
 func FuzzDecodeBatch(f *testing.F) {
 	// Well-formed requests.
 	f.Add(validRequest(f, "m", [][]float64{{1, 2}, {3, 4}}))
@@ -56,8 +117,13 @@ func FuzzDecodeBatch(f *testing.F) {
 	}
 	f.Add(vals.Bytes())
 
+	// Special float values must keep their bits through every tier.
+	f.Add(validRequest(f, "abcd", [][]float64{{math.Inf(-1), math.NaN()}, {-0.0, math.SmallestNonzeroFloat64}}))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		model, rows, err := DecodeBatchRequest(bytes.NewReader(data), fuzzMaxRows)
+		sameDecode(t, "copy", data, false, model, rows, err)
+		sameDecode(t, "alias", alignedCopy(data), true, model, rows, err)
 		if err == nil {
 			// Decoded successfully: the result must respect the declared
 			// limits and be re-encodable.
@@ -129,6 +195,87 @@ func FuzzReadFrameID(f *testing.F) {
 		}
 		if want := data[:8+len(payload)]; !bytes.Equal(re.Bytes(), want) {
 			t.Fatalf("round-trip mismatch: got %x, want %x", re.Bytes(), want)
+		}
+	})
+}
+
+// FuzzSHMEncode feeds arbitrary ring payloads — predict and control frames
+// with hostile sizes among them — to the shared-memory encoder of an engine
+// serving one classifier and one regressor, at the smallest slot size and
+// at 4 KiB. It must never panic, and its answer must be written in place:
+// starting at the slot's first byte, within its capacity, and either a
+// binary batch response or an error frame (a control frame may also be
+// answered with its JSON body).
+func FuzzSHMEncode(f *testing.F) {
+	dir, _, _ := fixtureDir(f)
+	e, err := LoadDir(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rows := make([][]float64, 8)
+	for i := range rows {
+		rows[i] = []float64{float64(i) / 8, 1 - float64(i)/8}
+	}
+	f.Add(validRequest(f, "abr", rows))
+	f.Add(validRequest(f, "thresholds", rows))
+	// A regression answer too large for the small slot only.
+	f.Add(validRequest(f, "thresholds", make([][]float64, 200)))
+	f.Add(validRequest(f, "abr", [][]float64{{1, 2, 3}}))
+	f.Add(validRequest(f, "nope", rows))
+	f.Add(validRequest(f, "abr", nil))
+	f.Add(validRequest(f, "", rows))
+	// Hostile MTB1 headers: every size field at its maximum, a row count
+	// over the cap with no features, and a name longer than the frame.
+	for _, h := range [][3]uint32{{math.MaxUint16, math.MaxUint32, math.MaxUint32}, {3, DefaultMaxBatch + 1, 0}, {math.MaxUint16, 1, 2}} {
+		head := make([]byte, batchHeaderSize, batchHeaderSize+3)
+		copy(head, batchMagic)
+		binary.LittleEndian.PutUint16(head[4:6], uint16(h[0]))
+		binary.LittleEndian.PutUint32(head[6:10], h[1])
+		binary.LittleEndian.PutUint32(head[10:14], h[2])
+		f.Add(append(head, "abr"...))
+	}
+	for _, op := range []string{"models", "stats", "model", "bogus"} {
+		ctrl, err := ControlRequest(op, "abr", "")
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(ctrl)
+	}
+	f.Add([]byte(controlMagic + "{not json"))
+	f.Add([]byte("XXXXjunk"))
+	f.Add([]byte(batchMagic))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s batchScratch
+		// Producers place requests in the slab aligned, so the decoder's
+		// aliasing tier is reached as on a live ring.
+		req := alignedCopy(data)
+		for _, size := range []int{shmring.MinSlotSize, 4 << 10} {
+			slot := make([]byte, 0, size)
+			out := e.shmEncode(req, &s, slot)
+			if len(out) == 0 || &out[0] != &slot[:1][0] {
+				t.Fatalf("%d-byte slot: the answer does not start at the slot", size)
+			}
+			if len(out) > cap(slot) {
+				t.Fatalf("%d-byte slot: a %d-byte answer", size, len(out))
+			}
+			switch FrameKind(out) {
+			case batchMagic:
+				if _, err := DecodeBatchResponse(bytes.NewReader(out)); err != nil {
+					t.Fatalf("%d-byte slot: malformed response: %v", size, err)
+				}
+			case errMagic:
+				if _, _, err := DecodeErrorPayload(out); err != nil {
+					t.Fatalf("%d-byte slot: malformed error frame: %v", size, err)
+				}
+			case jsonMagic:
+				if FrameKind(data) != controlMagic {
+					t.Fatalf("%d-byte slot: a %q request answered with JSON", size, FrameKind(data))
+				}
+			default:
+				t.Fatalf("%d-byte slot: answer kind %q", size, FrameKind(out))
+			}
 		}
 	})
 }

@@ -29,7 +29,8 @@ const maxJSONBody = 64 << 20
 //	GET  /metrics                      Prometheus text exposition
 //
 // Predict routes honor the X-Metis-Tenant header when the engine runs
-// weighted fair admission; requests without it are keyed by model name.
+// weighted fair admission and the header names a configured tenant; other
+// requests are keyed by model name.
 func (e *Engine) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -163,23 +164,31 @@ func contentType(r *http.Request) string {
 }
 
 // predictBinary is the high-throughput path: binary request in, binary
-// response out. All per-call buffers — decode, outputs, encode — come from
-// the shared scratch pool, so steady-state binary serving reuses the same
-// few allocations across requests.
+// response out. All per-call buffers — body, decode, outputs, encode — come
+// from the shared scratch pool, so steady-state binary serving reuses the
+// same few allocations across requests. The body goes through the same
+// decoder and predict path as the socket and ring transports.
 func (e *Engine) predictBinary(w http.ResponseWriter, r *http.Request, name string) {
 	s := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(s)
-	bodyModel, rows, err := s.decodeRequest(r.Body, e.maxBatch())
+	frame, err := readBatchRequest(r.Body, s.payload, e.maxBatch())
+	var rows [][]float64
+	if err == nil {
+		s.payload = frame
+		// aliasOK: the body buffer stays with this request until the scratch
+		// goes back to the pool.
+		var bodyModel string
+		bodyModel, rows, err = s.decodeRequestBytes(frame, e.maxBatch(), true)
+		if err == nil && bodyModel != "" && bodyModel != name {
+			e.fail(w, http.StatusBadRequest,
+				fmt.Sprintf("body names model %q but the URL names %q", bodyModel, name))
+			return
+		}
+	}
+	if err = e.decodeRefusal(name, err); err == nil {
+		err = e.predictTenant(r.Header.Get(TenantHeader), name, rows, &s.pred)
+	}
 	if err != nil {
-		e.failErr(w, err)
-		return
-	}
-	if bodyModel != "" && bodyModel != name {
-		e.fail(w, http.StatusBadRequest,
-			fmt.Sprintf("body names model %q but the URL names %q", bodyModel, name))
-		return
-	}
-	if err := e.predictTenant(r.Header.Get(TenantHeader), name, rows, &s.pred); err != nil {
 		e.failErr(w, err)
 		return
 	}
@@ -420,31 +429,22 @@ func (e *Engine) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte(b.String()))
 }
 
-// failErr maps an engine error to its HTTP status. A 503 carries a computed
-// Retry-After — the admission gate's own estimate when the error brought
-// one, else the engine's generic backpressure hint — rendered in fractional
-// seconds (RFC 9110 allows only integer seconds, but every consumer here is
-// the metis client, which parses fractions; an integer-only client rounding
-// down to 0 just retries immediately, as it did with the old hardcoded 1).
+// failErr renders an engine error under the status every transport maps it
+// to (errorStatus). A 503 carries a computed Retry-After — the admission
+// gate's own estimate when the error brought one, else the engine's generic
+// backpressure hint — rendered in fractional seconds (RFC 9110 allows only
+// integer seconds, but every consumer here is the metis client, which parses
+// fractions; an integer-only client rounding down to 0 just retries
+// immediately, as it did with the old hardcoded 1).
 func (e *Engine) failErr(w http.ResponseWriter, err error) {
-	var (
-		unknown *UnknownModelError
-		size    *BatchSizeError
-		busy    *BusyError
-	)
-	code := http.StatusBadRequest
-	switch {
-	case errors.Is(err, ErrBusy):
-		code = http.StatusServiceUnavailable
+	code := errorStatus(err)
+	if code == http.StatusServiceUnavailable {
 		ra := e.busyRetryAfter()
+		var busy *BusyError
 		if errors.As(err, &busy) && busy.RetryAfter > 0 {
 			ra = busy.RetryAfter
 		}
 		w.Header().Set("Retry-After", formatRetryAfter(ra))
-	case errors.As(err, &unknown):
-		code = http.StatusNotFound
-	case errors.As(err, &size):
-		code = http.StatusRequestEntityTooLarge
 	}
 	e.fail(w, code, err.Error())
 }

@@ -19,7 +19,7 @@ import (
 // fixtureDir writes one classification tree, one regression tree, and one
 // non-servable network artifact into a temp dir. Both trees are plain
 // dtree/tree artifacts, so the engine quantizes each at load.
-func fixtureDir(t *testing.T) (dir string, cls, reg *dtree.Tree) {
+func fixtureDir(t testing.TB) (dir string, cls, reg *dtree.Tree) {
 	t.Helper()
 	dir = t.TempDir()
 

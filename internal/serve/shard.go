@@ -155,10 +155,6 @@ const predictChunk = 512
 // exceed Config.Workers.
 func (sh *shard) forEachChunk(n int, fn func(lo, hi int)) {
 	tasks := (n + predictChunk - 1) / predictChunk
-	if tasks <= 1 || sh.sem == nil {
-		fn(0, n)
-		return
-	}
 	var next atomic.Int64
 	work := func() {
 		for {

@@ -260,7 +260,7 @@ func TestShardedRetryAfterComputed(t *testing.T) {
 	dir, _ := shardFixtureDir(t, 2)
 	s, err := NewEngine(dir, Config{
 		Shards: 2, MaxInflight: 1,
-		Tenants: map[string]float64{"a": 1}, TenantQueue: 1,
+		Tenants: map[string]float64{"a": 1, "b": 1}, TenantQueue: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

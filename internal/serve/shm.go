@@ -240,9 +240,9 @@ const shmSpin = 128
 // already parallelizes across rows. The socket read side runs in one helper
 // goroutine that collapses every inbound frame into a wake signal.
 //
-// Per-batch stats and latency samples accumulate in a statBatch and flush
-// every statFlushEvery batches or when the loop is about to park idle, so
-// the steady-state ring path touches no shared counters.
+// Each request runs through predictTenant like any other transport's, so the
+// shard and model counters, the latency histogram, and the mirror see it
+// before its response is published.
 func (e *Engine) serveSHM(conn net.Conn, br *bufio.Reader, seg *shmring.Segment) {
 	e.shm.conns.Add(1)
 	defer e.shm.conns.Add(-1)
@@ -271,8 +271,6 @@ func (e *Engine) serveSHM(conn net.Conn, br *bufio.Reader, seg *shmring.Segment)
 
 	s := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(s)
-	var st statBatch
-	defer st.flush()
 	for {
 		id, payload, ok, err := seg.Req.Peek()
 		if err != nil {
@@ -280,15 +278,12 @@ func (e *Engine) serveSHM(conn net.Conn, br *bufio.Reader, seg *shmring.Segment)
 			return
 		}
 		if !ok {
-			// About to go idle: publish the accumulated stats so a quiet
-			// server's counters converge.
-			st.flush()
 			if !shmWaitRequest(seg, wake, closed) {
 				return
 			}
 			continue
 		}
-		if !e.shmAnswer(seg, id, payload, s, &st, closed) {
+		if !e.shmAnswer(seg, id, payload, s, closed) {
 			conn.Close()
 			return
 		}
@@ -344,10 +339,10 @@ func shmWaitRequest(seg *shmring.Segment, wake <-chan struct{}, closed <-chan st
 // slot (spinning while the client drains a full ring), encodes the response
 // into the slab, and publishes it under the request's id. False means the
 // connection died while the response ring stayed full.
-func (e *Engine) shmAnswer(seg *shmring.Segment, id uint32, frame []byte, s *batchScratch, st *statBatch, closed <-chan struct{}) bool {
+func (e *Engine) shmAnswer(seg *shmring.Segment, id uint32, frame []byte, s *batchScratch, closed <-chan struct{}) bool {
 	for i := 0; ; i++ {
 		if slot, ok := seg.Resp.Reserve(); ok {
-			seg.Resp.Publish(id, len(e.shmEncode(frame, s, slot, st)))
+			seg.Resp.Publish(id, len(e.shmEncode(frame, s, slot)))
 			return true
 		}
 		if i%shmSpin == shmSpin-1 {
@@ -362,46 +357,28 @@ func (e *Engine) shmAnswer(seg *shmring.Segment, id uint32, frame []byte, s *bat
 }
 
 // shmEncode dispatches one request payload and encodes the response into
-// slot — in place when it fits (the predict fast path always does: response
-// size is prechecked against the slot before encoding), and as a truncated
-// in-slot error frame when it cannot. It mirrors udsDispatch except that
-// nothing here may reallocate off the slab.
-func (e *Engine) shmEncode(frame []byte, s *batchScratch, slot []byte, st *statBatch) []byte {
+// slot — in place when it fits, and as a truncated in-slot error frame when
+// it cannot. It mirrors udsDispatch, predicting through the same
+// predictTenant path, except that nothing here may
+// reallocate off the slab: the response size is checked against the slot
+// before encoding.
+func (e *Engine) shmEncode(frame []byte, s *batchScratch, slot []byte) []byte {
 	switch FrameKind(frame) {
 	case batchMagic:
 		// aliasOK: frame is a request-ring slot that stays reserved until
-		// Advance, well past the predict that consumes the matrix — with an
+		// Advance, well past the predict that consumes the rows — with an
 		// aligned producer (SHMAlignSkip) this is the zero-copy path the
 		// shared-memory transport exists for.
-		model, flat, nRows, features, derr := s.decodeRequestFlat(frame, e.maxBatch(), true)
-		if derr != nil {
-			return e.shmError(slot, derr)
+		model, rows, err := s.decodeRequestBytes(frame, e.maxBatch(), true)
+		if err = e.decodeRefusal(model, err); err == nil {
+			err = e.predictTenant("", model, rows, &s.pred)
 		}
-		if model == "" {
-			return e.shmError(slot, fmt.Errorf("%w: empty model name", ErrBadBatchEncoding))
-		}
-		// Fast path: quantized classification straight off the flat matrix,
-		// actions encoded into the slot as they are computed, stats batched.
-		out, handled, err := e.predictFlatSlot(model, flat, nRows, features, slot, st)
-		if handled {
-			if err != nil {
-				return e.shmError(slot, err)
-			}
-			return out
-		}
-		// Generic fallback (regression, non-quantized, mirror installed, or
-		// an oversized response): build the row view and run the full path.
-		rows := s.rowsFromFlat(flat, nRows, features)
-		if err := e.predictTenant("", model, rows, &s.pred); err != nil {
+		if err != nil {
 			return e.shmError(slot, err)
 		}
 		need := 13 + len(s.pred.Actions)*4
 		if s.pred.Values != nil {
-			dim := 0
-			if len(s.pred.Values) > 0 {
-				dim = len(s.pred.Values[0])
-			}
-			need = 13 + len(s.pred.Values)*dim*8
+			need = 13 + len(s.pred.Values)*len(s.pred.Values[0])*8
 		}
 		if need > cap(slot) {
 			e.errors.Add(1)
@@ -415,9 +392,7 @@ func (e *Engine) shmEncode(frame []byte, s *batchScratch, slot []byte, st *statB
 		return out
 	case controlMagic:
 		// Control frames are rare; the JSON body is rendered off-slab and
-		// copied in when it fits. Flush first so the stats op observes the
-		// accumulated counters.
-		st.flush()
+		// copied in when it fits.
 		out := e.udsControl(frame[4:], nil)
 		if len(out) > cap(slot) {
 			e.errors.Add(1)

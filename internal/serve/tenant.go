@@ -9,9 +9,10 @@ import (
 )
 
 // TenantHeader names the HTTP request header carrying an explicit tenant
-// identity for weighted fair admission. Requests without it (and all socket
-// requests) are keyed by model name, so per-model weights work with no
-// client changes.
+// identity for weighted fair admission. Requests without it, requests whose
+// value is not a configured tenant, and all socket requests are keyed by
+// model name, so per-model weights work with no client changes and peer
+// input cannot add tenants.
 const TenantHeader = "X-Metis-Tenant"
 
 // BusyError is ErrBusy with admission context: which tenant was over quota
@@ -150,8 +151,9 @@ func newFairGate(capacity int, weights map[string]float64, maxQueue int) *fairGa
 }
 
 // tenant returns (creating on first sight) the named tenant's state.
-// Tenants outside the configured weight map get weight 1 — the population
-// is bounded in practice by the model set plus explicitly-named tenants.
+// Tenants outside the configured weight map get weight 1. The engine only
+// passes configured tenants and served model names, so the population is
+// bounded by the two.
 func (g *fairGate) tenant(name string) *tenantState {
 	ts, ok := g.tenants[name]
 	if !ok {

@@ -559,16 +559,14 @@ func (e *Engine) udsPredict(frame []byte, s *batchScratch, out []byte) []byte {
 // udsPredictDecoded answers an already-decoded predict request, encoding the
 // response (or the error frame) into out. derr is the decode error, if any —
 // rendered here so pipelined decode errors flow through the same response
-// path as everything else.
+// path as everything else. Socket requests carry no tenant field; the model
+// name keys the tenant.
 func (e *Engine) udsPredictDecoded(model string, rows [][]float64, derr error, pred *Prediction, out []byte) []byte {
-	if derr != nil {
-		return e.udsError(out, derr)
+	err := e.decodeRefusal(model, derr)
+	if err == nil {
+		err = e.predictTenant("", model, rows, pred)
 	}
-	if model == "" {
-		return e.udsError(out, fmt.Errorf("%w: empty model name", ErrBadBatchEncoding))
-	}
-	// Socket requests carry no tenant field; the model name keys the tenant.
-	if err := e.predictTenant("", model, rows, pred); err != nil {
+	if err != nil {
 		return e.udsError(out, err)
 	}
 	resp, err := appendBatchResponse(out, pred)
@@ -638,7 +636,7 @@ func (e *Engine) udsError(out []byte, err error) []byte {
 }
 
 // errorStatus maps an engine error to the HTTP status every transport
-// renders it under (the shared-memory path reuses it for in-slot errors).
+// renders it under: HTTP responses, socket error frames and in-slot errors.
 func errorStatus(err error) int {
 	var (
 		unknown *UnknownModelError
