@@ -866,9 +866,9 @@ func BenchmarkMaskSearchSerial(b *testing.B) {
 // full-scale DAgger aggregate reaches (~35k samples): each replica of the
 // corpus gets a small deterministic relative jitter, so feature columns are
 // high-cardinality continuous — the regime the training path must absorb,
-// and the one where the quantile-binned search's bounded per-node boundary
-// count matters. The jitter stream is fixed-seeded; the bench dataset is
-// identical on every run and for every mode/worker subbench.
+// where every distinct value is a split candidate. The jitter stream is
+// fixed-seeded; the bench dataset is identical on every run and for every
+// worker subbench.
 func cartBenchTable() *dataset.Table {
 	base := fixture().PensieveTree().Data
 	const replicas = 16
@@ -887,42 +887,31 @@ func cartBenchTable() *dataset.Table {
 	return out
 }
 
-// BenchmarkCARTBuild times one CART fit on the full-scale distillation
-// corpus (cartBenchTable), sweeping the search mode (exact presorted scan
-// vs histogram) against the worker count (serial vs full pool). The
-// histogram rows are the headline: exact/serial is the pre-refactor
-// baseline, hist/serial isolates the algorithmic win, and hist/allcores
-// adds the per-(child, feature) parallel accumulation — the multicore
-// scaling claim only applies on hosts with GOMAXPROCS > 1 (the "workers"
+// BenchmarkCARTBuild times one exact CART fit on the full-scale
+// distillation corpus (cartBenchTable), sweeping exact/{serial,allcores}:
+// exact/serial is the single-goroutine baseline and exact/allcores fans the
+// per-feature scans and order partitions out over the full pool. The
+// multicore scaling only shows on hosts with GOMAXPROCS > 1 (the "workers"
 // metric records what the host ran with).
 func BenchmarkCARTBuild(b *testing.B) {
 	ds := cartBenchTable()
-	// Pre-warm the memoized binning outside every subbench's timer: the
-	// one-time quantile computation would otherwise land in whichever hist
-	// subbench runs first, skewing the serial-vs-allcores comparison.
-	ds.Bin(0, 0)
-	for _, mode := range []struct {
-		name string
-		hist bool
-	}{{"exact", false}, {"hist", true}} {
-		for _, workers := range []int{1, 0} {
-			name := mode.name + "/serial"
-			if workers == 0 {
-				name = mode.name + "/allcores"
-			}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := dtree.BuildTable(ds, dtree.BuildOptions{MaxLeaves: 800, Workers: workers, Histogram: mode.hist}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				effective := 1
-				if workers == 0 {
-					effective = runtime.GOMAXPROCS(0)
-				}
-				b.ReportMetric(float64(effective), "workers")
-			})
+	for _, workers := range []int{1, 0} {
+		name := "exact/serial"
+		if workers == 0 {
+			name = "exact/allcores"
 		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := dtree.BuildTable(ds, dtree.BuildOptions{MaxLeaves: 800, Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			effective := 1
+			if workers == 0 {
+				effective = runtime.GOMAXPROCS(0)
+			}
+			b.ReportMetric(float64(effective), "workers")
+		})
 	}
 }
 

@@ -6,28 +6,27 @@
 //
 //   - Table is a column-major supervised dataset: one contiguous []float64
 //     per feature, plus label/target/weight columns. Column access — the
-//     layout CART split search, quantile binning, and histogram accumulation
-//     want — is a plain slice index, row-major copies are never materialized
-//     on the training path, and node splits operate on zero-copy index
-//     views. Tables gob-encode, so the artifact layer can persist a
-//     distillation corpus next to the teacher that produced it.
+//     layout the CART split search wants — is a plain slice index,
+//     row-major copies are never materialized on the training path, and
+//     node splits operate on zero-copy index views. Tables gob-encode, so
+//     the artifact layer can persist a distillation corpus next to the
+//     teacher that produced it.
 //
 //   - Batch is a row-major matrix backed by one flat allocation: the shape
 //     perturbation generators (SPSA mask search, LIME/LEMNA sampling) and
 //     blackbox evaluators want. A Batch is reused across iterations, so the
 //     per-perturbation allocations of the row-slice era disappear.
 //
-// Both types are plain data with deterministic operations: subsampling and
-// binning depend only on their inputs and an explicit seed, never on
-// scheduling, which keeps the repo-wide "bit-identical at any worker count"
-// contract intact.
+// Both types are plain data with deterministic operations: subsampling
+// depends only on its inputs and an explicit seed, never on scheduling,
+// which keeps the repo-wide "bit-identical at any worker count" contract
+// intact.
 package dataset
 
 import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sync"
 )
 
 // Table is a column-major weighted supervised dataset. Exactly one of the
@@ -40,58 +39,17 @@ type Table struct {
 	yreg [][]float64 // outputs × n regression targets (nil for classification)
 	w    []float64   // per-sample weights; nil means uniform
 	n    int
-
-	// bins memoizes quantile binnings keyed by bin budget (see Bin).
-	// Entries are validated against the sample count, so appending after
-	// binning simply makes the entry stale rather than wrong. A pointer,
-	// so weight-view copies (WithWeights) share the cache — binning does
-	// not depend on weights.
-	bins *binCache
-}
-
-// binCache memoizes Bin results. Guarded by its own mutex so concurrent
-// readers (parallel pipeline runs sharing one corpus) are safe.
-type binCache struct {
-	mu sync.Mutex
-	m  map[int]*Binned
-}
-
-// lookup returns a cached binning for maxBins if it matches the table's
-// current length.
-func (c *binCache) lookup(maxBins, n int) *Binned {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b, ok := c.m[maxBins]; ok && b.n == n {
-		return b
-	}
-	return nil
-}
-
-// store memoizes a freshly computed binning.
-func (c *binCache) store(maxBins int, b *Binned) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = map[int]*Binned{}
-	}
-	c.m[maxBins] = b
 }
 
 // New returns an empty classification table with the given feature count.
 func New(features int) *Table {
-	return &Table{cols: make([][]float64, features), y: []int{}, bins: &binCache{}}
+	return &Table{cols: make([][]float64, features), y: []int{}}
 }
 
 // NewRegression returns an empty regression table with the given feature and
 // output counts.
 func NewRegression(features, outputs int) *Table {
-	return &Table{cols: make([][]float64, features), yreg: make([][]float64, outputs), bins: &binCache{}}
+	return &Table{cols: make([][]float64, features), yreg: make([][]float64, outputs)}
 }
 
 // FromRows columnarizes a row-major classification dataset. w may be nil
@@ -144,7 +102,7 @@ func columnarize(X [][]float64, w []float64) (*Table, error) {
 	if len(X) > 0 {
 		features = len(X[0])
 	}
-	t := &Table{cols: make([][]float64, features), n: len(X), bins: &binCache{}}
+	t := &Table{cols: make([][]float64, features), n: len(X)}
 	flat := make([]float64, features*len(X))
 	for f := range t.cols {
 		col := flat[f*len(X) : (f+1)*len(X) : (f+1)*len(X)]
@@ -315,7 +273,7 @@ func ones(n int) []float64 {
 // free. Capacities are capped at the view bounds, so appending to the view
 // reallocates instead of silently overwriting the parent's rows.
 func (t *Table) Slice(lo, hi int) *Table {
-	s := &Table{cols: make([][]float64, len(t.cols)), n: hi - lo, bins: &binCache{}}
+	s := &Table{cols: make([][]float64, len(t.cols)), n: hi - lo}
 	for f, col := range t.cols {
 		s.cols[f] = col[lo:hi:hi]
 	}
@@ -337,7 +295,7 @@ func (t *Table) Slice(lo, hi int) *Table {
 // Gather returns a new table holding the given samples in idx order (a copy;
 // the source is untouched).
 func (t *Table) Gather(idx []int) *Table {
-	g := &Table{cols: make([][]float64, len(t.cols)), n: len(idx), bins: &binCache{}}
+	g := &Table{cols: make([][]float64, len(t.cols)), n: len(idx)}
 	for f, col := range t.cols {
 		gc := make([]float64, len(idx))
 		for j, i := range idx {
@@ -386,6 +344,14 @@ func (t *Table) WithWeights(w []float64) *Table {
 func (t *Table) Validate() error {
 	if (t.y == nil) == (t.yreg == nil) {
 		return fmt.Errorf("dataset: exactly one of labels and targets must be set")
+	}
+	if t.n < 0 {
+		return fmt.Errorf("dataset: negative sample count %d", t.n)
+	}
+	// A count no column holds would make every consumer size its buffers
+	// from a number the data never backs.
+	if t.n > 0 && len(t.cols) == 0 && t.y == nil && len(t.yreg) == 0 {
+		return fmt.Errorf("dataset: %d samples but no feature, label or target column", t.n)
 	}
 	for f, col := range t.cols {
 		if len(col) != t.n {
@@ -466,7 +432,7 @@ func (t *Table) UnmarshalBinary(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return fmt.Errorf("dataset: decode table: %w", err)
 	}
-	loaded := Table{cols: w.Cols, y: w.Y, yreg: w.YReg, w: w.W, n: w.N, bins: &binCache{}}
+	loaded := Table{cols: w.Cols, y: w.Y, yreg: w.YReg, w: w.W, n: w.N}
 	if loaded.cols == nil {
 		loaded.cols = [][]float64{}
 	}

@@ -1,8 +1,6 @@
 package dataset
 
 import (
-	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -144,122 +142,6 @@ func TestSampleDeterministicAndWithoutReplacement(t *testing.T) {
 	}
 }
 
-func TestBinLosslessLowCardinality(t *testing.T) {
-	tab, _ := FromRows([][]float64{{0}, {1}, {1}, {2}, {0}}, []int{0, 0, 0, 0, 0}, nil)
-	b := tab.Bin(256, 1)
-	if got := b.NumBins(0); got != 3 {
-		t.Fatalf("3 distinct values should give 3 bins, got %d", got)
-	}
-	// Edges are midpoints: 0.5 and 1.5.
-	if b.Edge(0, 0) != 0.5 || b.Edge(0, 1) != 1.5 {
-		t.Fatalf("edges = %v %v", b.Edge(0, 0), b.Edge(0, 1))
-	}
-	want := []uint8{0, 1, 1, 2, 0}
-	if !reflect.DeepEqual(b.Bins8(0), want) {
-		t.Fatalf("bins = %v, want %v", b.Bins8(0), want)
-	}
-}
-
-func TestBinQuantileHighCardinality(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 10000
-	X := make([][]float64, n)
-	y := make([]int, n)
-	for i := range X {
-		X[i] = []float64{rng.NormFloat64()}
-	}
-	tab, _ := FromRows(X, y, nil)
-	b := tab.Bin(64, 1)
-	if got := b.NumBins(0); got != 64 {
-		t.Fatalf("bins = %d, want 64", got)
-	}
-	// Quantile bins should be roughly equal-mass.
-	counts := make([]int, 64)
-	for _, bin := range b.Bins8(0) {
-		counts[bin]++
-	}
-	for bin, c := range counts {
-		if c < n/64/4 || c > n/64*4 {
-			t.Fatalf("bin %d holds %d of %d samples — not quantile-ish", bin, c, n)
-		}
-	}
-	// Bin membership must agree with the edge thresholds.
-	for i := 0; i < n; i++ {
-		v := tab.Col(0)[i]
-		bin := int(b.Bins8(0)[i])
-		if bin > 0 && v < b.Edge(0, bin-1) {
-			t.Fatalf("value %v in bin %d but < lower edge %v", v, bin, b.Edge(0, bin-1))
-		}
-		if bin < b.NumBins(0)-1 && v >= b.Edge(0, bin) {
-			t.Fatalf("value %v in bin %d but ≥ upper edge %v", v, bin, b.Edge(0, bin))
-		}
-	}
-}
-
-func TestBinWideBudgetUsesUint16(t *testing.T) {
-	n := 2000
-	X := make([][]float64, n)
-	y := make([]int, n)
-	for i := range X {
-		X[i] = []float64{float64(i)}
-	}
-	tab, _ := FromRows(X, y, nil)
-	b := tab.Bin(1024, 1)
-	if b.Bins8(0) != nil || b.Bins16(0) == nil {
-		t.Fatal("bin budget > 256 should pack into uint16")
-	}
-	if got := b.NumBins(0); got > 1024 || got < 512 {
-		t.Fatalf("bins = %d, want ≈1024", got)
-	}
-}
-
-func TestBinNaNLandsInLastBin(t *testing.T) {
-	tab, _ := FromRows([][]float64{{1}, {math.NaN()}, {2}, {3}}, []int{0, 0, 0, 0}, nil)
-	b := tab.Bin(256, 1)
-	last := uint8(b.NumBins(0) - 1)
-	if got := b.Bins8(0)[1]; got != last {
-		t.Fatalf("NaN binned to %d, want last bin %d", got, last)
-	}
-}
-
-func TestBinConstantAndAllNaNColumns(t *testing.T) {
-	tab, _ := FromRows([][]float64{{5, math.NaN()}, {5, math.NaN()}, {5, math.NaN()}}, []int{0, 1, 0}, nil)
-	b := tab.Bin(256, 1)
-	if b.NumBins(0) != 1 {
-		t.Fatalf("constant column has %d bins, want 1", b.NumBins(0))
-	}
-	if b.NumBins(1) != 1 {
-		t.Fatalf("all-NaN column has %d bins, want 1", b.NumBins(1))
-	}
-}
-
-func TestBinWorkerCountInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 3000
-	X := make([][]float64, n)
-	y := make([]int, n)
-	for i := range X {
-		X[i] = []float64{rng.NormFloat64(), float64(rng.Intn(7)), rng.ExpFloat64()}
-	}
-	// A fresh table per worker count: Bin memoizes per table, so rebinning
-	// the same table would just return the cached serial result and the
-	// comparison would be vacuous.
-	bin := func(workers int) *Binned {
-		tab, err := FromRows(X, y, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab.Bin(128, workers)
-	}
-	serial := bin(1)
-	for _, workers := range []int{3, 7} {
-		par := bin(workers)
-		if !reflect.DeepEqual(serial.edges, par.edges) || !reflect.DeepEqual(serial.b8, par.b8) {
-			t.Fatalf("binning with %d workers differs from serial", workers)
-		}
-	}
-}
-
 func TestTableMarshalRoundtrip(t *testing.T) {
 	tab, _ := FromRows([][]float64{{1, 2}, {3, 4}}, []int{0, 1}, []float64{1, 5})
 	data, err := tab.MarshalBinary()
@@ -323,5 +205,26 @@ func TestWithWeightsSharesColumns(t *testing.T) {
 	tab.Col(0)[0] = 42
 	if re.Col(0)[0] != 42 {
 		t.Fatal("WithWeights must share feature columns")
+	}
+}
+
+// TestValidateRejectsUnbackedCount: a decoded table must not declare a
+// sample count its columns do not hold. Either would reach CART fitting,
+// which sizes its buffers from Len.
+func TestValidateRejectsUnbackedCount(t *testing.T) {
+	for _, w := range []tableWire{
+		{YReg: [][]float64{}, N: -5, Reg: true},
+		{Y: []int{}, N: -1},
+		{YReg: [][]float64{}, N: 3, Reg: true},
+	} {
+		var got Table
+		if err := got.UnmarshalBinary(encodeWire(t, w)); err == nil {
+			t.Errorf("N=%d reg=%v decoded to a table of Len %d", w.N, w.Reg, got.Len())
+		}
+	}
+	// An empty regression table with no columns stays valid.
+	var empty Table
+	if err := empty.UnmarshalBinary(encodeWire(t, tableWire{Reg: true})); err != nil {
+		t.Fatalf("empty regression table: %v", err)
 	}
 }

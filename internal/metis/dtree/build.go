@@ -72,25 +72,9 @@ type BuildOptions struct {
 	FeatureNames []string
 	// Workers bounds the goroutines used for the split search (0 =
 	// GOMAXPROCS, 1 = serial). Results are bit-identical for every worker
-	// count: per-feature (and, in histogram mode, per-child) tasks are
-	// independent and the cross-feature reduction always runs in feature
-	// order.
+	// count: per-feature tasks are independent and the cross-feature
+	// reduction always runs in feature order.
 	Workers int
-	// Histogram selects the binned split search: feature columns are
-	// quantile-binned once (dataset.Binned) and every node's split
-	// candidates come from per-feature histograms instead of presorted
-	// exact scans. Build cost per node drops from O(n·F) branchy
-	// comparisons plus order partitioning to a tight O(n·F) accumulate and
-	// an O(bins·F) scan, and the per-(child, feature) accumulation tasks
-	// parallelize with no shared state. Thresholds stay real-valued (bin
-	// edges), so the resulting Tree predicts on raw features. Exact mode
-	// (the default) is unchanged and remains bit-identical to the
-	// pre-histogram implementation.
-	Histogram bool
-	// MaxBins is the histogram-mode quantile bin budget per feature
-	// (default dataset.DefaultBins = 256; bins ≤ 256 pack into uint8
-	// columns). Ignored in exact mode.
-	MaxBins int
 }
 
 // nodeStats summarizes the label statistics of an index set.
@@ -167,12 +151,11 @@ type splitCandidate struct {
 }
 
 // nodeSamples is one node's sample view: idx lists the members in ascending
-// index order (the order statistics are accumulated in), and orders[f] —
-// exact mode only — lists the same members presorted by (col[f][i], i). The
-// root view is sorted once; children inherit sortedness by an O(n) stable
-// partition of the parent's orders, removing the per-node, per-feature
-// sort.Slice the original implementation paid. Histogram mode carries no
-// orders: bins make presorting unnecessary.
+// index order (the order statistics are accumulated in), and orders[f] lists
+// the same members presorted by (col[f][i], i). The root view is sorted
+// once; children inherit sortedness by an O(n) stable partition of the
+// parent's orders, removing the per-node, per-feature sort.Slice the
+// original implementation paid.
 type nodeSamples struct {
 	idx    []int
 	orders [][]int
@@ -216,12 +199,12 @@ func rootSamples(t *dataset.Table, workers int) *nodeSamples {
 	return ns
 }
 
-// split partitions the view by col[feature] < threshold. The index list —
-// and, in exact mode, every per-feature order — is stable-partitioned, so
-// children remain presorted without re-sorting. goesLeft is a dataset-sized
-// scratch buffer (owned by the build loop, reused across splits) so the
-// predicate is evaluated once per sample rather than once per feature; the
-// concurrent order partitions only read it.
+// split partitions the view by col[feature] < threshold. The index list and
+// every per-feature order are stable-partitioned, so children remain
+// presorted without re-sorting. goesLeft is a dataset-sized scratch buffer
+// (owned by the build loop, reused across splits) so the predicate is
+// evaluated once per sample rather than once per feature; the concurrent
+// order partitions only read it.
 func (ns *nodeSamples) split(t *dataset.Table, feature int, threshold float64, goesLeft []bool, workers int) (left, right *nodeSamples) {
 	col := t.Col(feature)
 	nl := 0
@@ -240,9 +223,6 @@ func (ns *nodeSamples) split(t *dataset.Table, feature int, threshold float64, g
 		} else {
 			right.idx = append(right.idx, i)
 		}
-	}
-	if ns.orders == nil {
-		return left, right
 	}
 	left.orders = make([][]int, len(ns.orders))
 	right.orders = make([][]int, len(ns.orders))
@@ -306,12 +286,10 @@ func Build(d *Dataset, opts BuildOptions) (*Tree, error) {
 // BuildTable fits a CART tree on a columnar table with best-first growth:
 // the split with the largest impurity decrease anywhere in the frontier is
 // applied first, so a MaxLeaves budget keeps the globally most valuable
-// splits. The exact mode (default) scans presorted columns and is
-// bit-identical at any worker count; Histogram mode trades exactness at
-// sub-bin resolution for a far cheaper, better-parallelizing search (see
-// BuildOptions.Histogram).
+// splits. The search scans presorted columns exactly and is bit-identical
+// at any worker count.
 func BuildTable(t *dataset.Table, opts BuildOptions) (*Tree, error) {
-	if err := validateTable(t, opts); err != nil {
+	if err := validateTable(t); err != nil {
 		return nil, err
 	}
 	if opts.MinSamplesLeaf <= 0 {
@@ -334,10 +312,6 @@ func BuildTable(t *dataset.Table, opts BuildOptions) (*Tree, error) {
 		NumClasses:   numClasses,
 		FeatureNames: opts.FeatureNames,
 	}
-	if opts.Histogram {
-		return tree, growHistogram(tree, t, numClasses, dims, opts, workers)
-	}
-
 	root := rootSamples(t, workers)
 	tree.Root = makeLeaf(t, root.idx, numClasses, dims)
 
@@ -366,11 +340,10 @@ func BuildTable(t *dataset.Table, opts BuildOptions) (*Tree, error) {
 	return tree, nil
 }
 
-// validateTable checks the table invariants Build relies on. Exact mode
-// additionally rejects NaN feature values — a comparison sort cannot order
-// them deterministically; histogram mode bins them (last bin, matching
-// "NaN < threshold is false" at prediction time).
-func validateTable(t *dataset.Table, opts BuildOptions) error {
+// validateTable checks the table invariants Build relies on, including that
+// no feature value is NaN: a comparison sort cannot order NaN
+// deterministically.
+func validateTable(t *dataset.Table) error {
 	if t.Len() == 0 {
 		return fmt.Errorf("dtree: empty dataset")
 	}
@@ -384,12 +357,10 @@ func validateTable(t *dataset.Table, opts BuildOptions) error {
 			}
 		}
 	}
-	if !opts.Histogram {
-		for f := 0; f < t.NumFeatures(); f++ {
-			for _, v := range t.Col(f) {
-				if math.IsNaN(v) {
-					return fmt.Errorf("dtree: NaN in feature %d; exact mode cannot order NaN (use Histogram mode)", f)
-				}
+	for f := 0; f < t.NumFeatures(); f++ {
+		for _, v := range t.Col(f) {
+			if math.IsNaN(v) {
+				return fmt.Errorf("dtree: NaN in feature %d; the split search cannot order NaN", f)
 			}
 		}
 	}

@@ -48,13 +48,6 @@ type DistillConfig struct {
 	// worker count: each episode is seeded independently and samples are
 	// aggregated in episode order.
 	Workers int
-	// Histogram selects the binned CART split search for every fit in the
-	// distillation loop (see BuildOptions.Histogram): much cheaper on large
-	// DAgger corpora, at sub-bin threshold resolution. The default (false)
-	// keeps the exact search and its bit-identical-to-pre-refactor output.
-	Histogram bool
-	// MaxBins is the histogram-mode bin budget (default 256).
-	MaxBins int
 }
 
 func (c *DistillConfig) defaults() {
@@ -91,8 +84,6 @@ func (c *DistillConfig) buildOptions() BuildOptions {
 		MinSamplesLeaf: c.MinSamplesLeaf,
 		FeatureNames:   c.FeatureNames,
 		Workers:        c.Workers,
-		Histogram:      c.Histogram,
-		MaxBins:        c.MaxBins,
 	}
 }
 

@@ -226,6 +226,10 @@ func TestDatasetValidation(t *testing.T) {
 	if _, err := Build(neg, BuildOptions{}); err == nil {
 		t.Fatal("negative label should error")
 	}
+	nan := &Dataset{X: [][]float64{{1, 0}, {2, math.NaN()}}, Y: []int{0, 1}}
+	if _, err := Build(nan, BuildOptions{}); err == nil {
+		t.Fatal("a NaN feature should error: the split search cannot order it")
+	}
 }
 
 func TestOversampleBoostsRareClass(t *testing.T) {

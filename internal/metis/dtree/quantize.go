@@ -7,9 +7,7 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 
-	"repro/internal/dataset"
 	"repro/internal/parallel"
 )
 
@@ -30,15 +28,11 @@ import (
 //
 // Nodes are laid out breadth-first in flat parallel arrays
 // (Feature/BinThreshold/Left/Right), so the top levels of the tree — the
-// ones every prediction visits — are packed into a few cache lines, and
-// batch traversal can walk the uint8/uint16 bin columns of a
-// dataset.Binned directly (PredictBinnedInto), level by level, with no
-// per-row pointer chasing. This is the representation that shares one
-// columnar layout between training (histogram CART fits on binned columns)
-// and serving, and the compact integer form a data-plane offload wants.
+// ones every prediction visits — are packed into a few cache lines: the
+// compact integer form a data-plane offload wants.
 //
-// A Quantized is built by Tree.Quantize, QuantizeBinned or UnmarshalBinary;
-// its exported fields are read-only after that.
+// A Quantized is built by Tree.Quantize or UnmarshalBinary; its exported
+// fields are read-only after that.
 type Quantized struct {
 	// Feature[i] is the feature tested at node i, or -1 for a leaf.
 	Feature []int32
@@ -84,26 +78,12 @@ func (q *Quantized) NumNodes() int { return len(q.Feature) }
 // quantized serving form, deriving each feature's edge list from the tree's
 // own thresholds. The result predicts bit-identically to t on every input
 // (including NaN, which routes right at every split in both forms).
-func (t *Tree) Quantize() (*Quantized, error) { return QuantizeBinned(t, nil) }
-
-// QuantizeBinned is Quantize against an explicit quantization map: the
-// edge lists of binner (typically Binned.Binner() from the training table's
-// binning) become the quantized tree's edges, so the tree's bin indices are
-// directly comparable with the uint8/uint16 bin columns training packed —
-// one columnar layout for fitting and serving. Every threshold of the tree
-// must be an edge of the binner (always true for histogram-fit trees, whose
-// splits are drawn from the binning's edges); a missing threshold is an
-// error, because dropping or moving it would change predictions. A nil
-// binner derives minimal edge lists from the tree's thresholds alone.
-func QuantizeBinned(t *Tree, binner *dataset.Binner) (*Quantized, error) {
+func (t *Tree) Quantize() (*Quantized, error) {
 	if t.Root == nil {
 		return nil, fmt.Errorf("dtree: quantize: empty tree")
 	}
 	if t.NumFeatures < 0 || t.NumFeatures > maxFeatures {
 		return nil, fmt.Errorf("dtree: quantize: tree declares %d features, max is %d", t.NumFeatures, maxFeatures)
-	}
-	if binner != nil && binner.NumFeatures() != t.NumFeatures {
-		return nil, fmt.Errorf("dtree: quantize: binner has %d features, tree declares %d", binner.NumFeatures(), t.NumFeatures)
 	}
 	q := &Quantized{NumFeatures: t.NumFeatures, NumClasses: t.NumClasses}
 	if t.IsRegression() {
@@ -160,27 +140,20 @@ func QuantizeBinned(t *Tree, binner *dataset.Binner) (*Quantized, error) {
 		perFeature[f] = append(perFeature[f], nd.Threshold)
 	}
 
-	// Edge lists: the binner's verbatim, or the sorted distinct thresholds
-	// per feature.
+	// Edge lists: the sorted distinct thresholds per feature.
 	q.Edges = make([][]float64, t.NumFeatures)
 	for f, ts := range perFeature {
-		if binner != nil {
-			q.Edges[f] = binner.Edges(f)
-		} else {
-			slices.Sort(ts)
-			q.Edges[f] = slices.Compact(ts)
-		}
+		slices.Sort(ts)
+		q.Edges[f] = slices.Compact(ts)
 	}
 
 	for i, f := range q.Feature {
 		if f < 0 {
 			continue
 		}
+		// Always found: e holds every threshold of feature f.
 		e := q.Edges[f]
-		k, found := slices.BinarySearch(e, q.thr[i])
-		if !found {
-			return nil, fmt.Errorf("dtree: quantize: threshold %g of feature %d is not an edge of the binning", q.thr[i], f)
-		}
+		k, _ := slices.BinarySearch(e, q.thr[i])
 		if k+1 > math.MaxUint16 {
 			return nil, fmt.Errorf("dtree: quantize: feature %d needs bin index %d, max is %d", f, k+1, math.MaxUint16)
 		}
@@ -323,83 +296,6 @@ func (q *Quantized) PredictRegBatch(X [][]float64, workers int) [][]float64 {
 	out := make([][]float64, len(X))
 	q.PredictRegBatchInto(X, out, workers)
 	return out
-}
-
-// cursorPool recycles the per-chunk row cursors of PredictBinnedInto, so
-// steady-state binned traversal allocates nothing.
-var cursorPool = sync.Pool{New: func() any {
-	s := make([]int32, batchChunk)
-	return &s
-}}
-
-// PredictBinnedInto evaluates the quantized classification tree directly on
-// the packed bin columns of b — no float comparison, no row gather: sample
-// r's decision is computed entirely from uint8/uint16 loads and integer
-// compares. b must have been binned with the same quantization map the tree
-// was quantized against (QuantizeBinned over b.Binner(), or a histogram fit
-// on b), which the per-feature bin counts cross-check.
-//
-// Traversal is blocked: each chunk of rows descends the breadth-first node
-// levels in lockstep, so one level's node data is hot in cache while every
-// row of the chunk steps through it.
-func (q *Quantized) PredictBinnedInto(b *dataset.Binned, out []int, workers int) error {
-	if q.IsRegression() {
-		return fmt.Errorf("dtree: PredictBinnedInto supports classification trees only")
-	}
-	t := b.Table()
-	if t.NumFeatures() != q.NumFeatures {
-		return fmt.Errorf("dtree: binned table has %d features, tree declares %d", t.NumFeatures(), q.NumFeatures)
-	}
-	for f := 0; f < q.NumFeatures; f++ {
-		if want := len(q.Edges[f]) + 1; len(q.Edges[f]) > 0 && b.NumBins(f) != want {
-			return fmt.Errorf("dtree: feature %d is binned into %d bins, tree quantized against %d — rebin with the tree's binner", f, b.NumBins(f), want)
-		}
-	}
-	if len(out) != t.Len() {
-		return fmt.Errorf("dtree: PredictBinnedInto: %d outputs for %d samples", len(out), t.Len())
-	}
-	forEachChunk(workers, t.Len(), func(lo, hi int) {
-		cp := cursorPool.Get().(*[]int32)
-		cur := *cp
-		if cap(cur) < hi-lo {
-			cur = make([]int32, hi-lo)
-		}
-		cur = cur[:hi-lo]
-		for r := range cur {
-			cur[r] = 0
-		}
-		// Lockstep descent: every pass advances each unfinished row one
-		// level; the pass order matches the breadth-first array order, so
-		// the node data of a level is read once per chunk, not once per row.
-		for stepped := true; stepped; {
-			stepped = false
-			for r := range cur {
-				i := cur[r]
-				f := q.Feature[i]
-				if f < 0 {
-					continue
-				}
-				var bin uint16
-				if col := b.Bins8(int(f)); col != nil {
-					bin = uint16(col[lo+r])
-				} else {
-					bin = b.Bins16(int(f))[lo+r]
-				}
-				if bin < q.BinThreshold[i] {
-					cur[r] = q.Left[i]
-				} else {
-					cur[r] = q.Right[i]
-				}
-				stepped = true
-			}
-		}
-		for r, i := range cur {
-			out[lo+r] = int(q.Out[i])
-		}
-		*cp = cur
-		cursorPool.Put(cp)
-	})
-	return nil
 }
 
 // Validate checks the structural invariants evaluation relies on: parallel

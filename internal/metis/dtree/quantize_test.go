@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/dataset"
 )
 
 // quantizedFixture fits a noisy two-feature classification tree and
@@ -362,87 +360,6 @@ func TestPredictBatchIntoIsZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("PredictBatchInto allocated %.1f times per run, want 0", allocs)
-	}
-}
-
-// TestQuantizeBinnedHistogramFit checks the shared-layout contract: a
-// histogram-fit tree quantized against the training table's own binner
-// predicts bit-identically to the tree itself, and the binned-column
-// traversal reproduces the same decisions without touching a float.
-func TestQuantizeBinnedHistogramFit(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	tbl := dataset.New(3)
-	for i := 0; i < 800; i++ {
-		x := []float64{rng.NormFloat64(), rng.Float64() * 10, float64(rng.Intn(4))}
-		label := 0
-		if x[0]+x[1]/5 > 1 {
-			label = 1
-		}
-		tbl.AppendRow(x, label, 1)
-	}
-	tree, err := BuildTable(tbl, BuildOptions{MaxLeaves: 30, Histogram: true, MaxBins: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := tbl.Bin(64, 1)
-	q, err := QuantizeBinned(tree, b.Binner())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	rows := tbl.Rows()
-	want := make([]int, len(rows))
-	for i, x := range rows {
-		want[i] = tree.Predict(x)
-	}
-	if got := q.PredictBatch(rows, 1); !equalInts(got, want) {
-		t.Fatal("quantized float path disagrees with the tree on the training corpus")
-	}
-	binned := make([]int, tbl.Len())
-	for _, workers := range []int{1, 3, 0} {
-		if err := q.PredictBinnedInto(b, binned, workers); err != nil {
-			t.Fatal(err)
-		}
-		if !equalInts(binned, want) {
-			t.Fatalf("binned traversal (workers=%d) disagrees with the tree", workers)
-		}
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestQuantizeBinnedRejectsForeignThreshold pins the exactness guard: a tree
-// whose threshold is not an edge of the supplied binner must be rejected, not
-// silently snapped to a nearby bin.
-func TestQuantizeBinnedRejectsForeignThreshold(t *testing.T) {
-	tree := &Tree{
-		Root: &Node{
-			Feature: 0, Threshold: 0.35,
-			Left:  &Node{Feature: -1, Class: 0},
-			Right: &Node{Feature: -1, Class: 1},
-		},
-		NumFeatures: 1,
-		NumClasses:  2,
-	}
-	binner := dataset.NewBinner([][]float64{{0.25, 0.5}})
-	if _, err := QuantizeBinned(tree, binner); err == nil {
-		t.Fatal("quantizing a threshold absent from the binning should fail")
-	}
-	if _, err := QuantizeBinned(tree, dataset.NewBinner([][]float64{{0.25, 0.35, 0.5}})); err != nil {
-		t.Fatalf("threshold present in the binning should quantize: %v", err)
 	}
 }
 

@@ -175,19 +175,6 @@ func TestForwardBackwardAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestBackwardResultIsNetworkOwned pins the documented contract: the
-// returned input gradient is reused by the next Backward.
-func TestBackwardResultIsNetworkOwned(t *testing.T) {
-	net := pensieveActor()
-	x := make([]float64, 25)
-	net.Forward(x)
-	a := net.Backward(CrossEntropyGrad(net.Forward(x), 0, 1))
-	b := net.Backward(CrossEntropyGrad(net.Forward(x), 1, 1))
-	if &a[0] != &b[0] {
-		t.Fatal("Backward returned a fresh slice; want the network's scratch")
-	}
-}
-
 // malformedNetworks encodes each shape UnmarshalBinary must reject, keyed
 // by a description.
 func malformedNetworks(t testing.TB) map[string][]byte {

@@ -10,9 +10,9 @@
 // inputs just before the output layer (used by the §6.2 "modified structure"
 // experiment).
 //
-// Network.Forward and Network.Backward return slices owned by the network,
-// overwritten by its next call, and allocate nothing: each layer keeps its
-// own scratch. The dense kernels may work on several rows at once, but each
+// Network.Forward returns a slice owned by the network, overwritten by its
+// next call; Forward and Backward allocate nothing: each layer keeps its own
+// scratch. The dense kernels may work on several rows at once, but each
 // output keeps the same float operations in the same order as a plain loop
 // (no reassociation, no explicit FMA), so a faster kernel never changes a
 // trained network's bits.

@@ -145,14 +145,12 @@ func (d *Dense) forward(x []float64) []float64 {
 	return d.a
 }
 
-// backward accumulates gradients given dL/da and returns dL/dx, a slice
-// owned by the layer.
-func (d *Dense) backward(da []float64) []float64 {
+// backward accumulates the parameter gradients given dL/da, leaving dL/dz
+// in the layer's dz scratch.
+func (d *Dense) backward(da []float64) {
 	d.Act.derivMul(d.a, da, d.dz)
 	d.GW.AddOuter(d.dz, d.x, 1)
 	Axpy(1, d.dz, d.GB)
-	d.W.MulVecT(d.dz, d.dx)
-	return d.dx
 }
 
 // Network is a feed-forward network of Dense layers. If SkipInputs is
@@ -246,18 +244,22 @@ func (n *Network) inputDim() int {
 }
 
 // Backward back-propagates dL/dOutput through the network, accumulating
-// parameter gradients. It returns dL/dInput (excluding skip paths); like
-// Forward's result, the slice is owned by the network and overwritten by the
-// next call.
-func (n *Network) Backward(dOut []float64) []float64 {
+// parameter gradients. The gradient with respect to the input is never
+// formed: no caller reads it, so the first layer skips that product.
+func (n *Network) Backward(dOut []float64) {
 	grad := dOut
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].backward(grad)
+		l := n.Layers[i]
+		l.backward(grad)
+		if i == 0 {
+			break
+		}
+		l.W.MulVecT(l.dz, l.dx)
+		grad = l.dx
 		if i == len(n.Layers)-1 && len(n.SkipInputs) > 0 {
 			grad = grad[:len(grad)-len(n.SkipInputs)]
 		}
 	}
-	return grad
 }
 
 // ZeroGrad clears all accumulated gradients.

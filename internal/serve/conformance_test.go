@@ -132,7 +132,8 @@ func confTransports(t *testing.T, e *Engine) []confTransport {
 
 // TestTransportConformance sends the same requests over every transport —
 // in-process, HTTP binary, the pipelined socket and the shared-memory rings —
-// at one and four shards, with and without a mirror installed. Every
+// at one and four shards, with and without a mirror installed. Rows holding
+// NaN and ±Inf are valid input: they walk the tree like any other value. Every
 // transport must give the same answer or the same status and message, and
 // move the requests, predictions, rejected and mirror counters by the same
 // amounts; the errors counter moves once per failed wire request (the
@@ -142,6 +143,8 @@ func confTransports(t *testing.T, e *Engine) []confTransport {
 func TestTransportConformance(t *testing.T) {
 	dir, _, _ := fixtureDir(t)
 	three := [][]float64{{0.9, 0.1}, {0.2, 0.7}, {0.5, 0.5}}
+	nan, inf := math.NaN(), math.Inf(1)
+	nonFinite := [][]float64{{nan, nan}, {inf, -inf}, {-inf, nan}, {0.5, inf}}
 	cases := []struct {
 		name, model string
 		rows        [][]float64
@@ -149,6 +152,8 @@ func TestTransportConformance(t *testing.T) {
 	}{
 		{"classifier", "abr", three, http.StatusOK},
 		{"regressor", "thresholds", three, http.StatusOK},
+		{"classifier, NaN and ±Inf rows", "abr", nonFinite, http.StatusOK},
+		{"regressor, NaN and ±Inf rows", "thresholds", nonFinite, http.StatusOK},
 		{"unknown model", "nope", three, http.StatusNotFound},
 		{"dimension mismatch", "abr", [][]float64{{1, 2, 3}, {4, 5, 6}}, http.StatusBadRequest},
 		{"empty batch", "abr", nil, http.StatusBadRequest},

@@ -83,8 +83,7 @@ type Dataset = dtree.Dataset
 
 // Table is the columnar training dataset of the stack: contiguous
 // per-feature columns plus label/target/weight columns, with zero-copy
-// views for splits, quantile binning for the histogram CART search, and
-// deterministic seeded subsampling. Build one with NewTable /
+// views for splits and deterministic seeded subsampling. Build one with NewTable /
 // NewRegressionTable and AppendRow / AppendRegRow, or columnarize existing
 // rows with TableFromRows / TableFromRegRows; fit it with FitTreeOnTable.
 // Tables persist as versioned artifacts (SaveTable / LoadTable), so a
@@ -111,8 +110,8 @@ func TableFromRegRows(X [][]float64, targets [][]float64, w []float64) (*Table, 
 }
 
 // Distill converts a DNN teacher policy for a local system into a decision
-// tree using the paper's four-step §3.2 recipe. Set DistillConfig.Histogram
-// to use the binned CART split search on large DAgger corpora.
+// tree using the paper's four-step §3.2 recipe. Every CART fit in the loop
+// uses the exact presorted split search.
 func Distill(env Env, teacher Policy, cfg DistillConfig) (*DistillResult, error) {
 	return dtree.DistillPolicy(env, teacher, cfg)
 }
