@@ -14,12 +14,13 @@
 //	metis-exp -scenario jobs,nfv -out models   # persist students + manifests
 //	metis-exp -list-scenarios
 //
-// With -cache, every trained teacher (Pensieve, AuTO lRLA/sRLA, RouteNet*,
-// and the scenario pipeline's teachers) is persisted as a versioned artifact
-// in the given directory; later runs at the same scale load them instead of
-// retraining. With -out, each scenario run writes its student model and a
-// pipeline manifest (provenance record) as artifacts servable or
-// inspectable by metis-serve.
+// -cache names the scenario engine's artifact cache, which -exp and
+// -scenario share: every trained teacher (and every distillation corpus a
+// scenario collects) is persisted there as a versioned artifact, and later
+// runs of either mode at the same scale load it instead of rebuilding it. A
+// figure run after a -scenario run therefore trains nothing. With -out, each
+// scenario run writes its student model and a pipeline manifest (provenance
+// record) as artifacts servable or inspectable by metis-serve.
 //
 // Scales: figures accept test (seconds) and full (minutes); scenarios
 // additionally accept tiny (the whole -scenario all sweep finishes in
@@ -34,10 +35,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
-	"repro/internal/cliutil"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 	_ "repro/internal/scenarios" // register the built-in scenarios
@@ -47,9 +48,10 @@ func main() {
 	exp := flag.String("exp", "", "experiment id (or 'all')")
 	scen := flag.String("scenario", "", "scenario name, comma list, or 'all': run the teacher→student pipeline")
 	scale := flag.String("scale", "test", "scale: test (seconds) or full (minutes); scenarios also accept tiny")
-	cache := flag.String("cache", "", "artifact cache directory: trained teachers persist across runs")
+	cache := flag.String("cache", "", "artifact cache directory shared by -exp and -scenario: trained teachers persist across runs")
 	out := flag.String("out", "", "scenario runs: write student + manifest artifacts to this directory")
-	workers := cliutil.WorkersFlag()
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
+		"worker goroutines for the parallel stages (0 = all cores, 1 = serial; models and figure output are identical at any setting)")
 	list := flag.Bool("list", false, "list available experiment ids")
 	listScen := flag.Bool("list-scenarios", false, "list registered scenario names")
 	flag.Parse()
@@ -70,7 +72,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	w := cliutil.Workers(*workers)
+	w := *workers
+	if w < 0 {
+		fmt.Fprintf(os.Stderr, "-workers must be non-negative (got %d)\n", w)
+		os.Exit(2)
+	}
 	if *cache != "" {
 		if err := os.MkdirAll(*cache, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "cannot create cache directory: %v\n", err)
@@ -114,10 +120,6 @@ func main() {
 		for _, name := range strings.Split(*exp, ",") {
 			run(strings.TrimSpace(name))
 		}
-	}
-	if f.CacheDir != "" {
-		fmt.Printf("cache: %d teachers trained, %d artifacts loaded from %s\n",
-			f.TeachersTrained, f.CacheHits, f.CacheDir)
 	}
 }
 

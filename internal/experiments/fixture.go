@@ -1,37 +1,32 @@
 // Package experiments contains one harness per table and figure of the
 // paper's evaluation (§6 and the appendices). Each harness returns a typed
-// result with a human-readable rendering; cmd/metis-exp prints them and
-// EXPERIMENTS.md records paper-versus-measured values.
+// result with a human-readable rendering; cmd/metis-exp prints them.
 //
 // Heavy artifacts (trained teachers, distilled trees, the RouteNet model)
-// are built once per Fixture and shared across harnesses. Two scales are
-// provided: TestScale (seconds, used by tests and benchmarks) and FullScale
-// (minutes, used for the recorded results).
+// are built once per Fixture and shared across harnesses. The teachers and
+// the AuTO trees come from the registered scenarios (internal/scenarios), so
+// a figure reads the same models, and the same cache, as a pipeline run at
+// its scale. Two scales are provided: TestScale (seconds, used by tests and
+// benchmarks) and FullScale (minutes, used for the recorded results).
 package experiments
 
 import (
-	"encoding"
-	"fmt"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/abr"
-	"repro/internal/artifact"
 	"repro/internal/auto"
 	"repro/internal/metis/dtree"
 	"repro/internal/pensieve"
 	"repro/internal/routenet"
+	"repro/internal/scenario"
 	"repro/internal/scenarios"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
-// The experiment harnesses and the scenario engine share one set of
-// teacher-training recipes (internal/scenarios), so a teacher trained for a
-// figure is bit-identical to one trained by a pipeline run at the same
-// knobs.
-
-// Scale bundles every knob that trades run time for fidelity.
+// Scale bundles every knob that trades run time for fidelity. Name selects
+// the scenario scale (scenario.ScaleTest, scenario.ScaleFull, …) that the
+// teachers are trained at; the other knobs size the figures themselves.
 type Scale struct {
 	Name string
 
@@ -47,13 +42,11 @@ type Scale struct {
 	TreeLeaves   int
 
 	// DCN side.
-	FlowsPerRun     int
-	AuToGenerations int
-	AuToRuns        int // fabric runs for dataset collection / evaluation
+	FlowsPerRun int
+	AuToRuns    int // fabric runs for evaluation
 
 	// Routing side.
 	RouteDemands   int
-	RouteNetGens   int
 	MaskIterations int
 	TrafficSamples int // paper: 50
 }
@@ -64,8 +57,8 @@ var TestScale = Scale{
 	NumTraces: 12, TraceSeconds: 400, VideoChunks: 48,
 	PretrainEps: 200, FinetuneEps: 400, EvalEpisodes: 12,
 	DistillEps: 15, DistillIters: 3, TreeLeaves: 150,
-	FlowsPerRun: 250, AuToGenerations: 6, AuToRuns: 3,
-	RouteDemands: 10, RouteNetGens: 30, MaskIterations: 60, TrafficSamples: 8,
+	FlowsPerRun: 250, AuToRuns: 3,
+	RouteDemands: 10, MaskIterations: 60, TrafficSamples: 8,
 }
 
 // FullScale approximates the paper's settings while staying laptop-friendly.
@@ -74,8 +67,8 @@ var FullScale = Scale{
 	NumTraces: 60, TraceSeconds: 600, VideoChunks: 48,
 	PretrainEps: 400, FinetuneEps: 3000, EvalEpisodes: 40,
 	DistillEps: 25, DistillIters: 3, TreeLeaves: 200,
-	FlowsPerRun: 600, AuToGenerations: 25, AuToRuns: 8,
-	RouteDemands: 20, RouteNetGens: 150, MaskIterations: 150, TrafficSamples: 50,
+	FlowsPerRun: 600, AuToRuns: 8,
+	RouteDemands: 20, MaskIterations: 150, TrafficSamples: 50,
 }
 
 // Fixture lazily builds and caches the trained artifacts shared by the
@@ -91,17 +84,10 @@ type Fixture struct {
 	// changing it never changes a figure or table.
 	Workers int
 
-	// CacheDir, when non-empty, persists every trained teacher (and the
-	// AuTO distilled trees) as versioned artifacts keyed by scale name, so
-	// repeated cmd/metis-exp invocations skip teacher training entirely.
-	// Training seeds are fixed per scale, so a cached artifact is
-	// bit-identical to what retraining would produce.
+	// CacheDir, when non-empty, is the scenario engine's artifact cache
+	// (scenario.Config.CacheDir): teachers and distillation corpora found
+	// there are loaded instead of rebuilt, and the ones built are saved.
 	CacheDir string
-
-	// TeachersTrained counts teachers trained from scratch by this fixture;
-	// CacheHits counts artifacts loaded from CacheDir instead. Together they
-	// make cache effectiveness observable (metis-exp prints them).
-	TeachersTrained, CacheHits int
 
 	onceEnv      sync.Once
 	envHSDPA     *abr.Env
@@ -128,60 +114,29 @@ type Fixture struct {
 // NewFixture creates a fixture at the given scale.
 func NewFixture(s Scale) *Fixture { return &Fixture{Scale: s} }
 
-// cachePath returns the artifact path for a cached model, or "" when caching
-// is disabled.
-func (f *Fixture) cachePath(name string) string {
-	if f.CacheDir == "" {
-		return ""
+// fromScenario returns the model of the named scenario's teacher and, when
+// distill is set, the model of its distilled student. Both come from the
+// scenario engine at the fixture's scale, so they share its teacher and
+// corpus cache in CacheDir: a teacher a -scenario run trained is never
+// trained again for a figure, and the other way round.
+func (f *Fixture) fromScenario(name string, distill bool) (teacher, student any) {
+	sc, ok := scenario.Get(name)
+	if !ok {
+		panic("experiments: scenario " + name + " is not registered")
 	}
-	return filepath.Join(f.CacheDir, fmt.Sprintf("%s-%s.metis", name, f.Scale.Name))
-}
-
-// scaleFingerprint captures every Scale knob. It is stored in the artifact
-// metadata and compared on load, so editing a scale's parameters (not just
-// its name) invalidates previously cached teachers. Changes to training
-// code itself are not fingerprinted — clear the cache directory after
-// touching a trainer.
-func (f *Fixture) scaleFingerprint() string {
-	return fmt.Sprintf("%+v", f.Scale)
-}
-
-// loadCached restores model from the cache, reporting whether it hit. Any
-// load failure (missing file, corruption, kind mismatch) silently falls back
-// to retraining — the cache is an accelerator, never a correctness input.
-func (f *Fixture) loadCached(name string, model any) bool {
-	path := f.cachePath(name)
-	if path == "" {
-		return false
-	}
-	kind, err := artifact.KindOf(model)
+	cfg := scenario.Config{Scale: f.Scale.Name, Workers: f.Workers, CacheDir: f.CacheDir}
+	t, err := sc.Train(cfg)
 	if err != nil {
-		return false
+		panic("experiments: train " + name + ": " + err.Error())
 	}
-	a, err := artifact.Open(path)
-	if err != nil || a.Kind != kind || a.Meta["config"] != f.scaleFingerprint() {
-		return false
+	if !distill {
+		return t.Model(), nil
 	}
-	u, ok := model.(encoding.BinaryUnmarshaler)
-	if !ok || u.UnmarshalBinary(a.Payload) != nil {
-		return false
+	st, err := sc.Distill(cfg, t)
+	if err != nil {
+		panic("experiments: distill " + name + ": " + err.Error())
 	}
-	f.CacheHits++
-	return true
-}
-
-// saveCached persists a freshly trained model. A broken cache directory is a
-// configuration error the user asked for, so it panics loudly rather than
-// silently retraining forever.
-func (f *Fixture) saveCached(name string, model any) {
-	path := f.cachePath(name)
-	if path == "" {
-		return
-	}
-	meta := map[string]string{"name": name, "scale": f.Scale.Name, "config": f.scaleFingerprint()}
-	if err := artifact.SaveModel(path, model, meta); err != nil {
-		panic("experiments: cache save: " + err.Error())
-	}
+	return t.Model(), st.Model()
 }
 
 func (f *Fixture) envs() {
@@ -208,17 +163,11 @@ func (f *Fixture) FixedEnv(kbps float64, chunks int) *abr.Env {
 	})
 }
 
-// Pensieve returns the trained Pensieve teacher (trained on first use via
-// the shared scenarios recipe, or restored from CacheDir).
+// Pensieve returns the trained Pensieve teacher of the abr scenario.
 func (f *Fixture) Pensieve() *pensieve.Agent {
 	f.oncePensieve.Do(func() {
-		f.agent = new(pensieve.Agent)
-		if f.loadCached("pensieve", f.agent) {
-			return
-		}
-		f.agent = scenarios.TrainPensieve(f.EnvHSDPA(), f.Scale.PretrainEps, f.Scale.FinetuneEps, f.Scale.VideoChunks+2, f.Workers)
-		f.TeachersTrained++
-		f.saveCached("pensieve", f.agent)
+		m, _ := f.fromScenario("abr", false)
+		f.agent = m.(*pensieve.Agent)
 	})
 	return f.agent
 }
@@ -237,59 +186,25 @@ func (f *Fixture) PensieveTree() *dtree.DistillResult {
 	return f.tree
 }
 
-// AuTo returns the trained AuTO teachers and their distilled trees (built
-// via the shared scenarios recipes, or restored from CacheDir).
+// AuTo returns the trained AuTO teachers and their distilled trees, from the
+// auto-lrla and auto-srla scenarios.
 func (f *Fixture) AuTo() (lrla *auto.LRLA, srla *auto.SRLA, lrlaTree, srlaTree *dtree.Tree) {
 	f.onceAuto.Do(func() {
-		s := f.Scale
-		f.lrla = new(auto.LRLA)
-		if !f.loadCached("auto-lrla", f.lrla) {
-			f.lrla = scenarios.TrainAuTOLRLA(s.FlowsPerRun, s.AuToGenerations)
-			f.TeachersTrained++
-			f.saveCached("auto-lrla", f.lrla)
-		}
-		f.srla = new(auto.SRLA)
-		if !f.loadCached("auto-srla", f.srla) {
-			f.srla = scenarios.TrainAuTOSRLA(s.FlowsPerRun, s.AuToGenerations)
-			f.TeachersTrained++
-			f.saveCached("auto-srla", f.srla)
-		}
-
-		f.lrlaTree = new(dtree.Tree)
-		if !f.loadCached("auto-lrla-tree", f.lrlaTree) {
-			tr, _, err := scenarios.DistillLRLATree(f.lrla, s.AuToRuns, 2000, f.Workers)
-			if err != nil {
-				panic("experiments: distill lRLA: " + err.Error())
-			}
-			f.lrlaTree = tr
-			f.saveCached("auto-lrla-tree", f.lrlaTree)
-		}
-
-		f.srlaTree = new(dtree.Tree)
-		if !f.loadCached("auto-srla-tree", f.srlaTree) {
-			rt, _, err := scenarios.DistillSRLATree(f.srla, 60, 200, f.Workers)
-			if err != nil {
-				panic("experiments: distill sRLA: " + err.Error())
-			}
-			f.srlaTree = rt
-			f.saveCached("auto-srla-tree", f.srlaTree)
-		}
+		l, lt := f.fromScenario("auto-lrla", true)
+		s, st := f.fromScenario("auto-srla", true)
+		f.lrla, f.lrlaTree = l.(*auto.LRLA), lt.(*dtree.Tree)
+		f.srla, f.srlaTree = s.(*auto.SRLA), st.(*dtree.Tree)
 	})
 	return f.lrla, f.srla, f.lrlaTree, f.srlaTree
 }
 
-// RouteNet returns the NSFNet graph and a trained RouteNet model (built via
-// the shared scenarios recipe, or restored from CacheDir).
+// RouteNet returns the NSFNet graph and the trained RouteNet* model of the
+// routenet scenario.
 func (f *Fixture) RouteNet() (*topo.Graph, *routenet.Model) {
 	f.onceRoute.Do(func() {
 		f.graph = scenarios.NSFNetGraph()
-		f.rnet = new(routenet.Model)
-		if f.loadCached("routenet", f.rnet) {
-			return
-		}
-		f.rnet = scenarios.TrainRouteNet(f.graph, f.Scale.RouteDemands, f.Scale.RouteNetGens)
-		f.TeachersTrained++
-		f.saveCached("routenet", f.rnet)
+		m, _ := f.fromScenario("routenet", false)
+		f.rnet = m.(*routenet.Model)
 	})
 	return f.graph, f.rnet
 }

@@ -220,6 +220,12 @@ func TestTeacherCacheRoundTrip(t *testing.T) {
 	if cfg.LoadCachedTeacher("fake", "fp2", new(mask.Result)) {
 		t.Fatal("fingerprint mismatch still hit")
 	}
+	// The same name and fingerprint at another scale is another teacher.
+	other := cfg
+	other.Scale = ScaleTest
+	if other.LoadCachedTeacher("fake", "fp1", new(mask.Result)) {
+		t.Fatal("a teacher cached at one scale hit at another")
+	}
 	// Caching disabled: both paths are no-ops.
 	off := Config{Scale: ScaleTiny}
 	if err := off.SaveCachedTeacher("fake", "fp1", model); err != nil {

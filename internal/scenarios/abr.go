@@ -11,9 +11,9 @@ import (
 	"repro/internal/stats"
 )
 
-// abrParams are the per-scale knobs of the abr scenario. Test and full
-// mirror the experiment fixture's scales, so a pipeline teacher matches a
-// figure teacher bit for bit.
+// abrParams are the per-scale knobs of the abr scenario. The figure
+// harnesses train their Pensieve teacher through this scenario, so these
+// are its only training knobs.
 type abrParams struct {
 	NumTraces, TraceSeconds, VideoChunks int
 	PretrainEps, FinetuneEps, EvalTraces int
@@ -52,7 +52,7 @@ type abrTeacher struct {
 // train returns the memoized training environment.
 func (t *abrTeacher) train() *abr.Env {
 	if t.trainEnv == nil {
-		t.trainEnv = ABRTrainEnv(t.params.NumTraces, t.params.TraceSeconds, t.params.VideoChunks)
+		t.trainEnv = abrTrainEnv(t.params.NumTraces, t.params.TraceSeconds, t.params.VideoChunks)
 	}
 	return t.trainEnv
 }
@@ -60,7 +60,7 @@ func (t *abrTeacher) train() *abr.Env {
 // heldout returns the memoized held-out environment.
 func (t *abrTeacher) heldout() *abr.Env {
 	if t.heldoutEnv == nil {
-		t.heldoutEnv = ABRHeldoutEnv(t.params.NumTraces, t.params.TraceSeconds, t.params.VideoChunks)
+		t.heldoutEnv = abrHeldoutEnv(t.params.NumTraces, t.params.TraceSeconds, t.params.VideoChunks)
 	}
 	return t.heldoutEnv
 }
@@ -98,7 +98,7 @@ func (sc abrScenario) Train(cfg scenario.Config) (scenario.Teacher, error) {
 	}
 	t := &abrTeacher{agent: new(pensieve.Agent), params: p}
 	if !cfg.LoadCachedTeacher("abr", sc.Fingerprint(cfg), t.agent) {
-		t.agent = TrainPensieve(t.train(), p.PretrainEps, p.FinetuneEps, p.VideoChunks+2, cfg.Workers)
+		t.agent = trainPensieve(t.train(), p.PretrainEps, p.FinetuneEps, p.VideoChunks+2, cfg.Workers)
 		if err := cfg.SaveCachedTeacher("abr", sc.Fingerprint(cfg), t.agent); err != nil {
 			return nil, err
 		}

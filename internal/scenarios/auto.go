@@ -11,8 +11,8 @@ import (
 	"repro/internal/scenario"
 )
 
-// lrlaParams are the per-scale knobs of the auto-lrla scenario. Test and
-// full mirror the experiment fixture's scales.
+// lrlaParams are the per-scale knobs of the auto-lrla scenario. The figure
+// harnesses take their lRLA teacher and tree from this scenario.
 type lrlaParams struct {
 	FlowsPerRun, Generations int
 	// DatasetRuns is how many teacher-in-the-loop fabric runs feed the
@@ -29,8 +29,8 @@ var lrlaScales = map[string]lrlaParams{
 	scenario.ScaleFull: {FlowsPerRun: 600, Generations: 25, DatasetRuns: 8, MaxLeaves: 2000, EvalFlows: 600},
 }
 
-// seedEvalFlows is the canonical workload seed for head-to-head fabric runs
-// (the same seed cmd/metis-dcn compares on).
+// seedEvalFlows is the canonical workload seed for the head-to-head fabric
+// run that compares teacher and student.
 const seedEvalFlows = 99
 
 // lrlaTeacher wraps the trained long-flow agent.
@@ -75,7 +75,7 @@ func (sc lrlaScenario) Train(cfg scenario.Config) (scenario.Teacher, error) {
 	}
 	l := new(auto.LRLA)
 	if !cfg.LoadCachedTeacher("auto-lrla", sc.Fingerprint(cfg), l) {
-		l = TrainAuTOLRLA(p.FlowsPerRun, p.Generations)
+		l = trainAuTOLRLA(p.FlowsPerRun, p.Generations)
 		if err := cfg.SaveCachedTeacher("auto-lrla", sc.Fingerprint(cfg), l); err != nil {
 			return nil, err
 		}
@@ -98,7 +98,7 @@ func (sc lrlaScenario) Distill(cfg scenario.Config, t scenario.Teacher) (scenari
 	if ds, ok := cfg.LoadCachedDataset("auto-lrla", sc.Fingerprint(cfg)); ok {
 		return sc.Refit(cfg, ds)
 	}
-	tree, ds, err := DistillLRLATree(lt.l, p.DatasetRuns, p.MaxLeaves, cfg.Workers)
+	tree, ds, err := distillLRLATree(lt.l, p.DatasetRuns, p.MaxLeaves, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +208,7 @@ func (sc srlaScenario) Train(cfg scenario.Config) (scenario.Teacher, error) {
 	}
 	s := new(auto.SRLA)
 	if !cfg.LoadCachedTeacher("auto-srla", sc.Fingerprint(cfg), s) {
-		s = TrainAuTOSRLA(p.FlowsPerRun, p.Generations)
+		s = trainAuTOSRLA(p.FlowsPerRun, p.Generations)
 		if err := cfg.SaveCachedTeacher("auto-srla", sc.Fingerprint(cfg), s); err != nil {
 			return nil, err
 		}
@@ -222,7 +222,7 @@ func (srlaScenario) Distill(cfg scenario.Config, t scenario.Teacher) (scenario.S
 		return nil, fmt.Errorf("auto-srla: teacher is %T, not an srla teacher", t)
 	}
 	p := st.params
-	tree, _, err := DistillSRLATree(st.s, p.DatasetSamples, p.MaxLeaves, cfg.Workers)
+	tree, _, err := distillSRLATree(st.s, p.DatasetSamples, p.MaxLeaves, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

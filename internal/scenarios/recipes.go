@@ -6,10 +6,9 @@
 // association). All register themselves at init time; drive them through
 // scenario.Pipeline (cmd/metis-exp -scenario, metis.RunScenario).
 //
-// The teacher-training recipes here are shared with experiments.Fixture:
-// the figure harnesses and the scenario engine call the same functions with
-// the same canonical seeds, so a teacher trained for a figure is
-// bit-identical to one trained for a pipeline run at the same knobs.
+// The figure harnesses (experiments.Fixture) take their teachers and AuTO
+// trees from these scenarios, so a figure and a pipeline run at one scale
+// read the same models from the same cache.
 package scenarios
 
 import (
@@ -26,8 +25,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Canonical seeds of the reproduction, fixed so every harness trains the
-// same teachers (the values are historical — they match the seed state's
+// Canonical seeds of the reproduction, fixed so every run trains the same
+// teachers (the values are historical — they match the seed state's
 // hand-written fixtures).
 const (
 	seedHSDPATrain    = 7
@@ -47,16 +46,16 @@ const (
 	seedRouteNetTrain = 43
 )
 
-// ABRTrainEnv builds the canonical HSDPA-like training environment.
-func ABRTrainEnv(numTraces, traceSeconds, videoChunks int) *abr.Env {
+// abrTrainEnv builds the canonical HSDPA-like training environment.
+func abrTrainEnv(numTraces, traceSeconds, videoChunks int) *abr.Env {
 	return abr.NewEnv(abr.Config{
 		Video:  abr.StandardVideo(videoChunks, 1),
 		Traces: trace.HSDPA(numTraces, traceSeconds, seedHSDPATrain),
 	})
 }
 
-// ABRHeldoutEnv builds the canonical held-out HSDPA-like test environment.
-func ABRHeldoutEnv(numTraces, traceSeconds, videoChunks int) *abr.Env {
+// abrHeldoutEnv builds the canonical held-out HSDPA-like test environment.
+func abrHeldoutEnv(numTraces, traceSeconds, videoChunks int) *abr.Env {
 	return abr.NewEnv(abr.Config{
 		Video:  abr.StandardVideo(videoChunks, 1),
 		Traces: trace.HSDPA(numTraces, traceSeconds, seedHSDPAHeldout),
@@ -66,21 +65,21 @@ func ABRHeldoutEnv(numTraces, traceSeconds, videoChunks int) *abr.Env {
 // ABREnvs builds the canonical ABR environments: the HSDPA-like training
 // set, the FCC-like set, and a held-out HSDPA-like test set.
 func ABREnvs(numTraces, traceSeconds, videoChunks int) (train, fcc, heldout *abr.Env) {
-	train = ABRTrainEnv(numTraces, traceSeconds, videoChunks)
+	train = abrTrainEnv(numTraces, traceSeconds, videoChunks)
 	fcc = abr.NewEnv(abr.Config{
 		Video:  abr.StandardVideo(videoChunks, 1),
 		Traces: trace.FCC(numTraces, traceSeconds, seedFCC),
 	})
-	heldout = ABRHeldoutEnv(numTraces, traceSeconds, videoChunks)
+	heldout = abrHeldoutEnv(numTraces, traceSeconds, videoChunks)
 	return train, fcc, heldout
 }
 
-// TrainPensieve trains the Pensieve teacher with the canonical recipe:
+// trainPensieve trains the Pensieve teacher with the canonical recipe:
 // supervised pretraining toward a robust-MPC-like target, then A2C
 // fine-tuning on the same environment. workers bounds the goroutines that
 // roll the pretraining demonstrations out; the agent is the same for any
 // count.
-func TrainPensieve(env *abr.Env, pretrainEps, finetuneEps, maxSteps, workers int) *pensieve.Agent {
+func trainPensieve(env *abr.Env, pretrainEps, finetuneEps, maxSteps, workers int) *pensieve.Agent {
 	agent := pensieve.NewAgent(seedPensieveAgent, false)
 	pensieve.Pretrain(agent, env, pretrainEps, seedPretrain, workers)
 	agent.A2C.Train(env, finetuneEps, maxSteps, seedFinetune)
@@ -103,26 +102,26 @@ func PensieveDistillConfig(leaves, iters, epsPerIter, maxSteps, workers int) dtr
 	}
 }
 
-// TrainAuTOLRLA trains the AuTO long-flow agent on the web-search workload
+// trainAuTOLRLA trains the AuTO long-flow agent on the web-search workload
 // with the canonical seeds.
-func TrainAuTOLRLA(flowsPerRun, generations int) *auto.LRLA {
+func trainAuTOLRLA(flowsPerRun, generations int) *auto.LRLA {
 	l := auto.NewLRLA(seedLRLAAgent)
 	auto.TrainLRLA(l, auto.TrainConfig{Workload: dcn.WebSearch, FlowsPerRun: flowsPerRun, Generations: generations, Seed: seedLRLATrain})
 	return l
 }
 
-// TrainAuTOSRLA trains the AuTO short-flow (threshold) agent on the
+// trainAuTOSRLA trains the AuTO short-flow (threshold) agent on the
 // web-search workload with the canonical seeds.
-func TrainAuTOSRLA(flowsPerRun, generations int) *auto.SRLA {
+func trainAuTOSRLA(flowsPerRun, generations int) *auto.SRLA {
 	s := auto.NewSRLA(seedSRLAAgent)
 	auto.TrainSRLA(s, auto.TrainConfig{Workload: dcn.WebSearch, FlowsPerRun: flowsPerRun, Generations: generations, Seed: seedSRLATrain})
 	return s
 }
 
-// DistillLRLATree collects lRLA decisions over fabric runs and fits the
+// distillLRLATree collects lRLA decisions over fabric runs and fits the
 // classification student, returning the tree and the columnar table it was
 // fitted on.
-func DistillLRLATree(l *auto.LRLA, runs, maxLeaves, workers int) (*dtree.Tree, *dataset.Table, error) {
+func distillLRLATree(l *auto.LRLA, runs, maxLeaves, workers int) (*dtree.Tree, *dataset.Table, error) {
 	states, actions := auto.CollectLRLADataset(l, dcn.WebSearch, runs, seedLRLADataset)
 	if len(states) == 0 {
 		return nil, nil, errors.New("scenarios: no lRLA decisions collected")
@@ -140,9 +139,9 @@ func DistillLRLATree(l *auto.LRLA, runs, maxLeaves, workers int) (*dtree.Tree, *
 	return tr, ds, nil
 }
 
-// DistillSRLATree samples sRLA threshold outputs and fits the regression
+// distillSRLATree samples sRLA threshold outputs and fits the regression
 // student, returning the tree and the columnar table it was fitted on.
-func DistillSRLATree(s *auto.SRLA, samples, maxLeaves, workers int) (*dtree.Tree, *dataset.Table, error) {
+func distillSRLATree(s *auto.SRLA, samples, maxLeaves, workers int) (*dtree.Tree, *dataset.Table, error) {
 	states, targets := auto.CollectSRLADataset(s, dcn.WebSearch, samples, seedSRLADataset)
 	ds, err := dataset.FromRegRows(states, targets, nil)
 	if err != nil {
@@ -159,9 +158,9 @@ func DistillSRLATree(s *auto.SRLA, samples, maxLeaves, workers int) (*dtree.Tree
 // capacity).
 func NSFNetGraph() *topo.Graph { return topo.NSFNet(10) }
 
-// TrainRouteNet trains the RouteNet* delay predictor on g with the
+// trainRouteNet trains the RouteNet* delay predictor on g with the
 // canonical seeds.
-func TrainRouteNet(g *topo.Graph, demands, generations int) *routenet.Model {
+func trainRouteNet(g *topo.Graph, demands, generations int) *routenet.Model {
 	m := routenet.NewModel(seedRouteNetModel)
 	m.Train(g, routenet.TrainConfig{Demands: demands, Generations: generations, Seed: seedRouteNetTrain})
 	return m

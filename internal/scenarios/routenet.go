@@ -127,7 +127,7 @@ func (sc routenetScenario) Train(cfg scenario.Config) (scenario.Teacher, error) 
 	g := NSFNetGraph()
 	model := new(routenet.Model)
 	if !cfg.LoadCachedTeacher("routenet", sc.Fingerprint(cfg), model) {
-		model = TrainRouteNet(g, p.Demands, p.Generations)
+		model = trainRouteNet(g, p.Demands, p.Generations)
 		if err := cfg.SaveCachedTeacher("routenet", sc.Fingerprint(cfg), model); err != nil {
 			return nil, err
 		}

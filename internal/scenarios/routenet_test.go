@@ -62,7 +62,7 @@ func referenceOutput(m *routenet.Model, g *topo.Graph, r *routing.Routing, mask 
 // routing the optimizer chose and for one it did not.
 func TestRouteNetOutputMatchesReference(t *testing.T) {
 	g := NSFNetGraph()
-	model := TrainRouteNet(g, 6, 2)
+	model := trainRouteNet(g, 6, 2)
 	opt := &routenet.Optimizer{Model: model, Graph: g}
 	demands := routing.RandomDemands(g, 7, 3, 9, 917)
 	routings := map[string]*routing.Routing{

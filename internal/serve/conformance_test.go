@@ -22,11 +22,21 @@ func (m *countingMirror) Observe(string, [][]float64, []int) { m.observes.Add(1)
 func (m *countingMirror) Snapshot() MirrorSnapshot           { return MirrorSnapshot{} }
 
 // confCounters is the engine accounting the conformance suite compares.
-type confCounters struct{ requests, predictions, errors, rejected, observes int64 }
+type confCounters struct{ requests, predictions, latency, errors, rejected, observes int64 }
 
 func (c confCounters) minus(d confCounters) confCounters {
-	return confCounters{c.requests - d.requests, c.predictions - d.predictions,
+	return confCounters{c.requests - d.requests, c.predictions - d.predictions, c.latency - d.latency,
 		c.errors - d.errors, c.rejected - d.rejected, c.observes - d.observes}
+}
+
+// confCount reads e's counters and mirror's observations.
+func confCount(e *Engine, mirror *countingMirror) confCounters {
+	c := confCounters{requests: e.requestsTotal(), latency: int64(e.Latency().Count()),
+		errors: e.errors.Load(), rejected: e.rejected.Load(), observes: mirror.observes.Load()}
+	for _, m := range e.Models() {
+		c.predictions += m.predictions.Load()
+	}
+	return c
 }
 
 // confAnswer is one transport's answer to one request: the HTTP-equivalent
@@ -135,11 +145,12 @@ func confTransports(t *testing.T, e *Engine) []confTransport {
 // at one and four shards, with and without a mirror installed. Rows holding
 // NaN and ±Inf are valid input: they walk the tree like any other value. Every
 // transport must give the same answer or the same status and message, and
-// move the requests, predictions, rejected and mirror counters by the same
-// amounts; the errors counter moves once per failed wire request (the
-// in-process API leaves error accounting to its caller). With the only
+// move the requests, predictions, latency, rejected and mirror counters by
+// the same amounts; the errors counter moves once per failed wire request
+// (the in-process API leaves error accounting to its caller). With the only
 // admission token held, an unknown model is still a 404 everywhere and a
-// valid batch a 503.
+// valid batch a 503. A ring response larger than its slot is a 413 that
+// predicts nothing.
 func TestTransportConformance(t *testing.T) {
 	dir, _, _ := fixtureDir(t)
 	three := [][]float64{{0.9, 0.1}, {0.2, 0.7}, {0.5, 0.5}}
@@ -170,19 +181,11 @@ func TestTransportConformance(t *testing.T) {
 				if mirrored {
 					e.SetMirror(mirror)
 				}
-				counters := func() confCounters {
-					c := confCounters{requests: e.requestsTotal(), errors: e.errors.Load(),
-						rejected: e.rejected.Load(), observes: mirror.observes.Load()}
-					for _, m := range e.Models() {
-						c.predictions += m.predictions.Load()
-					}
-					return c
-				}
 				transports := confTransports(t, e)
 				ask := func(t *testing.T, tr confTransport, model string, rows [][]float64) confAnswer {
-					before := counters()
+					before := confCount(e, mirror)
 					status, msg, p := tr.call(t, model, rows)
-					return confAnswer{status: status, msg: msg, pred: p, delta: counters().minus(before)}
+					return confAnswer{status: status, msg: msg, pred: p, delta: confCount(e, mirror).minus(before)}
 				}
 				check := func(t *testing.T, model string, rows [][]float64, wantStatus int) {
 					t.Helper()
@@ -218,6 +221,39 @@ func TestTransportConformance(t *testing.T) {
 					defer func() { <-e.inflight }()
 					check(t, "nope", three, http.StatusNotFound)
 					check(t, "abr", three, http.StatusServiceUnavailable)
+				})
+				t.Run("ring response larger than its slot", func(t *testing.T) {
+					// Ring slots are the one fixed-size response buffer. 64
+					// regression rows need a 13+64·8 = 525-byte response, which
+					// a 256-byte slot cannot hold: the batch is refused before
+					// admission, counted like any validation failure, and
+					// predicts, times and mirrors nothing. The engine lifts the
+					// 4-row cap so that the slot, not the cap, refuses it.
+					big, err := NewEngine(dir, Config{Shards: shards})
+					if err != nil {
+						t.Fatal(err)
+					}
+					bigMirror := &countingMirror{}
+					if mirrored {
+						big.SetMirror(bigMirror)
+					}
+					rows := make([][]float64, 64)
+					for i := range rows {
+						rows[i] = []float64{0.1, 0.2}
+					}
+					var req bytes.Buffer
+					if err := EncodeBatchRequest(&req, "thresholds", rows); err != nil {
+						t.Fatal(err)
+					}
+					var s batchScratch
+					before := confCount(big, bigMirror)
+					status, msg, _ := wireAnswer(t, big.shmEncode(alignedCopy(req.Bytes()), &s, make([]byte, 0, 256)))
+					if status != http.StatusRequestEntityTooLarge {
+						t.Fatalf("status %d (%s), want 413", status, msg)
+					}
+					if got, want := confCount(big, bigMirror).minus(before), (confCounters{requests: 1, errors: 1}); got != want {
+						t.Fatalf("counters moved by %+v, want %+v", got, want)
+					}
 				})
 			})
 		}

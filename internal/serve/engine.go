@@ -92,6 +92,14 @@ func (e *DimensionError) Error() string {
 	return fmt.Sprintf("serve: input %d has %d features, model %q wants %d", e.Row, e.Got, e.Model, e.Want)
 }
 
+// responseSizeError reports a batch whose binary response cannot fit the
+// transport's fixed response buffer, a ring slot (HTTP 413).
+type responseSizeError struct{ Need, Cap int }
+
+func (e *responseSizeError) Error() string {
+	return fmt.Sprintf("serve: response needs %d bytes, ring slot holds %d", e.Need, e.Cap)
+}
+
 // Model is one servable entry in the registry: a quantized tree plus the
 // artifact metadata it was loaded with.
 type Model struct {
@@ -482,21 +490,22 @@ func (e *Engine) Predict(name string, rows [][]float64) (*Prediction, error) {
 // steady-state predictions without growing the heap. On error p is left
 // unmodified.
 func (e *Engine) PredictInto(name string, rows [][]float64, p *Prediction) error {
-	return e.predictTenant("", name, rows, p)
+	return e.predictTenant("", name, rows, p, 0)
 }
 
 // predictTenant is PredictInto under a tenant identity for weighted fair
 // admission, and the only code that walks a tree for a served request: the
 // in-process API and every transport end here. The request is validated —
-// model lookup, empty batch, row cap, row width — before it is admitted, so
-// a request that cannot be served never takes an admission token or creates
-// a tenant. Every call counts once: on its model's shard when it fails
-// validation or is admitted, in the rejected counter when admission turns it
-// away.
-func (e *Engine) predictTenant(tenant, name string, rows [][]float64, p *Prediction) error {
+// model lookup, empty batch, row cap, response size, row width — before it
+// is admitted, so a request that cannot be served never takes an admission
+// token or creates a tenant. respCap is the byte capacity of a transport's
+// fixed response buffer (a ring slot), or 0 where the buffer grows. Every
+// call counts once: on its model's shard when it fails validation or is
+// admitted, in the rejected counter when admission turns it away.
+func (e *Engine) predictTenant(tenant, name string, rows [][]float64, p *Prediction, respCap int) error {
 	st := e.state.Load()
 	sh := st.shardOf(name)
-	m, err := e.validate(st, name, len(rows))
+	m, err := e.validate(st, name, len(rows), respCap)
 	if err == nil {
 		features := m.NumFeatures()
 		for i, row := range rows {
@@ -554,8 +563,9 @@ func (e *Engine) predictTenant(tenant, name string, rows [][]float64, p *Predict
 
 // validate resolves name in st and checks a batch of n rows against it, in
 // the order every transport reports failures: model lookup, empty batch, row
-// cap. predictTenant adds the row-width check.
-func (e *Engine) validate(st *shardSet, name string, n int) (*Model, error) {
+// cap, and — when respCap > 0 — whether the binary response fits respCap
+// bytes. predictTenant adds the row-width check.
+func (e *Engine) validate(st *shardSet, name string, n, respCap int) (*Model, error) {
 	m, ok := st.models[name]
 	switch {
 	case !ok:
@@ -564,6 +574,17 @@ func (e *Engine) validate(st *shardSet, name string, n int) (*Model, error) {
 		return nil, ErrEmptyBatch
 	case n > e.maxBatch():
 		return nil, &BatchSizeError{Rows: n, Max: e.maxBatch()}
+	}
+	if respCap > 0 {
+		// The appendBatchResponse layout: a 13-byte header, then an int32
+		// action or OutDim float64 values per row.
+		need := 13 + n*4
+		if q := m.Quantized; q.IsRegression() {
+			need = 13 + n*q.OutDim*8
+		}
+		if need > respCap {
+			return nil, &responseSizeError{Need: need, Cap: respCap}
+		}
 	}
 	return m, nil
 }
@@ -585,7 +606,7 @@ func (e *Engine) decodeRefusal(name string, derr error) error {
 	}
 	st := e.state.Load()
 	st.shardOf(name).requests.Add(1)
-	if _, err := e.validate(st, name, size.Rows); err != nil {
+	if _, err := e.validate(st, name, size.Rows, 0); err != nil {
 		return err
 	}
 	return derr

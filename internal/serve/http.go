@@ -186,7 +186,7 @@ func (e *Engine) predictBinary(w http.ResponseWriter, r *http.Request, name stri
 		}
 	}
 	if err = e.decodeRefusal(name, err); err == nil {
-		err = e.predictTenant(r.Header.Get(TenantHeader), name, rows, &s.pred)
+		err = e.predictTenant(r.Header.Get(TenantHeader), name, rows, &s.pred, 0)
 	}
 	if err != nil {
 		e.failErr(w, err)
@@ -242,7 +242,7 @@ func (e *Engine) predictJSON(w http.ResponseWriter, r *http.Request, name string
 		rows = [][]float64{req.X}
 	}
 	var p Prediction
-	if err := e.predictTenant(r.Header.Get(TenantHeader), name, rows, &p); err != nil {
+	if err := e.predictTenant(r.Header.Get(TenantHeader), name, rows, &p, 0); err != nil {
 		e.failErr(w, err)
 		return
 	}

@@ -359,9 +359,9 @@ func (e *Engine) shmAnswer(seg *shmring.Segment, id uint32, frame []byte, s *bat
 // shmEncode dispatches one request payload and encodes the response into
 // slot — in place when it fits, and as a truncated in-slot error frame when
 // it cannot. It mirrors udsDispatch, predicting through the same
-// predictTenant path, except that nothing here may
-// reallocate off the slab: the response size is checked against the slot
-// before encoding.
+// predictTenant path, except that nothing here may reallocate off the slab:
+// predictTenant refuses a batch whose response would not fit the slot
+// before admitting it, so such a request is a 413 that predicted nothing.
 func (e *Engine) shmEncode(frame []byte, s *batchScratch, slot []byte) []byte {
 	switch FrameKind(frame) {
 	case batchMagic:
@@ -371,19 +371,10 @@ func (e *Engine) shmEncode(frame []byte, s *batchScratch, slot []byte) []byte {
 		// shared-memory transport exists for.
 		model, rows, err := s.decodeRequestBytes(frame, e.maxBatch(), true)
 		if err = e.decodeRefusal(model, err); err == nil {
-			err = e.predictTenant("", model, rows, &s.pred)
+			err = e.predictTenant("", model, rows, &s.pred, cap(slot))
 		}
 		if err != nil {
 			return e.shmError(slot, err)
-		}
-		need := 13 + len(s.pred.Actions)*4
-		if s.pred.Values != nil {
-			need = 13 + len(s.pred.Values)*len(s.pred.Values[0])*8
-		}
-		if need > cap(slot) {
-			e.errors.Add(1)
-			return appendErrorPayloadBounded(slot, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("response needs %d bytes, ring slot holds %d", need, cap(slot)))
 		}
 		out, aerr := appendBatchResponse(slot, &s.pred)
 		if aerr != nil {

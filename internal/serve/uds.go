@@ -564,7 +564,7 @@ func (e *Engine) udsPredict(frame []byte, s *batchScratch, out []byte) []byte {
 func (e *Engine) udsPredictDecoded(model string, rows [][]float64, derr error, pred *Prediction, out []byte) []byte {
 	err := e.decodeRefusal(model, derr)
 	if err == nil {
-		err = e.predictTenant("", model, rows, pred)
+		err = e.predictTenant("", model, rows, pred, 0)
 	}
 	if err != nil {
 		return e.udsError(out, err)
@@ -641,13 +641,14 @@ func errorStatus(err error) int {
 	var (
 		unknown *UnknownModelError
 		size    *BatchSizeError
+		resp    *responseSizeError
 	)
 	switch {
 	case errors.Is(err, ErrBusy):
 		return http.StatusServiceUnavailable
 	case errors.As(err, &unknown):
 		return http.StatusNotFound
-	case errors.As(err, &size):
+	case errors.As(err, &size), errors.As(err, &resp):
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
