@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/shmring"
 )
@@ -142,15 +143,16 @@ func confTransports(t *testing.T, e *Engine) []confTransport {
 
 // TestTransportConformance sends the same requests over every transport —
 // in-process, HTTP binary, the pipelined socket and the shared-memory rings —
-// at one and four shards, with and without a mirror installed. Rows holding
-// NaN and ±Inf are valid input: they walk the tree like any other value. Every
-// transport must give the same answer or the same status and message, and
-// move the requests, predictions, latency, rejected and mirror counters by
-// the same amounts; the errors counter moves once per failed wire request
-// (the in-process API leaves error accounting to its caller). With the only
-// admission token held, an unknown model is still a 404 everywhere and a
-// valid batch a 503. A ring response larger than its slot is a 413 that
-// predicts nothing.
+// at one and four shards, with and without weighted tenants, and with and
+// without a mirror installed. Rows holding NaN and ±Inf are valid input: they
+// walk the tree like any other value. Every transport must give the same
+// answer or the same status and message, and move the requests, predictions,
+// latency, rejected and mirror counters by the same amounts; the errors
+// counter moves once per failed wire request (the in-process API leaves error
+// accounting to its caller). With the only admission token held (and, with
+// tenants, the model's queue full), an unknown model is still a 404
+// everywhere and a valid batch a 503. A ring response larger than its slot is
+// a 413 that predicts nothing.
 func TestTransportConformance(t *testing.T) {
 	dir, _, _ := fixtureDir(t)
 	three := [][]float64{{0.9, 0.1}, {0.2, 0.7}, {0.5, 0.5}}
@@ -170,10 +172,17 @@ func TestTransportConformance(t *testing.T) {
 		{"empty batch", "abr", nil, http.StatusBadRequest},
 		{"over the row cap", "abr", [][]float64{{1, 2}, {1, 2}, {1, 2}, {1, 2}, {1, 2}}, http.StatusRequestEntityTooLarge},
 	}
-	for _, shards := range []int{1, 4} {
+	gold := map[string]float64{"gold": 3}
+	for _, base := range []Config{{Shards: 1}, {Shards: 4}, {Shards: 1, Tenants: gold}, {Shards: 4, Tenants: gold}} {
 		for _, mirrored := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards=%d/mirror=%v", shards, mirrored), func(t *testing.T) {
-				e, err := NewEngine(dir, Config{MaxBatch: 4, MaxInflight: 1, Shards: shards, SHMDir: t.TempDir()})
+			name := fmt.Sprintf("shards=%d/mirror=%v", base.Shards, mirrored)
+			if base.Tenants != nil {
+				name = "tenants/" + name
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := base
+				cfg.MaxBatch, cfg.MaxInflight, cfg.TenantQueue, cfg.SHMDir = 4, 1, 1, t.TempDir()
+				e, err := NewEngine(dir, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -217,8 +226,7 @@ func TestTransportConformance(t *testing.T) {
 					t.Run(c.name, func(t *testing.T) { check(t, c.model, c.rows, c.status) })
 				}
 				t.Run("admission token held", func(t *testing.T) {
-					e.inflight <- struct{}{}
-					defer func() { <-e.inflight }()
+					defer holdGate(t, e, "abr")()
 					check(t, "nope", three, http.StatusNotFound)
 					check(t, "abr", three, http.StatusServiceUnavailable)
 				})
@@ -229,7 +237,7 @@ func TestTransportConformance(t *testing.T) {
 					// admission, counted like any validation failure, and
 					// predicts, times and mirrors nothing. The engine lifts the
 					// 4-row cap so that the slot, not the cap, refuses it.
-					big, err := NewEngine(dir, Config{Shards: shards})
+					big, err := NewEngine(dir, Config{Shards: cfg.Shards})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -247,7 +255,7 @@ func TestTransportConformance(t *testing.T) {
 					}
 					var s batchScratch
 					before := confCount(big, bigMirror)
-					status, msg, _ := wireAnswer(t, big.shmEncode(alignedCopy(req.Bytes()), &s, make([]byte, 0, 256)))
+					status, msg, _ := wireAnswer(t, big.answer(alignedCopy(req.Bytes()), &s, make([]byte, 0, 256), 256))
 					if status != http.StatusRequestEntityTooLarge {
 						t.Fatalf("status %d (%s), want 413", status, msg)
 					}
@@ -256,6 +264,36 @@ func TestTransportConformance(t *testing.T) {
 					}
 				})
 			})
+		}
+	}
+}
+
+// holdGate takes the engine's only admission token and, on a tenant engine,
+// fills model's queue with blocked waiters, so that the next valid call for
+// model is rejected at once. The returned func lets them all go.
+func holdGate(t *testing.T, e *Engine, model string) func() {
+	t.Helper()
+	if err := e.gate.acquire("held"); err != nil {
+		t.Fatal(err)
+	}
+	waiters := e.gate.maxQueue
+	done := make(chan error, waiters)
+	for range waiters {
+		go func() {
+			err := e.gate.acquire(model)
+			if err == nil {
+				e.gate.release(0)
+			}
+			done <- err
+		}()
+	}
+	waitForQueued(t, e.gate, waiters)
+	return func() {
+		e.gate.release(0)
+		for range waiters {
+			if err := <-done; err != nil {
+				t.Errorf("queued waiter: %v", err)
+			}
 		}
 	}
 }
@@ -281,44 +319,188 @@ func samePrediction(a, b *Prediction) bool {
 
 // TestPredictPathAllocs pins the steady-state allocations of the ring and
 // pipelined-socket predict paths at one per request: the model-name string
-// the decoder returns. Rows, outputs and the response all reuse scratch.
+// the decoder returns. Rows, outputs and the response all reuse scratch, and
+// admission allocates nothing — checked behind a MaxInflight gate and behind
+// two weighted tenants.
 func TestPredictPathAllocs(t *testing.T) {
 	dir, _, _ := fixtureDir(t)
-	e, err := NewEngine(dir, Config{MaxInflight: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rows := make([][]float64, 8)
 	for i := range rows {
 		rows[i] = []float64{float64(i) / 8, 1 - float64(i)/8}
 	}
-	for _, model := range []string{"abr", "thresholds"} {
-		frame := validRequest(t, model, rows)
-		var s batchScratch
-		slot := make([]byte, 0, 4<<10)
-		ringReq := alignedCopy(frame)
-		ring := func() {
-			if out := e.shmEncode(ringReq, &s, slot); FrameKind(out) != batchMagic {
-				t.Fatalf("%s: ring answered %q", model, out)
+	for _, cfg := range []Config{
+		{MaxInflight: 4},
+		{MaxInflight: 2, Tenants: map[string]float64{"abr": 3, "thresholds": 1}},
+	} {
+		e, err := NewEngine(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range []string{"abr", "thresholds"} {
+			name := fmt.Sprintf("tenants=%v/%s", cfg.Tenants != nil, model)
+			gate := func() {
+				if err := e.gate.acquire(model); err != nil {
+					t.Fatal(err)
+				}
+				e.gate.release(time.Microsecond)
+			}
+			gate()
+			if allocs := testing.AllocsPerRun(200, gate); allocs != 0 {
+				t.Errorf("%s: a gated acquire+release made %.1f allocations, want 0", name, allocs)
+			}
+			frame := validRequest(t, model, rows)
+			var s batchScratch
+			slot := make([]byte, 0, 4<<10)
+			ringReq := alignedCopy(frame)
+			ring := func() {
+				if out := e.answer(ringReq, &s, slot, cap(slot)); FrameKind(out) != batchMagic {
+					t.Fatalf("%s: ring answered %q", name, out)
+				}
+			}
+			ring()
+			if allocs := testing.AllocsPerRun(200, ring); allocs > 1 {
+				t.Errorf("%s: the ring answer made %.1f allocations per request, want at most 1", name, allocs)
+			}
+			out := make([]byte, 0, 4<<10)
+			socket := func() {
+				// The pipelined reader decodes out of a bufio peek (aliasOK=false)
+				// and a dispatch worker answers.
+				model, rows, derr := s.decodeRequestBytes(frame, e.maxBatch(), false)
+				if out = e.udsPredictDecoded(model, rows, derr, &s.pred, out[:0], 0); FrameKind(out) != batchMagic {
+					t.Fatalf("%s: socket answered %q", name, out)
+				}
+			}
+			socket()
+			if allocs := testing.AllocsPerRun(200, socket); allocs > 1 {
+				t.Errorf("%s: the pipelined worker path made %.1f allocations per request, want at most 1", name, allocs)
 			}
 		}
-		ring()
-		if allocs := testing.AllocsPerRun(200, ring); allocs > 1 {
-			t.Errorf("%s: shmEncode made %.1f allocations per request, want at most 1", model, allocs)
+	}
+}
+
+// fidelityMirror is a Mirror reporting fixed per-model fidelities.
+type fidelityMirror map[string]float64
+
+func (m fidelityMirror) Observe(string, [][]float64, []int) {}
+func (m fidelityMirror) Snapshot() MirrorSnapshot {
+	snap := MirrorSnapshot{Models: map[string]MirrorModelSnapshot{}}
+	for name, f := range m {
+		snap.Models[name] = MirrorModelSnapshot{Fidelity: f}
+	}
+	return snap
+}
+
+// TestControlDocumentsConform: the models, model and reload documents are
+// identical over HTTP, the pipelined socket and a ring, and the stats
+// document has the same keys on all three. The model document carries the
+// model's refit generation and shadow fidelity on every transport.
+func TestControlDocumentsConform(t *testing.T) {
+	dir, _, _ := fixtureDir(t)
+	e, err := NewEngine(dir, Config{MaxInflight: 2, SHMDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := e.Model("abr")
+	m.Generation = 3
+	e.SetMirror(fidelityMirror{"abr": 0.75})
+
+	ts := httptest.NewServer(e.Handler())
+	defer ts.Close()
+	sock := serveSocket(t, e, true)
+	udsConn, udsBR := dialSocket(t, sock)
+	sendHello(t, udsConn, udsBR)
+	shmConn, shmBR := dialSocket(t, sock)
+	sendHello(t, shmConn, shmBR)
+	seg := shmOpen(t, shmConn, shmBR, shmring.Geometry{})
+	var shmID atomic.Uint32
+
+	httpRoutes := map[string]struct{ method, path string }{
+		"models": {"GET", "/v2/models"},
+		"model":  {"GET", "/v2/models/abr"},
+		"stats":  {"GET", "/v2/stats"},
+		"reload": {"POST", "/v2/admin/reload"},
+	}
+	wireBody := func(t *testing.T, payload []byte) []byte {
+		t.Helper()
+		if FrameKind(payload) != jsonMagic {
+			t.Fatalf("answer kind %q, want %q", FrameKind(payload), jsonMagic)
 		}
-		out := make([]byte, 0, 4<<10)
-		socket := func() {
-			// The pipelined reader decodes out of a bufio peek (aliasOK=false)
-			// and a dispatch worker answers.
-			name, rows, derr := s.decodeRequestBytes(frame, e.maxBatch(), false)
-			if out = e.udsPredictDecoded(name, rows, derr, &s.pred, out[:0]); FrameKind(out) != batchMagic {
-				t.Fatalf("%s: socket answered %q", model, out)
+		return FrameBody(payload)
+	}
+	transports := []struct {
+		name string
+		doc  func(t *testing.T, op string) []byte
+	}{
+		{"http", func(t *testing.T, op string) []byte {
+			route := httpRoutes[op]
+			req, err := http.NewRequest(route.method, ts.URL+route.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s: status %d (%v) %s", route.method, route.path, resp.StatusCode, err, body)
+			}
+			return bytes.TrimSpace(body)
+		}},
+		{"uds-pipelined", func(t *testing.T, op string) []byte {
+			req, err := ControlRequest(op, "abr", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return wireBody(t, call(t, udsConn, udsBR, req))
+		}},
+		{"shm", func(t *testing.T, op string) []byte {
+			req, err := ControlRequest(op, "abr", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, payload := shmCall(t, shmConn, seg, shmID.Add(1), req)
+			return wireBody(t, payload)
+		}},
+	}
+	keys := func(t *testing.T, doc []byte) []string {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(doc, &m); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, 0, len(m))
+		for k := range m {
+			out = append(out, k)
+		}
+		slices.Sort(out)
+		return out
+	}
+	// Reload last: it reloads the registry, which resets the generation.
+	for _, op := range []string{"models", "model", "stats", "reload"} {
+		ref := transports[0].doc(t, op)
+		for _, tr := range transports[1:] {
+			got := tr.doc(t, op)
+			if op == "stats" {
+				if !slices.Equal(keys(t, got), keys(t, ref)) {
+					t.Errorf("%s stats keys %v, http %v", tr.name, keys(t, got), keys(t, ref))
+				}
+			} else if !bytes.Equal(got, ref) {
+				t.Errorf("%s %s document:\n%s\nhttp:\n%s", tr.name, op, got, ref)
 			}
 		}
-		socket()
-		if allocs := testing.AllocsPerRun(200, socket); allocs > 1 {
-			t.Errorf("%s: the pipelined worker path made %.1f allocations per request, want at most 1", model, allocs)
+		if op == "model" {
+			var detail modelDetail
+			if err := json.Unmarshal(ref, &detail); err != nil {
+				t.Fatal(err)
+			}
+			if detail.Stats.Generation != 3 || detail.Stats.Fidelity == nil || *detail.Stats.Fidelity != 0.75 {
+				t.Errorf("model document stats %+v, want generation 3 and fidelity 0.75", detail.Stats)
+			}
 		}
+	}
+	if e.Reloads() != int64(len(transports)) {
+		t.Fatalf("%d reloads, want %d", e.Reloads(), len(transports))
 	}
 }
 

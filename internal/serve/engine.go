@@ -2,10 +2,10 @@
 // built as a transport-agnostic inference engine with codec layers on top:
 //
 //   - engine.go (this file): Engine — an atomic-pointer model registry with
-//     lock-free hot reload, the one admission layer, and the one predict
-//     path that the in-process API and every transport end in. A request is
-//     validated before it is admitted and returns typed errors. The engine
-//     knows nothing about HTTP.
+//     lock-free hot reload, the one admission gate (tenant.go's fairGate),
+//     and the one predict path that the in-process API and every transport
+//     end in. A request is validated before it is admitted and returns typed
+//     errors. The engine knows nothing about HTTP.
 //   - shard.go: the shards the registry is partitioned across by a
 //     consistent-hash ring over model names, each with its own inference
 //     pool and counters.
@@ -13,11 +13,13 @@
 //     float64 batch format (application/x-metis-batch), with one request
 //     decoder for HTTP bodies, socket frames and ring slots, and a pooled
 //     scratch path for allocation-free serving loops.
-//   - http.go: the HTTP layer — the v2 route surface and the Prometheus
-//     /metrics rendering.
+//   - http.go: the HTTP layer — the v2 route surface, the control documents
+//     (models, model, stats, reload) that every transport renders through
+//     Engine.control, and the Prometheus /metrics rendering.
 //   - uds.go: the framed unix-domain-socket transport — the same binary
 //     batch payloads without the HTTP machinery, for co-located clients
-//     that need the full in-process rate.
+//     that need the full in-process rate — and answer, the one frame
+//     answerer for socket frames and ring slots.
 //   - shm.go: the shared-memory ring upgrade of a socket connection —
 //     requests decoded in place out of one slab and answered into another,
 //     with counters updated per request like every other transport.
@@ -58,8 +60,9 @@ const DefaultMaxBatch = 1 << 16
 // Typed errors surfaced by Engine.Predict. The HTTP layer maps them to
 // status codes; embedded callers can match them with errors.Is/As.
 var (
-	// ErrBusy means the engine's in-flight admission limit is reached; the
-	// caller should retry after a short backoff (HTTP 503 + Retry-After).
+	// ErrBusy means admission turned the call away; the caller should retry
+	// after a short backoff (HTTP 503 + Retry-After). The engine returns it
+	// as a *BusyError carrying the gate's Retry-After estimate.
 	ErrBusy = errors.New("serve: server at capacity, retry later")
 	// ErrEmptyBatch means a predict call carried zero rows.
 	ErrEmptyBatch = errors.New("serve: empty batch")
@@ -166,8 +169,9 @@ type Config struct {
 	// MaxBatch caps the rows accepted per predict call (0 = DefaultMaxBatch).
 	// Oversized requests fail with *BatchSizeError.
 	MaxBatch int
-	// MaxInflight caps concurrently admitted predict calls (0 = unlimited).
-	// Calls beyond the cap fail fast with ErrBusy instead of queueing.
+	// MaxInflight caps concurrently admitted predict calls (0 = unlimited,
+	// unless Tenants is set). Without Tenants, calls beyond the cap fail fast
+	// with a *BusyError instead of queueing.
 	MaxInflight int
 	// DispatchWorkers sizes the per-connection decode/encode worker pool of
 	// the pipelined socket mode (0 = 2 workers, growing with cores up to 4).
@@ -187,13 +191,14 @@ type Config struct {
 	// and counters (0 or 1 = one shard).
 	Shards int
 	// Tenants maps tenant names to weighted-fair-admission weights. When
-	// set, the MaxInflight fail-fast semaphore is replaced by per-tenant
-	// weighted fair queuing with MaxInflight as the concurrency capacity. A
-	// request naming no tenant, or one outside the map, is keyed by its
-	// model name, at weight 1 unless the map names that model.
+	// set, the admission gate queues calls beyond MaxInflight (default 4 per
+	// core) per tenant and admits them by weight, instead of failing them
+	// fast. A request naming no tenant, or one outside the map, is keyed by
+	// its model name, at weight 1 unless the map names that model.
 	Tenants map[string]float64
-	// TenantQueue bounds each tenant's admission queue (0 = 16). Arrivals
-	// beyond it fail with *BusyError carrying a computed Retry-After.
+	// TenantQueue bounds each tenant's admission queue when Tenants is set
+	// (0 = 16). Arrivals beyond it fail with *BusyError carrying a computed
+	// Retry-After.
 	TenantQueue int
 }
 
@@ -237,11 +242,11 @@ type MirrorModelSnapshot struct {
 
 // Engine is the transport-agnostic serving core: a hot-reloadable model
 // registry partitioned across Config.Shards shards by a consistent-hash ring
-// over model names, plus the one admission layer — the MaxInflight fail-fast
-// semaphore, or per-tenant weighted fair queuing when Config.Tenants is set
-// (see fairGate). Requests route to the owning shard with no cross-shard
-// locks; every shard has its own inference pool and stat counters, so
-// shards share no hot cache lines. All methods are safe for concurrent use;
+// over model names, plus the one admission gate (see fairGate): MaxInflight
+// concurrent calls, failing fast beyond them, or per-tenant weighted fair
+// queuing when Config.Tenants is set. Requests route to the owning shard
+// with no cross-shard locks; every shard has its own inference pool and stat
+// counters, so shards share no hot cache lines. All methods are safe for concurrent use;
 // Predict never blocks on Reload or Reshard.
 //
 // Consistent hashing makes the partition a pure function of (model name,
@@ -254,15 +259,12 @@ type Engine struct {
 	state atomic.Pointer[shardSet]
 	// reloadMu serializes Reload and Reshard; the predict path never takes it.
 	reloadMu sync.Mutex
-	// gate is the weighted-fair admission control (nil when Config.Tenants
-	// is empty); inflight is the fail-fast semaphore used instead (nil =
-	// unlimited), and releaseSlot returns one of its tokens.
-	gate        *fairGate
-	inflight    chan struct{}
-	releaseSlot func()
-	start       time.Time
-	reloads     atomic.Int64
-	errors      atomic.Int64
+	// gate is the admission control (nil = unlimited: neither MaxInflight
+	// nor Tenants is set).
+	gate    *fairGate
+	start   time.Time
+	reloads atomic.Int64
+	errors  atomic.Int64
 	// rejected counts calls turned away by admission — they never reach a
 	// shard, so requestsTotal folds them back in.
 	rejected atomic.Int64
@@ -299,17 +301,22 @@ func NewEngine(dir string, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, start: time.Now(), latencyBase: histo.New()}
-	if len(cfg.Tenants) > 0 {
+	if cfg.MaxInflight > 0 || len(cfg.Tenants) > 0 {
 		capacity := cfg.MaxInflight
 		if capacity <= 0 {
 			// Weighted fairness needs a finite capacity to arbitrate; default
 			// to a small multiple of the core count.
 			capacity = 4 * runtime.GOMAXPROCS(0)
 		}
-		e.gate = newFairGate(capacity, cfg.Tenants, cfg.TenantQueue)
-	} else if cfg.MaxInflight > 0 {
-		e.inflight = make(chan struct{}, cfg.MaxInflight)
-		e.releaseSlot = func() { <-e.inflight }
+		// Without tenants nothing queues: a full gate fails fast.
+		queue := 0
+		if len(cfg.Tenants) > 0 {
+			queue = cfg.TenantQueue
+			if queue <= 0 {
+				queue = DefaultTenantQueue
+			}
+		}
+		e.gate = newFairGate(capacity, cfg.Tenants, queue)
 	}
 	e.state.Store(st)
 	return e, nil
@@ -519,12 +526,14 @@ func (e *Engine) predictTenant(tenant, name string, rows [][]float64, p *Predict
 		sh.requests.Add(1)
 		return err
 	}
-	if e.gate != nil || e.inflight != nil {
-		release, err := e.admit(tenant, name)
-		if err != nil {
+	// held is the admitted call's service time, measured once for both the
+	// latency histogram and the gate's Retry-After estimate.
+	var held time.Duration
+	if e.gate != nil {
+		if err := e.admit(tenant, name); err != nil {
 			return err
 		}
-		defer release()
+		defer func() { e.gate.release(held) }()
 	}
 	t0 := time.Now()
 	sh.requests.Add(1)
@@ -552,7 +561,8 @@ func (e *Engine) predictTenant(tenant, name string, rows [][]float64, p *Predict
 		}
 		p.Actions, p.Values = out, nil
 	}
-	sh.latency.Record(time.Since(t0).Nanoseconds())
+	held = time.Since(t0)
+	sh.latency.Record(held.Nanoseconds())
 	if mp := e.mirror.Load(); mp != nil {
 		// The mirror copies what it samples before returning; rows and
 		// p.Actions stay caller-owned.
@@ -612,30 +622,21 @@ func (e *Engine) decodeRefusal(name string, derr error) error {
 	return derr
 }
 
-// admit runs admission control. A tenant named in Config.Tenants keys its own
-// share; any other value ("" included) is keyed by the model name, so peer
-// input cannot grow the gate's tenant set beyond the configured tenants plus
-// the models. Callers skip admit when neither the gate nor the semaphore is
-// configured, so an ungated engine pays nothing here. It returns the release
-// func on success; a rejection counts in requestsTotal.
-func (e *Engine) admit(tenant, model string) (func(), error) {
-	if e.gate != nil {
-		if _, ok := e.cfg.Tenants[tenant]; !ok {
-			tenant = model
-		}
-		release, err := e.gate.acquire(tenant)
-		if err != nil {
-			e.rejected.Add(1)
-		}
-		return release, err
+// admit takes a gate token for one call. A tenant named in Config.Tenants
+// keys its own share; any other value ("" included) is keyed by the model
+// name, so peer input cannot grow the gate's tenant set beyond the
+// configured tenants plus the models. Callers skip admit when the engine has
+// no gate, so an ungated engine pays nothing here. A rejection counts in
+// requestsTotal.
+func (e *Engine) admit(tenant, model string) error {
+	if _, ok := e.cfg.Tenants[tenant]; !ok {
+		tenant = model
 	}
-	select {
-	case e.inflight <- struct{}{}:
-		return e.releaseSlot, nil
-	default:
+	err := e.gate.acquire(tenant)
+	if err != nil {
 		e.rejected.Add(1)
-		return nil, ErrBusy
 	}
+	return err
 }
 
 // requestsTotal sums the live shards, the retired-shard base, and the calls
@@ -681,17 +682,6 @@ func (e *Engine) mirrorSnapshot() *MirrorSnapshot {
 	}
 	snap := (*mp).Snapshot()
 	return &snap
-}
-
-// busyRetryAfter derives the Retry-After hint for an ErrBusy that carries no
-// computed one: the gate's own estimate, or — behind the fail-fast
-// semaphore — one in-flight call's service time, approximated by the mean
-// predict latency.
-func (e *Engine) busyRetryAfter() time.Duration {
-	if e.gate != nil {
-		return e.gate.retryAfter()
-	}
-	return clampRetryAfter(time.Duration(e.Latency().Mean()))
 }
 
 // grow resizes s to n entries, reusing its backing array when it fits.

@@ -143,12 +143,20 @@ func TestEngineConcurrentPredictDuringReload(t *testing.T) {
 }
 
 // TestEngineTypedErrors: each rejection path surfaces its typed error and
-// counts exactly once in the request total, at one shard and at four.
+// counts exactly once in the request total, at one shard and at four, with
+// and without weighted tenants.
 func TestEngineTypedErrors(t *testing.T) {
 	dir, _, _ := fixtureDir(t)
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			e, err := NewEngine(dir, Config{MaxBatch: 4, MaxInflight: 1, Shards: shards})
+	gold := map[string]float64{"gold": 3}
+	for _, base := range []Config{{Shards: 1}, {Shards: 4}, {Shards: 1, Tenants: gold}, {Shards: 4, Tenants: gold}} {
+		name := fmt.Sprintf("shards=%d", base.Shards)
+		if base.Tenants != nil {
+			name = "tenants/" + name
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := base
+			cfg.MaxBatch, cfg.MaxInflight, cfg.TenantQueue = 4, 1, 1
+			e, err := NewEngine(dir, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,10 +184,14 @@ func TestEngineTypedErrors(t *testing.T) {
 				return errors.As(err, &dim) && dim.Want == 2
 			})
 
-			// Admission: occupy the only inflight slot, next call must fail fast.
-			e.inflight <- struct{}{}
-			reject("busy", "abr", [][]float64{{1, 2}}, func(err error) bool { return errors.Is(err, ErrBusy) })
-			<-e.inflight
+			// Admission: hold the only token (and fill abr's tenant queue);
+			// the next call must fail fast with the gate's Retry-After.
+			free := holdGate(t, e, "abr")
+			var busy *BusyError
+			reject("busy", "abr", [][]float64{{1, 2}}, func(err error) bool {
+				return errors.Is(err, ErrBusy) && errors.As(err, &busy) && busy.RetryAfter > 0
+			})
+			free()
 			if _, err := e.Predict("abr", [][]float64{{1, 2}}); err != nil {
 				t.Fatalf("predict after slot freed: %v", err)
 			}

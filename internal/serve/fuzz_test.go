@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"unsafe"
@@ -199,13 +200,14 @@ func FuzzReadFrameID(f *testing.F) {
 	})
 }
 
-// FuzzSHMEncode feeds arbitrary ring payloads — predict and control frames
-// with hostile sizes among them — to the shared-memory encoder of an engine
-// serving one classifier and one regressor, at the smallest slot size and
-// at 4 KiB. It must never panic, and its answer must be written in place:
-// starting at the slot's first byte, within its capacity, and either a
-// binary batch response or an error frame (a control frame may also be
-// answered with its JSON body).
+// FuzzSHMEncode feeds arbitrary request payloads — predict and control
+// frames with hostile sizes among them — to the one frame answerer of an
+// engine serving one classifier and one regressor: bounded to a ring slot of
+// the smallest size and of 4 KiB, and unbounded (respCap 0) as the pipelined
+// socket worker calls it for the frames it copies. It must never panic. A
+// ring answer must be written in place: starting at the slot's first byte
+// and within its capacity. Every answer is a binary batch response or an
+// error frame (a control frame may also be answered with its JSON body).
 func FuzzSHMEncode(f *testing.F) {
 	dir, _, _ := fixtureDir(f)
 	e, err := LoadDir(dir)
@@ -251,30 +253,34 @@ func FuzzSHMEncode(f *testing.F) {
 		// Producers place requests in the slab aligned, so the decoder's
 		// aliasing tier is reached as on a live ring.
 		req := alignedCopy(data)
-		for _, size := range []int{shmring.MinSlotSize, 4 << 10} {
-			slot := make([]byte, 0, size)
-			out := e.shmEncode(req, &s, slot)
-			if len(out) == 0 || &out[0] != &slot[:1][0] {
-				t.Fatalf("%d-byte slot: the answer does not start at the slot", size)
+		for _, size := range []int{shmring.MinSlotSize, 4 << 10, 0} {
+			where := fmt.Sprintf("%d-byte slot", size)
+			if size == 0 {
+				where = "socket"
 			}
-			if len(out) > cap(slot) {
-				t.Fatalf("%d-byte slot: a %d-byte answer", size, len(out))
+			slot := make([]byte, 0, max(size, 1))
+			out := e.answer(req, &s, slot, size)
+			if size > 0 && (len(out) == 0 || &out[0] != &slot[:1][0]) {
+				t.Fatalf("%s: the answer does not start at the slot", where)
+			}
+			if size > 0 && len(out) > cap(slot) {
+				t.Fatalf("%s: a %d-byte answer", where, len(out))
 			}
 			switch FrameKind(out) {
 			case batchMagic:
 				if _, err := DecodeBatchResponse(bytes.NewReader(out)); err != nil {
-					t.Fatalf("%d-byte slot: malformed response: %v", size, err)
+					t.Fatalf("%s: malformed response: %v", where, err)
 				}
 			case errMagic:
 				if _, _, err := DecodeErrorPayload(out); err != nil {
-					t.Fatalf("%d-byte slot: malformed error frame: %v", size, err)
+					t.Fatalf("%s: malformed error frame: %v", where, err)
 				}
 			case jsonMagic:
 				if FrameKind(data) != controlMagic {
-					t.Fatalf("%d-byte slot: a %q request answered with JSON", size, FrameKind(data))
+					t.Fatalf("%s: a %q request answered with JSON", where, FrameKind(data))
 				}
 			default:
-				t.Fatalf("%d-byte slot: answer kind %q", size, FrameKind(out))
+				t.Fatalf("%s: answer kind %q", where, FrameKind(out))
 			}
 		}
 	})

@@ -36,10 +36,16 @@ func (e *Engine) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
-	mux.HandleFunc("GET /v2/models", e.handleModels)
-	mux.HandleFunc("GET /v2/models/{name}", e.handleModelDetail)
+	mux.HandleFunc("GET /v2/models", func(w http.ResponseWriter, r *http.Request) {
+		e.writeControl(w, controlReq{Op: "models"})
+	})
+	mux.HandleFunc("GET /v2/models/{name}", func(w http.ResponseWriter, r *http.Request) {
+		e.writeControl(w, controlReq{Op: "model", Name: r.PathValue("name")})
+	})
 	mux.HandleFunc("POST /v2/models/{action}", e.handleModelAction)
-	mux.HandleFunc("GET /v2/stats", e.handleStats)
+	mux.HandleFunc("GET /v2/stats", func(w http.ResponseWriter, r *http.Request) {
+		e.writeControl(w, controlReq{Op: "stats"})
+	})
 	mux.HandleFunc("POST /v2/admin/reload", e.handleReload)
 	mux.HandleFunc("GET /metrics", e.handleMetrics)
 	return mux
@@ -68,14 +74,6 @@ func (m *Model) info() modelInfo {
 		Classes: m.NumClasses(), OutDim: m.OutDim(),
 		Regression: m.IsRegression(), Meta: m.Meta,
 	}
-}
-
-func (e *Engine) handleModels(w http.ResponseWriter, r *http.Request) {
-	var infos []modelInfo
-	for _, m := range e.Models() {
-		infos = append(infos, m.info())
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"models": infos})
 }
 
 // modelStats is one stats entry.
@@ -115,17 +113,58 @@ type modelDetail struct {
 	Stats modelStats `json:"stats"`
 }
 
-func (e *Engine) handleModelDetail(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	m, ok := e.Model(name)
-	if !ok {
-		e.fail(w, http.StatusNotFound, fmt.Sprintf("unknown model %q", name))
+// statusError is a failure reported under an explicit HTTP status, on every
+// transport (see errorStatus).
+type statusError struct {
+	status int
+	msg    string
+}
+
+func (e *statusError) Error() string { return e.msg }
+
+// control renders one control document — the models listing, one model's
+// detail, the stats document, or a reload's outcome — for the HTTP routes
+// and the socket and ring "MTQ1" op alike, so each document is built in one
+// place. Its failures are *statusError: 404 for an unknown model or op, 409
+// for a failed reload (the old generation keeps serving).
+func (e *Engine) control(req controlReq) (any, error) {
+	switch req.Op {
+	case "models":
+		infos := []modelInfo{}
+		for _, m := range e.Models() {
+			infos = append(infos, m.info())
+		}
+		return map[string]any{"models": infos}, nil
+	case "model":
+		m, ok := e.Model(req.Name)
+		if !ok {
+			return nil, &statusError{http.StatusNotFound, fmt.Sprintf("unknown model %q", req.Name)}
+		}
+		return modelDetail{modelInfo: m.info(), Stats: statsFor(m, e.mirrorSnapshot())}, nil
+	case "stats":
+		return e.statsBody(), nil
+	case "reload":
+		if err := e.Reload(req.Dir); err != nil {
+			return nil, &statusError{http.StatusConflict, err.Error()}
+		}
+		names := []string{}
+		for _, m := range e.Models() {
+			names = append(names, m.Name)
+		}
+		return map[string]any{"reloaded": true, "dir": e.Dir(), "models": names, "skipped": len(e.Skipped())}, nil
+	}
+	return nil, &statusError{http.StatusNotFound,
+		fmt.Sprintf("unknown control op %q (supported: models, model, stats, reload)", req.Op)}
+}
+
+// writeControl answers a control route with its document or its error.
+func (e *Engine) writeControl(w http.ResponseWriter, req controlReq) {
+	doc, err := e.control(req)
+	if err != nil {
+		e.failErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, modelDetail{
-		modelInfo: m.info(),
-		Stats:     statsFor(m, e.mirrorSnapshot()),
-	})
+	writeJSON(w, http.StatusOK, doc)
 }
 
 // handleModelAction routes POST /v2/models/{name}:{verb}. The whole last
@@ -260,10 +299,6 @@ func (e *Engine) predictJSON(w http.ResponseWriter, r *http.Request, name string
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (e *Engine) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, e.statsBody())
-}
-
 // latencyBody renders a latency histogram as the stats document's latency
 // block.
 func latencyBody(h *histo.Histogram) map[string]any {
@@ -277,9 +312,8 @@ func latencyBody(h *histo.Histogram) map[string]any {
 	}
 }
 
-// statsBody builds the stats document (shared by the HTTP route and the
-// socket transport's "stats" control op). A multi-shard engine adds a
-// "shards" block, and tenant gating a "tenants" block.
+// statsBody builds the stats document (control's "stats" op). A multi-shard
+// engine adds a "shards" block, and an admission gate a "tenants" block.
 func (e *Engine) statsBody() map[string]any {
 	snap := e.mirrorSnapshot()
 	per := map[string]modelStats{}
@@ -337,15 +371,10 @@ func runtimeBody() map[string]uint64 {
 	}
 }
 
-// reloadRequest is the optional /v2/admin/reload body.
-type reloadRequest struct {
-	// Dir switches the engine to a new artifact directory; empty reloads
-	// the current one.
-	Dir string `json:"dir"`
-}
-
+// handleReload reloads the artifact directory. The optional body is
+// {"dir": …}: a new directory to switch to; empty reloads the current one.
 func (e *Engine) handleReload(w http.ResponseWriter, r *http.Request) {
-	var req reloadRequest
+	var req controlReq
 	if body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20)); err != nil {
 		e.fail(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
@@ -355,21 +384,7 @@ func (e *Engine) handleReload(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := e.Reload(req.Dir); err != nil {
-		// The old generation is still serving; the reload itself failed.
-		e.fail(w, http.StatusConflict, err.Error())
-		return
-	}
-	names := make([]string, 0)
-	for _, m := range e.Models() {
-		names = append(names, m.Name)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"reloaded": true,
-		"dir":      e.Dir(),
-		"models":   names,
-		"skipped":  len(e.Skipped()),
-	})
+	e.writeControl(w, controlReq{Op: "reload", Dir: req.Dir})
 }
 
 // handleMetrics renders the engine counters in the Prometheus text
@@ -430,23 +445,17 @@ func (e *Engine) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // failErr renders an engine error under the status every transport maps it
-// to (errorStatus). A 503 carries a computed Retry-After — the admission
-// gate's own estimate when the error brought one, else the engine's generic
-// backpressure hint — rendered in fractional seconds (RFC 9110 allows only
-// integer seconds, but every consumer here is the metis client, which parses
-// fractions; an integer-only client rounding down to 0 just retries
-// immediately, as it did with the old hardcoded 1).
+// to (errorStatus). A 503 carries the admission gate's computed Retry-After,
+// rendered in fractional seconds (RFC 9110 allows only integer seconds, but
+// every consumer here is the metis client, which parses fractions; an
+// integer-only client rounding down to 0 just retries immediately, as it did
+// with the old hardcoded 1).
 func (e *Engine) failErr(w http.ResponseWriter, err error) {
-	code := errorStatus(err)
-	if code == http.StatusServiceUnavailable {
-		ra := e.busyRetryAfter()
-		var busy *BusyError
-		if errors.As(err, &busy) && busy.RetryAfter > 0 {
-			ra = busy.RetryAfter
-		}
-		w.Header().Set("Retry-After", formatRetryAfter(ra))
+	var busy *BusyError
+	if errors.As(err, &busy) {
+		w.Header().Set("Retry-After", formatRetryAfter(busy.RetryAfter))
 	}
-	e.fail(w, code, err.Error())
+	e.fail(w, errorStatus(err), err.Error())
 }
 
 // formatRetryAfter renders a Retry-After duration as fractional seconds.

@@ -267,15 +267,14 @@ func TestShardedRetryAfterComputed(t *testing.T) {
 	}
 	// Saturate: hold the only admission token, then fill tenant "b"'s queue
 	// so the next call is rejected with a computed hint.
-	release, err := s.gate.acquire("b")
-	if err != nil {
+	if err := s.gate.acquire("b"); err != nil {
 		t.Fatal(err)
 	}
 	queued := make(chan error, 1)
 	go func() {
-		r, err := s.gate.acquire("b")
+		err := s.gate.acquire("b")
 		if err == nil {
-			r()
+			s.gate.release(0)
 		}
 		queued <- err
 	}()
@@ -317,7 +316,7 @@ func TestShardedRetryAfterComputed(t *testing.T) {
 		t.Fatalf("Retry-After %q outside the clamp (parse err %v)", ra, err)
 	}
 
-	release()
+	s.gate.release(0)
 	if err := <-queued; err != nil {
 		t.Fatalf("queued acquire: %v", err)
 	}

@@ -336,13 +336,13 @@ func shmWaitRequest(seg *shmring.Segment, wake <-chan struct{}, closed <-chan st
 }
 
 // shmAnswer answers one ring request in place: it claims the next response
-// slot (spinning while the client drains a full ring), encodes the response
-// into the slab, and publishes it under the request's id. False means the
-// connection died while the response ring stayed full.
+// slot (spinning while the client drains a full ring), answers into the slab
+// bounded to the slot, and publishes the answer under the request's id. False
+// means the connection died while the response ring stayed full.
 func (e *Engine) shmAnswer(seg *shmring.Segment, id uint32, frame []byte, s *batchScratch, closed <-chan struct{}) bool {
 	for i := 0; ; i++ {
 		if slot, ok := seg.Resp.Reserve(); ok {
-			seg.Resp.Publish(id, len(e.shmEncode(frame, s, slot)))
+			seg.Resp.Publish(id, len(e.answer(frame, s, slot, cap(slot))))
 			return true
 		}
 		if i%shmSpin == shmSpin-1 {
@@ -354,64 +354,4 @@ func (e *Engine) shmAnswer(seg *shmring.Segment, id uint32, frame []byte, s *bat
 		}
 		runtime.Gosched()
 	}
-}
-
-// shmEncode dispatches one request payload and encodes the response into
-// slot — in place when it fits, and as a truncated in-slot error frame when
-// it cannot. It mirrors udsDispatch, predicting through the same
-// predictTenant path, except that nothing here may reallocate off the slab:
-// predictTenant refuses a batch whose response would not fit the slot
-// before admitting it, so such a request is a 413 that predicted nothing.
-func (e *Engine) shmEncode(frame []byte, s *batchScratch, slot []byte) []byte {
-	switch FrameKind(frame) {
-	case batchMagic:
-		// aliasOK: frame is a request-ring slot that stays reserved until
-		// Advance, well past the predict that consumes the rows — with an
-		// aligned producer (SHMAlignSkip) this is the zero-copy path the
-		// shared-memory transport exists for.
-		model, rows, err := s.decodeRequestBytes(frame, e.maxBatch(), true)
-		if err = e.decodeRefusal(model, err); err == nil {
-			err = e.predictTenant("", model, rows, &s.pred, cap(slot))
-		}
-		if err != nil {
-			return e.shmError(slot, err)
-		}
-		out, aerr := appendBatchResponse(slot, &s.pred)
-		if aerr != nil {
-			return e.shmError(slot, aerr)
-		}
-		return out
-	case controlMagic:
-		// Control frames are rare; the JSON body is rendered off-slab and
-		// copied in when it fits.
-		out := e.udsControl(frame[4:], nil)
-		if len(out) > cap(slot) {
-			e.errors.Add(1)
-			return appendErrorPayloadBounded(slot, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("control response needs %d bytes, ring slot holds %d", len(out), cap(slot)))
-		}
-		return append(slot, out...)
-	default:
-		e.errors.Add(1)
-		return appendErrorPayloadBounded(slot, http.StatusBadRequest,
-			fmt.Sprintf("unknown frame magic %q", FrameKind(frame)))
-	}
-}
-
-// shmError renders err as an in-slot "MTE1" payload with the transport-wide
-// status mapping, accounting it like every other socket error.
-func (e *Engine) shmError(slot []byte, err error) []byte {
-	e.errors.Add(1)
-	return appendErrorPayloadBounded(slot, errorStatus(err), err.Error())
-}
-
-// appendErrorPayloadBounded is appendErrorPayload constrained to out's
-// capacity: the message is truncated so the frame never reallocates off a
-// ring slot. Slots are at least shmring.MinSlotSize, so the 6-byte header
-// always fits.
-func appendErrorPayloadBounded(out []byte, status int, msg string) []byte {
-	if max := cap(out) - len(out) - 6; len(msg) > max {
-		msg = msg[:max]
-	}
-	return appendErrorPayload(out, status, msg)
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -410,9 +411,9 @@ func TestSHMClientDisconnect(t *testing.T) {
 	}
 }
 
-// TestSHMEncodeBounded pins the no-realloc contract of the in-slot encoder:
-// responses that cannot fit a ring slot come back as (truncated, in-slot)
-// error frames rather than silently reallocating off the slab.
+// TestSHMEncodeBounded pins the no-realloc contract of the answer bounded to
+// a ring slot: responses that cannot fit the slot come back as (truncated,
+// in-slot) error frames rather than silently reallocating off the slab.
 func TestSHMEncodeBounded(t *testing.T) {
 	dir, _, _ := fixtureDir(t)
 	e, err := LoadDir(dir)
@@ -433,12 +434,12 @@ func TestSHMEncodeBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	slot := make([]byte, 0, 256)
-	out := e.shmEncode(req.Bytes(), s, slot)
+	out := e.answer(req.Bytes(), s, slot, cap(slot))
 	if &out[0] != &slot[:1][0] {
-		t.Fatal("shmEncode escaped the slot")
+		t.Fatal("the answer escaped the slot")
 	}
 	if len(out) > cap(slot) {
-		t.Fatalf("shmEncode produced %d bytes in a %d-byte slot", len(out), cap(slot))
+		t.Fatalf("the answer took %d bytes of a %d-byte slot", len(out), cap(slot))
 	}
 	if FrameKind(out) != errMagic {
 		t.Fatalf("oversized response came back kind=%q", FrameKind(out))
@@ -449,7 +450,7 @@ func TestSHMEncodeBounded(t *testing.T) {
 
 	// Error messages longer than the slot are truncated, not reallocated.
 	long := bytes.Repeat([]byte("x"), 300)
-	out = appendErrorPayloadBounded(make([]byte, 0, 64), http.StatusBadRequest, string(long))
+	out = e.frameError(make([]byte, 0, 64), 64, errors.New(string(long)))
 	if len(out) != 64 {
 		t.Fatalf("bounded error length %d, want 64", len(out))
 	}

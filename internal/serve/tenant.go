@@ -16,9 +16,10 @@ import (
 const TenantHeader = "X-Metis-Tenant"
 
 // BusyError is ErrBusy with admission context: which tenant was over quota
-// and how long the gate expects capacity to take to free. It unwraps to
-// ErrBusy, so errors.Is(err, ErrBusy) keeps matching and every transport's
-// 503 mapping applies unchanged.
+// (none on an engine without configured tenants) and how long the gate
+// expects capacity to take to free. It unwraps to ErrBusy, so
+// errors.Is(err, ErrBusy) keeps matching and every transport's 503 mapping
+// applies unchanged.
 type BusyError struct {
 	Tenant     string
 	RetryAfter time.Duration
@@ -104,16 +105,17 @@ type tenantState struct {
 	admitted, rejected, shed int64
 }
 
-// fairGate is the sharded engine's admission control: a stride scheduler
-// over per-tenant weights with bounded queues. While capacity is free and
-// nobody queues, acquire is a counter bump; under contention each release
-// hands its token to the oldest waiter of the tenant with the lowest
-// virtual time (pass), which converges per-tenant admission rates to the
-// weight ratios. Overload is shed in two tiers: a full per-tenant queue
-// rejects that tenant's new arrivals immediately, and a full global queue
-// evicts the newest waiter of the most-over-quota (highest-pass) tenant —
-// the heaviest backlogger pays first, and an underweighted tenant with a
-// short queue is never starved out by a heavy one.
+// fairGate is the engine's admission control: a stride scheduler over
+// per-tenant weights with bounded queues. While capacity is free and nobody
+// queues, acquire is a counter bump; under contention each release hands its
+// token to the oldest waiter of the tenant with the lowest virtual time
+// (pass), which converges per-tenant admission rates to the weight ratios.
+// Overload is shed in two tiers: a full per-tenant queue rejects that
+// tenant's new arrivals immediately, and a full global queue evicts the
+// newest waiter of the most-over-quota (highest-pass) tenant — the heaviest
+// backlogger pays first, and an underweighted tenant with a short queue is
+// never starved out by a heavy one. With a queue bound of 0 (an engine with
+// MaxInflight and no tenants) nothing ever queues: a full gate fails fast.
 type fairGate struct {
 	mu            sync.Mutex
 	capacity      int
@@ -132,12 +134,9 @@ type fairGate struct {
 	svcNs float64
 }
 
-// newFairGate builds the gate from the engine config. capacity is the
-// concurrent-admission limit the single MaxInflight semaphore used to be.
+// newFairGate builds a gate admitting capacity concurrent calls, with
+// maxQueue waiters per tenant (0 = none: a full gate rejects at once).
 func newFairGate(capacity int, weights map[string]float64, maxQueue int) *fairGate {
-	if maxQueue <= 0 {
-		maxQueue = DefaultTenantQueue
-	}
 	return &fairGate{
 		capacity: capacity,
 		maxQueue: maxQueue,
@@ -178,23 +177,27 @@ func (g *fairGate) admitLocked(ts *tenantState) {
 }
 
 // acquire admits one call for tenant, blocking in the tenant's bounded queue
-// when the gate is at capacity. It returns a release func on admission and a
-// *BusyError when the call was rejected or shed. The release func must be
-// called exactly once, after the protected work completes.
-func (g *fairGate) acquire(tenant string) (release func(), err error) {
+// when the gate is at capacity. It returns nil on admission, after which the
+// caller must call release exactly once, and a *BusyError when the call was
+// rejected or shed. A gate with no configured tenants names none in its
+// rejections, so they read as plain ErrBusy.
+func (g *fairGate) acquire(tenant string) error {
 	g.mu.Lock()
 	ts := g.tenant(tenant)
 	if g.inflight < g.capacity && g.queuedTotal == 0 {
 		g.inflight++
 		g.admitLocked(ts)
 		g.mu.Unlock()
-		return g.releaseFunc(), nil
+		return nil
 	}
 	if len(ts.queue) >= g.maxQueue {
 		ts.rejected++
-		err := &BusyError{Tenant: tenant, RetryAfter: g.retryAfterLocked(len(ts.queue))}
+		busy := &BusyError{RetryAfter: g.retryAfterLocked(len(ts.queue))}
+		if len(g.weights) > 0 {
+			busy.Tenant = tenant
+		}
 		g.mu.Unlock()
-		return nil, err
+		return busy
 	}
 	ch := make(chan error, 1)
 	ts.queue = append(ts.queue, ch)
@@ -203,37 +206,31 @@ func (g *fairGate) acquire(tenant string) (release func(), err error) {
 		g.shedLocked()
 	}
 	g.mu.Unlock()
-	if err := <-ch; err != nil {
-		return nil, err
-	}
-	return g.releaseFunc(), nil
+	return <-ch
 }
 
-// releaseFunc builds the token-return closure for one admitted call,
-// capturing the admission time for the service-time EWMA.
-func (g *fairGate) releaseFunc() func() {
-	t0 := time.Now()
-	return func() {
-		dt := float64(time.Since(t0).Nanoseconds())
-		g.mu.Lock()
-		if g.svcNs == 0 {
-			g.svcNs = dt
-		} else {
-			g.svcNs += 0.1 * (dt - g.svcNs)
-		}
-		if ts := g.nextLocked(); ts != nil {
-			// Hand the token straight to the winner: inflight never dips, so
-			// a fast-path arrival cannot jump the queue.
-			ch := ts.queue[0]
-			ts.queue = ts.queue[1:]
-			g.queuedTotal--
-			g.admitLocked(ts)
-			ch <- nil
-		} else {
-			g.inflight--
-		}
-		g.mu.Unlock()
+// release returns one admitted call's token, folding held — how long the
+// call kept it — into the service-time EWMA behind the computed Retry-After.
+func (g *fairGate) release(held time.Duration) {
+	dt := float64(held.Nanoseconds())
+	g.mu.Lock()
+	if g.svcNs == 0 {
+		g.svcNs = dt
+	} else {
+		g.svcNs += 0.1 * (dt - g.svcNs)
 	}
+	if ts := g.nextLocked(); ts != nil {
+		// Hand the token straight to the winner: inflight never dips, so a
+		// fast-path arrival cannot jump the queue.
+		ch := ts.queue[0]
+		ts.queue = ts.queue[1:]
+		g.queuedTotal--
+		g.admitLocked(ts)
+		ch <- nil
+	} else {
+		g.inflight--
+	}
+	g.mu.Unlock()
 }
 
 // nextLocked picks the queue to admit from: the backlogged tenant with the
@@ -285,14 +282,6 @@ func (g *fairGate) retryAfterLocked(queued int) time.Duration {
 	}
 	est := time.Duration(float64(queued+1) * svc / float64(g.capacity))
 	return clampRetryAfter(est)
-}
-
-// retryAfter is the gate's generic backpressure hint (used when an ErrBusy
-// carries no per-tenant estimate).
-func (g *fairGate) retryAfter() time.Duration {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.retryAfterLocked(g.queuedTotal)
 }
 
 // snapshot renders the per-tenant counters for the stats surface.

@@ -53,14 +53,13 @@ func TestFairAdmissionRatio(t *testing.T) {
 			go func(tenant string, count *atomic.Int64) {
 				defer wg.Done()
 				for !stop.Load() {
-					release, err := g.acquire(tenant)
-					if err != nil {
+					if err := g.acquire(tenant); err != nil {
 						continue
 					}
 					// Hold the token long enough that the gate stays
 					// saturated and admissions go through the scheduler.
 					time.Sleep(50 * time.Microsecond)
-					release()
+					g.release(50 * time.Microsecond)
 					count.Add(1)
 				}
 			}(tenant, count)
@@ -93,24 +92,23 @@ func TestFairAdmissionRatio(t *testing.T) {
 // positive Retry-After.
 func TestFairGateRejectsAtQueueBound(t *testing.T) {
 	g := newFairGate(1, map[string]float64{"a": 1}, 2)
-	release, err := g.acquire("a")
-	if err != nil {
+	if err := g.acquire("a"); err != nil {
 		t.Fatal(err)
 	}
 	// Fill the queue: two blocked acquirers.
 	results := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			r, err := g.acquire("a")
+			err := g.acquire("a")
 			if err == nil {
-				r()
+				g.release(0)
 			}
 			results <- err
 		}()
 	}
 	waitForQueued(t, g, 2)
 
-	_, err = g.acquire("a")
+	err := g.acquire("a")
 	var busy *BusyError
 	if !errors.As(err, &busy) {
 		t.Fatalf("over-bound acquire: %v, want *BusyError", err)
@@ -125,7 +123,7 @@ func TestFairGateRejectsAtQueueBound(t *testing.T) {
 		t.Fatalf("RetryAfter %v above the clamp", busy.RetryAfter)
 	}
 
-	release()
+	g.release(0)
 	for i := 0; i < 2; i++ {
 		if err := <-results; err != nil {
 			t.Fatalf("queued acquire %d: %v", i, err)
@@ -137,8 +135,7 @@ func TestFairGateRejectsAtQueueBound(t *testing.T) {
 // waiter of the most-over-quota tenant is shed, not the underweighted one.
 func TestFairGateShedsHeaviestTenant(t *testing.T) {
 	g := newFairGate(1, map[string]float64{"heavy": 1, "light": 1}, 2)
-	release, err := g.acquire("heavy")
-	if err != nil {
+	if err := g.acquire("heavy"); err != nil {
 		t.Fatal(err)
 	}
 	// Push heavy's pass ahead so it is the over-quota tenant.
@@ -149,9 +146,9 @@ func TestFairGateShedsHeaviestTenant(t *testing.T) {
 	heavyErrs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			r, err := g.acquire("heavy")
+			err := g.acquire("heavy")
 			if err == nil {
-				r()
+				g.release(0)
 			}
 			heavyErrs <- err
 		}()
@@ -160,9 +157,9 @@ func TestFairGateShedsHeaviestTenant(t *testing.T) {
 	lightErrs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			r, err := g.acquire("light")
+			err := g.acquire("light")
 			if err == nil {
-				r()
+				g.release(0)
 			}
 			lightErrs <- err
 		}()
@@ -174,9 +171,9 @@ func TestFairGateShedsHeaviestTenant(t *testing.T) {
 	// queuedTotal past maxQueueTotal (4): one of heavy's waiters is shed.
 	done := make(chan error, 1)
 	go func() {
-		r, err := g.acquire("extra")
+		err := g.acquire("extra")
 		if err == nil {
-			r()
+			g.release(0)
 		}
 		done <- err
 	}()
@@ -196,7 +193,7 @@ func TestFairGateShedsHeaviestTenant(t *testing.T) {
 		t.Fatalf("snapshot %+v, want heavy shed=1", g.snapshot())
 	}
 
-	release()
+	g.release(0)
 	for i := 0; i < 4; i++ {
 		select {
 		case err := <-heavyErrs:

@@ -317,20 +317,6 @@ func (e *Engine) serveUDSConn(conn net.Conn, allowSHM bool) {
 	e.serveUDSPipelined(conn, br, allowSHM)
 }
 
-// udsDispatch answers one raw request payload into out.
-func (e *Engine) udsDispatch(frame []byte, s *batchScratch, out []byte) []byte {
-	switch FrameKind(frame) {
-	case batchMagic:
-		return e.udsPredict(frame, s, out)
-	case controlMagic:
-		return e.udsControl(frame[4:], out)
-	default:
-		e.errors.Add(1)
-		return appendErrorPayload(out, http.StatusBadRequest,
-			fmt.Sprintf("unknown frame magic %q", FrameKind(frame)))
-	}
-}
-
 // Pipelined-mode sizing: the per-connection dispatch queue bounds how many
 // frames may be in flight beyond the workers (the reader blocks when it
 // fills — backpressure instead of unbounded buffering), and the writer
@@ -453,10 +439,10 @@ func (e *Engine) serveUDSPipelined(conn net.Conn, br *bufio.Reader, allowSHM boo
 			for j := range jobs {
 				outp := udsBufPool.Get().(*[]byte)
 				if j.s != nil {
-					*outp = e.udsPredictDecoded(j.model, j.rows, j.derr, &j.s.pred, (*outp)[:0])
+					*outp = e.udsPredictDecoded(j.model, j.rows, j.derr, &j.s.pred, (*outp)[:0], 0)
 					batchScratchPool.Put(j.s)
 				} else {
-					*outp = e.udsDispatch(*j.req, ws, (*outp)[:0])
+					*outp = e.answer(*j.req, ws, (*outp)[:0], 0)
 					udsBufPool.Put(j.req)
 				}
 				resps <- udsV2Resp{id: j.id, out: outp}
@@ -546,93 +532,76 @@ func (e *Engine) serveUDSPipelined(conn net.Conn, br *bufio.Reader, allowSHM boo
 	}
 }
 
-// udsPredict answers one predict frame, encoding the response (or the error
-// frame) into out. The frame is decoded in place — no copy of the feature
-// payload is made.
-func (e *Engine) udsPredict(frame []byte, s *batchScratch, out []byte) []byte {
-	// aliasOK: frame is the job's own copied buffer, released only after
-	// this returns — and the rows are consumed right here.
-	model, rows, err := s.decodeRequestBytes(frame, e.maxBatch(), true)
-	return e.udsPredictDecoded(model, rows, err, &s.pred, out)
+// answer answers one request payload into out: a predict or control frame
+// the pipelined socket copied off the wire, or a request-ring slot. respCap is
+// the byte capacity of a fixed response buffer that out points into — a ring
+// slot — or 0 where out grows. With respCap > 0 the answer never reallocates
+// off the slot: a predict whose response would not fit is refused before
+// admission (a 413 that predicted nothing), a control document that does not
+// fit is a 413, and error messages are truncated to fit.
+func (e *Engine) answer(frame []byte, s *batchScratch, out []byte, respCap int) []byte {
+	switch FrameKind(frame) {
+	case batchMagic:
+		// aliasOK: frame is a copied socket payload or a request-ring slot,
+		// both held past the predict that consumes the rows. With an aligned
+		// ring producer (SHMAlignSkip) this is the zero-copy path the
+		// shared-memory transport exists for.
+		model, rows, err := s.decodeRequestBytes(frame, e.maxBatch(), true)
+		return e.udsPredictDecoded(model, rows, err, &s.pred, out, respCap)
+	case controlMagic:
+		var req controlReq
+		if err := json.Unmarshal(frame[4:], &req); err != nil {
+			return e.frameError(out, respCap, errors.New("bad control body: "+err.Error()))
+		}
+		doc, err := e.control(req)
+		if err != nil {
+			return e.frameError(out, respCap, err)
+		}
+		enc, err := json.Marshal(doc)
+		if err != nil {
+			return e.frameError(out, respCap, &statusError{http.StatusInternalServerError, err.Error()})
+		}
+		if need := len(jsonMagic) + len(enc); respCap > 0 && need > respCap {
+			return e.frameError(out, respCap, &statusError{http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("control response needs %d bytes, ring slot holds %d", need, respCap)})
+		}
+		return append(append(out, jsonMagic...), enc...)
+	}
+	return e.frameError(out, respCap, fmt.Errorf("unknown frame magic %q", FrameKind(frame)))
 }
 
 // udsPredictDecoded answers an already-decoded predict request, encoding the
-// response (or the error frame) into out. derr is the decode error, if any —
-// rendered here so pipelined decode errors flow through the same response
-// path as everything else. Socket requests carry no tenant field; the model
-// name keys the tenant.
-func (e *Engine) udsPredictDecoded(model string, rows [][]float64, derr error, pred *Prediction, out []byte) []byte {
+// response (or the error frame) into out; respCap is as for answer. derr is
+// the decode error, if any — rendered here so pipelined decode errors flow
+// through the same response path as everything else. Socket and ring
+// requests carry no tenant field; the model name keys the tenant.
+func (e *Engine) udsPredictDecoded(model string, rows [][]float64, derr error, pred *Prediction, out []byte, respCap int) []byte {
 	err := e.decodeRefusal(model, derr)
 	if err == nil {
-		err = e.predictTenant("", model, rows, pred, 0)
+		err = e.predictTenant("", model, rows, pred, respCap)
 	}
-	if err != nil {
-		return e.udsError(out, err)
+	if err == nil {
+		var resp []byte
+		if resp, err = appendBatchResponse(out, pred); err == nil {
+			return resp
+		}
 	}
-	resp, err := appendBatchResponse(out, pred)
-	if err != nil {
-		return e.udsError(out, err)
-	}
-	return resp
+	return e.frameError(out, respCap, err)
 }
 
-// udsControl answers one control frame with the same JSON bodies the HTTP
-// routes render.
-func (e *Engine) udsControl(body []byte, out []byte) []byte {
-	var req controlReq
-	if err := json.Unmarshal(body, &req); err != nil {
-		e.errors.Add(1)
-		return appendErrorPayload(out, http.StatusBadRequest, "bad control body: "+err.Error())
-	}
-	var resp any
-	switch req.Op {
-	case "models":
-		infos := []modelInfo{}
-		for _, m := range e.Models() {
-			infos = append(infos, m.info())
-		}
-		resp = map[string]any{"models": infos}
-	case "model":
-		m, ok := e.Model(req.Name)
-		if !ok {
-			e.errors.Add(1)
-			return appendErrorPayload(out, http.StatusNotFound, fmt.Sprintf("unknown model %q", req.Name))
-		}
-		resp = modelDetail{
-			modelInfo: m.info(),
-			Stats:     modelStats{Requests: m.requests.Load(), Predictions: m.predictions.Load()},
-		}
-	case "stats":
-		resp = e.statsBody()
-	case "reload":
-		if err := e.Reload(req.Dir); err != nil {
-			e.errors.Add(1)
-			return appendErrorPayload(out, http.StatusConflict, err.Error())
-		}
-		names := make([]string, 0)
-		for _, m := range e.Models() {
-			names = append(names, m.Name)
-		}
-		resp = map[string]any{"reloaded": true, "dir": e.Dir(), "models": names, "skipped": len(e.Skipped())}
-	default:
-		e.errors.Add(1)
-		return appendErrorPayload(out, http.StatusNotFound,
-			fmt.Sprintf("unknown control op %q (supported: models, model, stats, reload)", req.Op))
-	}
-	enc, err := json.Marshal(resp)
-	if err != nil {
-		e.errors.Add(1)
-		return appendErrorPayload(out, http.StatusInternalServerError, err.Error())
-	}
-	return append(append(out, jsonMagic...), enc...)
-}
-
-// udsError renders err as an "MTE1" payload with the same status mapping as
-// the HTTP layer, and accounts it in the engine error counter — the socket
-// transport's single error-accounting point.
-func (e *Engine) udsError(out []byte, err error) []byte {
+// frameError renders err as an "MTE1" payload into out with the same status
+// mapping as the HTTP layer, and accounts it in the engine error counter —
+// the socket and ring transports' single error-accounting point. With
+// respCap > 0 the message is truncated so the frame fits respCap bytes;
+// ring slots are at least shmring.MinSlotSize, so the 6-byte header always
+// fits.
+func (e *Engine) frameError(out []byte, respCap int, err error) []byte {
 	e.errors.Add(1)
-	return appendErrorPayload(out, errorStatus(err), err.Error())
+	msg := err.Error()
+	if room := respCap - len(out) - 6; respCap > 0 && len(msg) > room {
+		msg = msg[:room]
+	}
+	return appendErrorPayload(out, errorStatus(err), msg)
 }
 
 // errorStatus maps an engine error to the HTTP status every transport
@@ -642,8 +611,11 @@ func errorStatus(err error) int {
 		unknown *UnknownModelError
 		size    *BatchSizeError
 		resp    *responseSizeError
+		status  *statusError
 	)
 	switch {
+	case errors.As(err, &status):
+		return status.status
 	case errors.Is(err, ErrBusy):
 		return http.StatusServiceUnavailable
 	case errors.As(err, &unknown):

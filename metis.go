@@ -213,8 +213,9 @@ func WithMaxBatch(n int) ServeOption {
 }
 
 // WithMaxInflight caps concurrently admitted prediction requests; beyond it
-// the server fails fast with HTTP 503 + Retry-After (the client SDK retries
-// those automatically).
+// the admission gate fails fast with HTTP 503 and a Retry-After estimated
+// from the gate's observed service time (the client SDK retries those
+// automatically).
 func WithMaxInflight(n int) ServeOption {
 	return func(o *serveOptions) { o.cfg.MaxInflight = n }
 }
