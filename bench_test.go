@@ -31,9 +31,12 @@ import (
 	"repro/internal/metis/mask"
 	"repro/internal/routenet"
 	"repro/internal/routing"
+	"repro/internal/scenario"
+	"repro/internal/scenarios"
 	"repro/internal/serve"
 	"repro/internal/shadow"
 	"repro/internal/shmring"
+	"repro/internal/stats"
 )
 
 var (
@@ -43,7 +46,7 @@ var (
 
 // fixture trains the shared teachers once per benchmark binary.
 func fixture() *experiments.Fixture {
-	fixOnce.Do(func() { fix = experiments.NewFixture(experiments.TestScale) })
+	fixOnce.Do(func() { fix = experiments.NewFixture(scenario.ScaleTest) })
 	return fix
 }
 
@@ -748,7 +751,6 @@ func BenchmarkServeMultiTenantContention(b *testing.B) {
 	e, err := serve.NewEngine(dir, serve.Config{
 		Shards:      2,
 		MaxInflight: 2,
-		TenantQueue: 64,
 		Tenants:     map[string]float64{"gold": 3, "bronze": 1},
 	})
 	if err != nil {
@@ -830,9 +832,9 @@ func BenchmarkMaskSearch(b *testing.B) {
 	f := fixture()
 	g, model := f.RouteNet()
 	opt := &routenet.Optimizer{Model: model, Graph: g}
-	demands := routing.RandomDemands(g, f.Scale.RouteDemands, 3, 9, 907)
+	demands := routing.RandomDemands(g, scenarios.RouteNetScale(f.Scale).Demands, 3, 9, 907)
 	rt := opt.Route(demands)
-	sys := &experiments.RouteNetSystem{Opt: opt, Routing: rt}
+	sys := &scenarios.RouteNetSystem{Opt: opt, Routing: rt}
 	b.ReportAllocs()
 	b.ResetTimer()
 	evals := routenet.DenseEvals()
@@ -849,9 +851,9 @@ func BenchmarkMaskSearchSerial(b *testing.B) {
 	f := fixture()
 	g, model := f.RouteNet()
 	opt := &routenet.Optimizer{Model: model, Graph: g}
-	demands := routing.RandomDemands(g, f.Scale.RouteDemands, 3, 9, 907)
+	demands := routing.RandomDemands(g, scenarios.RouteNetScale(f.Scale).Demands, 3, 9, 907)
 	rt := opt.Route(demands)
-	sys := &experiments.RouteNetSystem{Opt: opt, Routing: rt}
+	sys := &scenarios.RouteNetSystem{Opt: opt, Routing: rt}
 	b.ReportAllocs()
 	b.ResetTimer()
 	evals := routenet.DenseEvals()
@@ -932,13 +934,13 @@ func BenchmarkAblationResampling(b *testing.B) {
 			var q float64
 			for i := 0; i < b.N; i++ {
 				res, err := dtree.DistillPolicy(env, agent, dtree.DistillConfig{
-					MaxLeaves: f.Scale.TreeLeaves, Iterations: 2, EpisodesPerIter: 8,
+					MaxLeaves: scenarios.ABRScale(f.Scale).TreeLeaves, Iterations: 2, EpisodesPerIter: 8,
 					MaxSteps: 50, Resample: on, QHorizon: 5, Seed: 3,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				q = experiments.QoEOfTreeOnEnv(env, experiments.TreePolicy(res.Tree), 8)
+				q = stats.Mean(abr.RunTraces(env, abr.PolicySelector(res.Tree.Predict), 8))
 			}
 			b.ReportMetric(q, "QoE")
 		})
@@ -955,7 +957,7 @@ func BenchmarkAblationDagger(b *testing.B) {
 			var fid float64
 			for i := 0; i < b.N; i++ {
 				res, err := dtree.DistillPolicy(env, agent, dtree.DistillConfig{
-					MaxLeaves: f.Scale.TreeLeaves, Iterations: iters, EpisodesPerIter: 8,
+					MaxLeaves: scenarios.ABRScale(f.Scale).TreeLeaves, Iterations: iters, EpisodesPerIter: 8,
 					MaxSteps: 50, Seed: 3,
 				})
 				if err != nil {
@@ -1004,9 +1006,9 @@ func BenchmarkAblationEntropy(b *testing.B) {
 	f := fixture()
 	g, model := f.RouteNet()
 	opt := &routenet.Optimizer{Model: model, Graph: g}
-	demands := routing.RandomDemands(g, f.Scale.RouteDemands, 3, 9, 911)
+	demands := routing.RandomDemands(g, scenarios.RouteNetScale(f.Scale).Demands, 3, 9, 911)
 	rt := opt.Route(demands)
-	sys := &experiments.RouteNetSystem{Opt: opt, Routing: rt}
+	sys := &scenarios.RouteNetSystem{Opt: opt, Routing: rt}
 	for _, l2 := range []float64{1e-9, 1} {
 		name := "with"
 		if l2 < 1e-3 {

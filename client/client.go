@@ -82,17 +82,6 @@ func WithConns(n int) Option {
 	}
 }
 
-// WithInflight caps the number of in-flight predict frames per multiplexed
-// connection (default 128); callers beyond the cap queue client-side. No
-// effect on HTTP endpoints.
-func WithInflight(n int) Option {
-	return func(c *Client) {
-		if c.uds != nil && n > 0 {
-			c.uds.inflight = n
-		}
-	}
-}
-
 // WithSharedMemory asks unix-socket connections to negotiate a per-connection
 // shared-memory ring segment (the MTS1 upgrade): steady-state predict calls
 // then move through mmap'd rings with zero syscalls on either side, the

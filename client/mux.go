@@ -207,7 +207,7 @@ func (t *udsTransport) muxConnAt(ctx context.Context, i int) (fc framedConn, pre
 		t:       t,
 		c:       c,
 		br:      br,
-		tokens:  make(chan struct{}, t.inflight),
+		tokens:  make(chan struct{}, defaultMuxInflight),
 		pending: make(map[uint32]chan muxResult),
 	}
 	t.mux[i] = mc

@@ -38,8 +38,9 @@ type shmConn struct {
 	br  *bufio.Reader
 	seg *shmring.Segment
 
-	// tokens bounds in-flight requests at min(inflight, ring slots), so a
-	// full ring means slots are genuinely owed to the server, not leaked.
+	// tokens bounds in-flight requests at min(defaultMuxInflight, ring
+	// slots), so a full ring means slots are genuinely owed to the server,
+	// not leaked.
 	tokens chan struct{}
 	// prodMu serializes the request ring's producer side. It is also the
 	// teardown fence: the closer takes it after the collector exits, so
@@ -101,7 +102,7 @@ func (t *udsTransport) shmUpgrade(c net.Conn, br *bufio.Reader) (*shmConn, error
 		c:             c,
 		br:            br,
 		seg:           seg,
-		tokens:        make(chan struct{}, min(t.inflight, seg.Req.Slots())),
+		tokens:        make(chan struct{}, min(defaultMuxInflight, seg.Req.Slots())),
 		pending:       make(map[uint32]chan muxResult),
 		wake:          make(chan struct{}, 1),
 		readerDone:    make(chan struct{}),

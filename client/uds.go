@@ -23,9 +23,8 @@ import (
 // refuses it fails the call.
 type udsTransport struct {
 	path string
-	// conns and inflight are the multiplexer knobs (WithConns/WithInflight).
-	conns    int
-	inflight int
+	// conns is the number of predict slots (WithConns).
+	conns int
 
 	// shm asks new predict connections to negotiate a shared-memory ring
 	// segment (WithSharedMemory); noSHM latches once the server declines or
@@ -48,9 +47,8 @@ type udsTransport struct {
 
 func newUDSTransport(path string) *udsTransport {
 	t := &udsTransport{
-		path:     path,
-		conns:    defaultMuxConns,
-		inflight: defaultMuxInflight,
+		path:  path,
+		conns: defaultMuxConns,
 	}
 	t.reqPool.New = func() any { return new(bytes.Buffer) }
 	t.respPool.New = func() any { b := make([]byte, 0, 4096); return &b }

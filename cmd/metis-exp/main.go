@@ -15,16 +15,20 @@
 //	metis-exp -list-scenarios
 //
 // -cache names the scenario engine's artifact cache, which -exp and
-// -scenario share: every trained teacher (and every distillation corpus a
-// scenario collects) is persisted there as a versioned artifact, and later
-// runs of either mode at the same scale load it instead of rebuilding it. A
-// figure run after a -scenario run therefore trains nothing. With -out, each
-// scenario run writes its student model and a pipeline manifest (provenance
-// record) as artifacts servable or inspectable by metis-serve.
+// -scenario share: every trained teacher and every distillation corpus
+// (the abr corpus included, which -exp collects for the Metis+Pensieve
+// tree when it is missing) is persisted there as a versioned artifact, and
+// later runs of either mode at the same scale load it instead of rebuilding
+// it. A figure run after a -scenario run therefore trains nothing and runs
+// no DAgger. With -out, each scenario run writes its student model and a
+// pipeline manifest (provenance record) as artifacts servable or
+// inspectable by metis-serve.
 //
 // Scales: figures accept test (seconds) and full (minutes); scenarios
 // additionally accept tiny (the whole -scenario all sweep finishes in
-// seconds).
+// seconds). The figures read their scale knobs from the scenario tables
+// (internal/scenarios), so a figure and a pipeline run at one scale train
+// and distil alike.
 //
 // Experiment identifiers follow the paper's numbering (fig7, fig9, fig11,
 // fig12, fig12b, fig12c, fig13, fig14, fig15a, fig15b, fig16a, fig16b,
@@ -89,16 +93,11 @@ func main() {
 		return
 	}
 
-	s := experiments.TestScale
-	switch *scale {
-	case "test":
-	case "full":
-		s = experiments.FullScale
-	default:
+	if *scale != scenario.ScaleTest && *scale != scenario.ScaleFull {
 		fmt.Fprintf(os.Stderr, "-exp supports scales test and full (got %q)\n", *scale)
 		os.Exit(2)
 	}
-	f := experiments.NewFixture(s)
+	f := experiments.NewFixture(*scale)
 	f.Workers = w
 	f.CacheDir = *cache
 
@@ -110,7 +109,7 @@ func main() {
 		}
 		start := time.Now()
 		res := runner(f)
-		fmt.Printf("=== %s (scale %s, %v) ===\n%s\n", name, s.Name, time.Since(start).Round(time.Millisecond), res)
+		fmt.Printf("=== %s (scale %s, %v) ===\n%s\n", name, *scale, time.Since(start).Round(time.Millisecond), res)
 	}
 	if *exp == "all" {
 		for _, name := range experiments.Names() {

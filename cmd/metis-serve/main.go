@@ -65,23 +65,20 @@ import (
 
 // config is the parsed command line.
 type config struct {
-	dir             string
-	addr            string
-	uds             string
-	shm             bool
-	shmDir          string
-	workers         int
-	dispatchWorkers int
-	maxBatch        int
-	inflight        int
-	shards          int
-	tenants         string
-	tenantQueue     int
-	shadowRate      float64
-	shadowDir       string
-	shadowWindow    int
-	driftThreshold  float64
-	shadowSeed      int64
+	dir            string
+	addr           string
+	uds            string
+	shm            bool
+	shmDir         string
+	workers        int
+	maxBatch       int
+	inflight       int
+	shards         int
+	tenants        string
+	shadowRate     float64
+	shadowDir      string
+	shadowWindow   int
+	driftThreshold float64
 }
 
 // parseFlags parses args (not including the program name) into a config.
@@ -101,8 +98,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 		"directory for shared-memory segment files (default /dev/shm when present, else the temp dir)")
 	fs.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0),
 		"inference pool of each shard, shared by all in-flight batches on it (0 = all cores, 1 = serial)")
-	fs.IntVar(&cfg.dispatchWorkers, "dispatch-workers", 0,
-		"per-connection decode/encode workers of the pipelined socket mode (0 = 2, growing with cores up to 4); distinct from -workers, which sizes inference")
 	fs.IntVar(&cfg.maxBatch, "max-batch", 0,
 		fmt.Sprintf("max rows per prediction request (0 = %d)", serve.DefaultMaxBatch))
 	fs.IntVar(&cfg.inflight, "max-inflight", 0,
@@ -111,8 +106,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 		"engine shards, each with its own inference pool and counters; models are partitioned across them by consistent hash (0 = one shard per core)")
 	fs.StringVar(&cfg.tenants, "tenants", "",
 		"weighted fair admission as name:weight pairs, e.g. \"teamA:3,teamB:1\" (tenant = the X-Metis-Tenant header when it names one of these, else the model name; models not listed get weight 1)")
-	fs.IntVar(&cfg.tenantQueue, "tenant-queue", 0,
-		fmt.Sprintf("max queued requests per tenant under overload before 503 (0 = %d)", serve.DefaultTenantQueue))
 	fs.Float64Var(&cfg.shadowRate, "shadow-rate", 0,
 		"fraction of predict batches shadow-scored against the teacher (0 = shadowing off, 1 = every batch)")
 	fs.StringVar(&cfg.shadowDir, "shadow-dir", "",
@@ -121,8 +114,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 		fmt.Sprintf("fidelity window in shadow-scored rows (0 = %d)", shadow.DefaultWindow))
 	fs.Float64Var(&cfg.driftThreshold, "drift-threshold", 0,
 		fmt.Sprintf("windowed fidelity below which the student is refitted from its corpus (0 = %g)", shadow.DefaultDriftThreshold))
-	fs.Int64Var(&cfg.shadowSeed, "shadow-seed", 1,
-		"seed of the deterministic shadow sampler")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -139,9 +130,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	if cfg.inflight < 0 {
 		return nil, fmt.Errorf("-max-inflight must be non-negative (got %d)", cfg.inflight)
 	}
-	if cfg.dispatchWorkers < 0 {
-		return nil, fmt.Errorf("-dispatch-workers must be non-negative (got %d)", cfg.dispatchWorkers)
-	}
 	if cfg.shards < 0 {
 		return nil, fmt.Errorf("-shards must be non-negative (got %d)", cfg.shards)
 	}
@@ -152,12 +140,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 		if _, err := serve.ParseTenantWeights(cfg.tenants); err != nil {
 			return nil, fmt.Errorf("-tenants: %w", err)
 		}
-	}
-	if cfg.tenantQueue < 0 {
-		return nil, fmt.Errorf("-tenant-queue must be non-negative (got %d)", cfg.tenantQueue)
-	}
-	if cfg.tenantQueue > 0 && cfg.tenants == "" {
-		return nil, errors.New("-tenant-queue requires -tenants")
 	}
 	if cfg.shm && cfg.uds == "" {
 		return nil, errors.New("-shm requires -uds (segments are negotiated over the socket)")
@@ -220,8 +202,7 @@ func main() {
 	tenants, _ := serve.ParseTenantWeights(cfg.tenants)
 	engine, err := serve.NewEngine(cfg.dir, serve.Config{
 		Workers: cfg.workers, MaxBatch: cfg.maxBatch, MaxInflight: cfg.inflight,
-		DispatchWorkers: cfg.dispatchWorkers, SHMDir: cfg.shmDir,
-		Shards: cfg.shards, Tenants: tenants, TenantQueue: cfg.tenantQueue,
+		SHMDir: cfg.shmDir, Shards: cfg.shards, Tenants: tenants,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -246,7 +227,7 @@ func main() {
 	if cfg.shadowRate > 0 {
 		mon := shadow.NewMonitor(engine, shadow.Options{
 			Rate:           cfg.shadowRate,
-			Seed:           cfg.shadowSeed,
+			Seed:           1,
 			Window:         cfg.shadowWindow,
 			DriftThreshold: cfg.driftThreshold,
 			Dir:            cfg.shadowDir,

@@ -15,19 +15,18 @@ func TestParseFlags(t *testing.T) {
 		wantErr string
 	}{
 		{"minimal", []string{"-dir", "models"}, ""},
-		{"all knobs", []string{"-dir", "m", "-addr", ":0", "-workers", "4", "-max-batch", "128", "-max-inflight", "8", "-dispatch-workers", "3"}, ""},
+		{"all knobs", []string{"-dir", "m", "-addr", ":0", "-workers", "4", "-max-batch", "128", "-max-inflight", "8"}, ""},
 		{"shm with socket", []string{"-dir", "m", "-uds", "/tmp/m.sock", "-shm"}, ""},
 		{"shm with segment dir", []string{"-dir", "m", "-uds", "/tmp/m.sock", "-shm", "-shm-dir", "/dev/shm"}, ""},
 		{"missing dir", nil, "-dir is required"},
 		{"negative workers", []string{"-dir", "m", "-workers", "-1"}, "-workers must be non-negative"},
 		{"negative max-batch", []string{"-dir", "m", "-max-batch", "-5"}, "-max-batch must be non-negative"},
 		{"negative max-inflight", []string{"-dir", "m", "-max-inflight", "-2"}, "-max-inflight must be non-negative"},
-		{"negative dispatch-workers", []string{"-dir", "m", "-dispatch-workers", "-1"}, "-dispatch-workers must be non-negative"},
 		{"shm without socket", []string{"-dir", "m", "-shm"}, "-shm requires -uds"},
 		{"shm-dir without shm", []string{"-dir", "m", "-uds", "/tmp/m.sock", "-shm-dir", "/dev/shm"}, "-shm-dir requires -shm"},
 		{"shadowing on", []string{"-dir", "m", "-shadow-rate", "0.01", "-shadow-dir", "/tmp/shadow"}, ""},
 		{"shadow all knobs", []string{"-dir", "m", "-shadow-rate", "1", "-shadow-dir", "s",
-			"-shadow-window", "64", "-drift-threshold", "0.95", "-shadow-seed", "7"}, ""},
+			"-shadow-window", "64", "-drift-threshold", "0.95"}, ""},
 		{"shadow rate above one", []string{"-dir", "m", "-shadow-rate", "1.5", "-shadow-dir", "s"}, "-shadow-rate must be in [0, 1]"},
 		{"shadow rate negative", []string{"-dir", "m", "-shadow-rate", "-0.1", "-shadow-dir", "s"}, "-shadow-rate must be in [0, 1]"},
 		{"shadow rate without dir", []string{"-dir", "m", "-shadow-rate", "0.5"}, "-shadow-rate requires -shadow-dir"},
@@ -39,12 +38,10 @@ func TestParseFlags(t *testing.T) {
 		{"sharded", []string{"-dir", "m", "-shards", "4"}, ""},
 		{"per-core shards", []string{"-dir", "m", "-shards", "0"}, ""},
 		{"tenants", []string{"-dir", "m", "-tenants", "teamA:3,teamB:1"}, ""},
-		{"tenants with queue", []string{"-dir", "m", "-tenants", "teamA:3,teamB", "-tenant-queue", "32"}, ""},
+		{"tenant without weight", []string{"-dir", "m", "-tenants", "teamA:3,teamB"}, ""},
 		{"negative shards", []string{"-dir", "m", "-shards", "-1"}, "-shards must be non-negative"},
 		{"bad tenant weight", []string{"-dir", "m", "-tenants", "teamA:0"}, "-tenants:"},
 		{"duplicate tenant", []string{"-dir", "m", "-tenants", "a:1,a:2"}, "-tenants:"},
-		{"negative tenant-queue", []string{"-dir", "m", "-tenants", "a:1", "-tenant-queue", "-3"}, "-tenant-queue must be non-negative"},
-		{"tenant-queue without tenants", []string{"-dir", "m", "-tenant-queue", "8"}, "-tenant-queue requires -tenants"},
 		{"stray positional", []string{"-dir", "m", "stray"}, "unexpected arguments"},
 		{"unknown flag", []string{"-dir", "m", "-frobnicate"}, "not defined"},
 	} {

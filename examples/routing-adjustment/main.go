@@ -8,9 +8,9 @@ import (
 	"fmt"
 
 	metis "repro"
-	"repro/internal/experiments"
 	"repro/internal/routenet"
 	"repro/internal/routing"
+	"repro/internal/scenarios"
 	"repro/internal/topo"
 )
 
@@ -25,7 +25,7 @@ func main() {
 	rt := opt.Route(demands)
 
 	fmt.Println("searching critical connections…")
-	sys := &experiments.RouteNetSystem{Opt: opt, Routing: rt}
+	sys := &scenarios.RouteNetSystem{Opt: opt, Routing: rt}
 	res := metis.CriticalConnections(sys, metis.MaskOptions{Lambda1: 0.25, Lambda2: 1, Iterations: 80, Seed: 7})
 	off := routenet.ConnectionOffsets(rt.Paths)
 	dm := routing.DelayModel{}

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/abr"
 	"repro/internal/dcn"
 	"repro/internal/metis/dtree"
+	"repro/internal/scenarios"
 	"repro/internal/stats"
 )
 
@@ -43,10 +43,10 @@ func Fig15b(f *Fixture) *Fig15bResult {
 	r := &Fig15bResult{}
 	for _, w := range []dcn.Workload{dcn.WebSearch, dcn.DataMining} {
 		var dnnMean, dnnP99, treeMean, treeP99 []float64
-		for run := 0; run < f.Scale.AuToRuns; run++ {
+		for run := 0; run < f.auToRuns(); run++ {
 			seed := int64(100 + run)
 			mk := func(agent dcn.Agent) dcn.FCTStats {
-				flows := dcn.GenerateFlows(w, f.Scale.FlowsPerRun, 16, dcn.DefaultCapBps, 0.6, seed)
+				flows := dcn.GenerateFlows(w, scenarios.LRLAScale(f.Scale).FlowsPerRun, 16, dcn.DefaultCapBps, 0.6, seed)
 				fab := dcn.NewFabric(dcn.Config{LongFlowAgent: agent})
 				fab.Run(flows)
 				return dcn.ComputeFCTStats(flows)
@@ -111,7 +111,7 @@ func collectStates(f *Fixture, want int) ([][]float64, []int) {
 	var states [][]float64
 	var actions []int
 	for seed := int64(0); len(states) < want && seed < 20; seed++ {
-		flows := dcn.GenerateFlows(dcn.WebSearch, f.Scale.FlowsPerRun, 16, dcn.DefaultCapBps, 0.6, 300+seed)
+		flows := dcn.GenerateFlows(dcn.WebSearch, scenarios.LRLAScale(f.Scale).FlowsPerRun, 16, dcn.DefaultCapBps, 0.6, 300+seed)
 		rec := &stateRecorder{inner: lrla}
 		fab := dcn.NewFabric(dcn.Config{LongFlowAgent: rec})
 		fab.Run(flows)
@@ -170,7 +170,7 @@ func Fig16b(f *Fixture) *Fig16bResult {
 	const treeLatency = 0.0023
 	r := &Fig16bResult{}
 	for _, w := range []dcn.Workload{dcn.WebSearch, dcn.DataMining} {
-		flows := dcn.GenerateFlows(w, f.Scale.FlowsPerRun*2, 16, dcn.DefaultCapBps, 0.6, 777)
+		flows := dcn.GenerateFlows(w, scenarios.LRLAScale(f.Scale).FlowsPerRun*2, 16, dcn.DefaultCapBps, 0.6, 777)
 		dcn.NewFabric(dcn.Config{}).Run(flows)
 		var fc, bc [2]float64
 		totalBytes := 0.0
@@ -221,10 +221,10 @@ func Fig17a(f *Fixture) *Fig17aResult {
 	r := &Fig17aResult{}
 	for _, w := range []dcn.Workload{dcn.WebSearch, dcn.DataMining} {
 		var baseMed, baseAvg, medMed, medAvg []float64
-		for run := 0; run < f.Scale.AuToRuns; run++ {
+		for run := 0; run < f.auToRuns(); run++ {
 			seed := int64(500 + run)
 			mk := func(median bool) (float64, float64) {
-				flows := dcn.GenerateFlows(w, f.Scale.FlowsPerRun, 16, dcn.DefaultCapBps, 0.6, seed)
+				flows := dcn.GenerateFlows(w, scenarios.LRLAScale(f.Scale).FlowsPerRun, 16, dcn.DefaultCapBps, 0.6, seed)
 				fab := dcn.NewFabric(dcn.Config{
 					LongFlowAgent:   treeAgent{lrlaTree},
 					AgentLatencyS:   0.0023,
@@ -280,9 +280,4 @@ func Fig17b(f *Fixture) *Fig17bResult {
 		DNNParams:  agent.Actor.NumParams(),
 		TreeLeaves: tree.NumLeaves(),
 	}
-}
-
-// QoEOfTreeOnEnv is a small helper used by examples: mean QoE of a selector.
-func QoEOfTreeOnEnv(env *abr.Env, sel abr.Selector, episodes int) float64 {
-	return stats.Mean(abr.RunTraces(env, sel, episodes))
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/rl"
 	"repro/internal/routenet"
 	"repro/internal/routing"
+	"repro/internal/scenarios"
 )
 
 // Fig27Result compares Metis's decision tree against LIME and LEMNA
@@ -306,10 +307,11 @@ func Fig31(f *Fixture, leafSettings []int) *Fig31Result {
 	}
 	g, model := f.RouteNet()
 	opt := &routenet.Optimizer{Model: model, Graph: g}
-	demands := routing.RandomDemands(g, f.Scale.RouteDemands, 3, 9, 905)
+	p := scenarios.RouteNetScale(f.Scale)
+	demands := routing.RandomDemands(g, p.Demands, 3, 9, 905)
 	rt := opt.Route(demands)
 	start := time.Now()
-	mask.Search(&RouteNetSystem{Opt: opt, Routing: rt}, mask.Options{Iterations: f.Scale.MaskIterations, Seed: 9, Workers: f.Workers})
+	mask.Search(&scenarios.RouteNetSystem{Opt: opt, Routing: rt}, mask.Options{Iterations: p.MaskIterations, Seed: 9, Workers: f.Workers})
 	r.MaskTime = time.Since(start)
 	return r
 }

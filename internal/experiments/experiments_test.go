@@ -3,12 +3,14 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // sharedFixture is trained once for the whole test binary: the fixture is
 // the expensive part (teacher training), and every experiment harness is
 // read-only with respect to it.
-var sharedFixture = NewFixture(TestScale)
+var sharedFixture = NewFixture(scenario.ScaleTest)
 
 func TestFig07TreeInterpretation(t *testing.T) {
 	r := Fig07(sharedFixture)

@@ -3,11 +3,13 @@
 // result with a human-readable rendering; cmd/metis-exp prints them.
 //
 // Heavy artifacts (trained teachers, distilled trees, the RouteNet model)
-// are built once per Fixture and shared across harnesses. The teachers and
-// the AuTO trees come from the registered scenarios (internal/scenarios), so
-// a figure reads the same models, and the same cache, as a pipeline run at
-// its scale. Two scales are provided: TestScale (seconds, used by tests and
-// benchmarks) and FullScale (minutes, used for the recorded results).
+// are built once per Fixture and shared across harnesses. The teachers, the
+// Metis+Pensieve tree and the AuTO trees come from the registered scenarios
+// (internal/scenarios), so a figure reads the same models, and the same
+// cache, as a pipeline run at its scale. The per-scale knobs the harnesses
+// read come from the same scenario tables (scenarios.ABRScale, LRLAScale,
+// RouteNetScale): test scale finishes in seconds and is used by tests and
+// benchmarks, full scale takes minutes and gives the recorded results.
 package experiments
 
 import (
@@ -24,58 +26,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Scale bundles every knob that trades run time for fidelity. Name selects
-// the scenario scale (scenario.ScaleTest, scenario.ScaleFull, …) that the
-// teachers are trained at; the other knobs size the figures themselves.
-type Scale struct {
-	Name string
-
-	// ABR side.
-	NumTraces    int
-	TraceSeconds int
-	VideoChunks  int
-	PretrainEps  int
-	FinetuneEps  int
-	EvalEpisodes int
-	DistillEps   int // episodes per DAgger iteration
-	DistillIters int
-	TreeLeaves   int
-
-	// DCN side.
-	FlowsPerRun int
-	AuToRuns    int // fabric runs for evaluation
-
-	// Routing side.
-	RouteDemands   int
-	MaskIterations int
-	TrafficSamples int // paper: 50
-}
-
-// TestScale finishes in seconds; used by go test and the benches.
-var TestScale = Scale{
-	Name:      "test",
-	NumTraces: 12, TraceSeconds: 400, VideoChunks: 48,
-	PretrainEps: 200, FinetuneEps: 400, EvalEpisodes: 12,
-	DistillEps: 15, DistillIters: 3, TreeLeaves: 150,
-	FlowsPerRun: 250, AuToRuns: 3,
-	RouteDemands: 10, MaskIterations: 60, TrafficSamples: 8,
-}
-
-// FullScale approximates the paper's settings while staying laptop-friendly.
-var FullScale = Scale{
-	Name:      "full",
-	NumTraces: 60, TraceSeconds: 600, VideoChunks: 48,
-	PretrainEps: 400, FinetuneEps: 3000, EvalEpisodes: 40,
-	DistillEps: 25, DistillIters: 3, TreeLeaves: 200,
-	FlowsPerRun: 600, AuToRuns: 8,
-	RouteDemands: 20, MaskIterations: 150, TrafficSamples: 50,
-}
-
 // Fixture lazily builds and caches the trained artifacts shared by the
 // harnesses. All methods are safe for sequential use; the fixture is not
 // goroutine-safe.
 type Fixture struct {
-	Scale Scale
+	// Scale names the scenario scale (scenario.ScaleTest, scenario.ScaleFull,
+	// …) that the teachers and trees are built at and that sizes the figures.
+	Scale string
 
 	// Workers bounds the goroutines used by every parallelized stage the
 	// harnesses drive — CART split search, DAgger rollout collection, SPSA
@@ -111,8 +68,13 @@ type Fixture struct {
 	rnet      *routenet.Model
 }
 
-// NewFixture creates a fixture at the given scale.
-func NewFixture(s Scale) *Fixture { return &Fixture{Scale: s} }
+// NewFixture creates a fixture at the named scale.
+func NewFixture(scale string) *Fixture { return &Fixture{Scale: scale} }
+
+// config is the scenario-engine configuration of the fixture.
+func (f *Fixture) config() scenario.Config {
+	return scenario.Config{Scale: f.Scale, Workers: f.Workers, CacheDir: f.CacheDir}
+}
 
 // fromScenario returns the model of the named scenario's teacher and, when
 // distill is set, the model of its distilled student. Both come from the
@@ -124,7 +86,7 @@ func (f *Fixture) fromScenario(name string, distill bool) (teacher, student any)
 	if !ok {
 		panic("experiments: scenario " + name + " is not registered")
 	}
-	cfg := scenario.Config{Scale: f.Scale.Name, Workers: f.Workers, CacheDir: f.CacheDir}
+	cfg := f.config()
 	t, err := sc.Train(cfg)
 	if err != nil {
 		panic("experiments: train " + name + ": " + err.Error())
@@ -141,8 +103,7 @@ func (f *Fixture) fromScenario(name string, distill bool) (teacher, student any)
 
 func (f *Fixture) envs() {
 	f.onceEnv.Do(func() {
-		s := f.Scale
-		f.envHSDPA, f.envFCC, f.envHSDPATest = scenarios.ABREnvs(s.NumTraces, s.TraceSeconds, s.VideoChunks)
+		f.envHSDPA, f.envFCC, f.envHSDPATest = scenarios.ABREnvs(scenarios.ABRScale(f.Scale))
 	})
 }
 
@@ -172,12 +133,13 @@ func (f *Fixture) Pensieve() *pensieve.Agent {
 	return f.agent
 }
 
-// PensieveTree returns the distilled Metis+Pensieve tree (with resampling).
+// PensieveTree returns the distilled Metis+Pensieve tree (with resampling),
+// its fidelity and its corpus, from the abr scenario's distillation: a
+// corpus cached in CacheDir is refitted, and one that DAgger collects here
+// is saved there.
 func (f *Fixture) PensieveTree() *dtree.DistillResult {
 	f.onceTree.Do(func() {
-		res, err := dtree.DistillPolicy(f.EnvHSDPA(), f.Pensieve(),
-			scenarios.PensieveDistillConfig(f.Scale.TreeLeaves, f.Scale.DistillIters,
-				f.Scale.DistillEps, f.Scale.VideoChunks+2, f.Workers))
+		res, err := scenarios.DistillPensieve(f.config(), f.EnvHSDPA(), f.Pensieve())
 		if err != nil {
 			panic("experiments: distill pensieve: " + err.Error())
 		}
@@ -207,9 +169,4 @@ func (f *Fixture) RouteNet() (*topo.Graph, *routenet.Model) {
 		f.rnet = m.(*routenet.Model)
 	})
 	return f.graph, f.rnet
-}
-
-// TreePolicy adapts a distilled classification tree to an abr.Selector.
-func TreePolicy(t *dtree.Tree) abr.Selector {
-	return abr.PolicySelector(t.Predict)
 }

@@ -12,12 +12,6 @@ import (
 	"repro/internal/topo"
 )
 
-// RouteNetSystem adapts the closed-loop RouteNet* optimizer to the
-// critical-connection search. It now lives in internal/scenarios (the
-// routenet scenario distills through it); the alias keeps the historical
-// experiments-package name every harness and demo uses.
-type RouteNetSystem = scenarios.RouteNetSystem
-
 // maskedRouting bundles one traffic sample's routing and mask.
 type maskedRouting struct {
 	demands []routing.Demand
@@ -30,14 +24,15 @@ type maskedRouting struct {
 func solveMasks(f *Fixture, samples int) []maskedRouting {
 	g, model := f.RouteNet()
 	opt := &routenet.Optimizer{Model: model, Graph: g}
+	p := scenarios.RouteNetScale(f.Scale)
 	var out []maskedRouting
 	for s := 0; s < samples; s++ {
-		demands := routing.RandomDemands(g, f.Scale.RouteDemands, 3, 9, int64(900+s))
+		demands := routing.RandomDemands(g, p.Demands, 3, 9, int64(900+s))
 		rt := opt.Route(demands)
-		sys := &RouteNetSystem{Opt: opt, Routing: rt}
+		sys := &scenarios.RouteNetSystem{Opt: opt, Routing: rt}
 		res := mask.Search(sys, mask.Options{
 			Lambda1: 0.25, Lambda2: 1, // Table 4 hyperparameters
-			Iterations: f.Scale.MaskIterations,
+			Iterations: p.MaskIterations,
 			Seed:       int64(1000 + s),
 			Workers:    f.Workers,
 		})
@@ -135,7 +130,7 @@ func (r *Fig09Result) String() string {
 // Fig09 pools masks over traffic samples.
 func Fig09(f *Fixture) *Fig09Result {
 	g, _ := f.RouteNet()
-	mrs := solveMasks(f, f.Scale.TrafficSamples)
+	mrs := solveMasks(f, f.trafficSamples())
 	var all []float64
 	var sumW, traffic []float64
 	for _, mr := range mrs {
@@ -190,7 +185,7 @@ func (r *Fig18Result) String() string {
 func Fig18(f *Fixture) *Fig18Result {
 	g, _ := f.RouteNet()
 	dm := routing.DelayModel{}
-	mrs := solveMasks(f, maxInt(2, f.Scale.TrafficSamples/4))
+	mrs := solveMasks(f, maxInt(2, f.trafficSamples()/4))
 	r := &Fig18Result{}
 	for _, mr := range mrs {
 		off := routenet.ConnectionOffsets(mr.rt.Paths)
@@ -310,18 +305,19 @@ func (r *Fig29Result) String() string {
 func Fig29(f *Fixture) *Fig29Result {
 	g, model := f.RouteNet()
 	opt := &routenet.Optimizer{Model: model, Graph: g}
-	demands := routing.RandomDemands(g, f.Scale.RouteDemands, 3, 9, 901)
+	p := scenarios.RouteNetScale(f.Scale)
+	demands := routing.RandomDemands(g, p.Demands, 3, 9, 901)
 	rt := opt.Route(demands)
-	sys := &RouteNetSystem{Opt: opt, Routing: rt}
+	sys := &scenarios.RouteNetSystem{Opt: opt, Routing: rt}
 
 	r := &Fig29Result{}
 	for _, l1 := range []float64{0.125, 0.25, 0.5, 1, 2} {
-		res := mask.Search(sys, mask.Options{Lambda1: l1, Lambda2: 1, Iterations: f.Scale.MaskIterations, Seed: 5, Workers: f.Workers})
+		res := mask.Search(sys, mask.Options{Lambda1: l1, Lambda2: 1, Iterations: p.MaskIterations, Seed: 5, Workers: f.Workers})
 		r.Lambda1s = append(r.Lambda1s, l1)
 		r.NormAtL1 = append(r.NormAtL1, res.Norm)
 	}
 	for _, l2 := range []float64{0.25, 0.5, 1, 2, 4} {
-		res := mask.Search(sys, mask.Options{Lambda1: 0.25, Lambda2: l2, Iterations: f.Scale.MaskIterations, Seed: 5, Workers: f.Workers})
+		res := mask.Search(sys, mask.Options{Lambda1: 0.25, Lambda2: l2, Iterations: p.MaskIterations, Seed: 5, Workers: f.Workers})
 		r.Lambda2s = append(r.Lambda2s, l2)
 		r.EntropyAtL2 = append(r.EntropyAtL2, res.Entropy)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/abr"
 	"repro/internal/metis/dtree"
 	"repro/internal/pensieve"
+	"repro/internal/scenarios"
 	"repro/internal/stats"
 )
 
@@ -94,7 +95,7 @@ func (r *Fig11Result) String() string {
 
 // Fig11 retrains both structures with an identical recipe and compares.
 func Fig11(f *Fixture) *Fig11Result {
-	s := f.Scale
+	s := scenarios.ABRScale(f.Scale)
 	train := f.EnvHSDPA()
 	test := f.EnvHSDPATest()
 	run := func(modified bool) []pensieve.CurvePoint {
@@ -103,7 +104,7 @@ func Fig11(f *Fixture) *Fig11Result {
 		return pensieve.Train(a, train, pensieve.TrainOptions{
 			Episodes:     s.FinetuneEps,
 			EvalEvery:    s.FinetuneEps / 4,
-			EvalEpisodes: s.EvalEpisodes / 2,
+			EvalEpisodes: s.EvalTraces / 2,
 			TestEnv:      test,
 			Seed:         6,
 		})
@@ -174,7 +175,7 @@ func Fig12(f *Fixture, family string) *Fig12Result {
 	add := func(name string, sel abr.Selector) {
 		freq := make([]float64, abr.NumBitrates)
 		total := 0.0
-		for ep := 0; ep < f.Scale.EvalEpisodes; ep++ {
+		for ep := 0; ep < scenarios.ABRScale(f.Scale).EvalTraces; ep++ {
 			res := abr.RunEpisode(env, sel, int64(ep))
 			for _, c := range res.Chunks {
 				freq[c.Action]++
@@ -193,7 +194,7 @@ func Fig12(f *Fixture, family string) *Fig12Result {
 		}
 		add(alg.Name(), abr.AlgorithmSelector(alg))
 	}
-	add("Metis+Pensieve", TreePolicy(tree))
+	add("Metis+Pensieve", abr.PolicySelector(tree.Predict))
 	add("Pensieve", agent.Selector())
 	pf := r.Freq[len(r.Freq)-1]
 	r.PensieveRare = [2]float64{pf[2], pf[4]} // 1200 and 2850 kbps
@@ -231,7 +232,7 @@ func Fig12c(f *Fixture) *Fig12cResult {
 	agent := f.Pensieve()
 	r := &Fig12cResult{}
 	for _, bw := range []float64{300, 750, 1200, 1850, 2850, 4300} {
-		env := f.FixedEnv(bw*1.05, f.Scale.VideoChunks)
+		env := f.FixedEnv(bw*1.05, scenarios.ABRScale(f.Scale).VideoChunks)
 		res := abr.RunEpisode(env, agent.Selector(), 0)
 		r.BandwidthsKbps = append(r.BandwidthsKbps, bw)
 		r.Freq = append(r.Freq, res.ActionFrequencies())
@@ -288,7 +289,7 @@ func Fig13(f *Fixture, kbps float64) *Fig13Result {
 		alg.Reset()
 		run(alg.Name(), abr.AlgorithmSelector(alg))
 	}
-	run("Metis+Pensieve", TreePolicy(tree))
+	run("Metis+Pensieve", abr.PolicySelector(tree.Predict))
 	run("Pensieve", agent.Selector())
 
 	// Confidence along the Pensieve trajectory.
@@ -338,26 +339,17 @@ func Fig14(f *Fixture) *Fig14Result {
 	agent := f.Pensieve()
 	plain := f.PensieveTree().Tree
 
-	over, err := dtree.DistillPolicy(env, agent, dtree.DistillConfig{
-		MaxLeaves:       f.Scale.TreeLeaves,
-		Iterations:      f.Scale.DistillIters,
-		EpisodesPerIter: f.Scale.DistillEps,
-		MaxSteps:        f.Scale.VideoChunks + 2,
-		Resample:        true,
-		QHorizon:        5,
-		Oversample:      map[int]float64{2: 0.01, 4: 0.01}, // 1200 and 2850 kbps to ≈1%
-		FeatureNames:    abr.FeatureNames(),
-		Seed:            3,
-		Workers:         f.Workers,
-	})
+	cfg := scenarios.PensieveDistillConfig(scenarios.ABRScale(f.Scale), f.Workers)
+	cfg.Oversample = map[int]float64{2: 0.01, 4: 0.01} // 1200 and 2850 kbps to ≈1%
+	over, err := dtree.DistillPolicy(env, agent, cfg)
 	if err != nil {
 		panic("experiments: fig14 distill: " + err.Error())
 	}
 
-	n := f.Scale.EvalEpisodes
+	n := scenarios.ABRScale(f.Scale).EvalTraces
 	teacher := abr.RunTraces(env, agent.Selector(), n)
-	plainQ := abr.RunTraces(env, TreePolicy(plain), n)
-	overQ := abr.RunTraces(env, TreePolicy(over.Tree), n)
+	plainQ := abr.RunTraces(env, abr.PolicySelector(plain.Predict), n)
+	overQ := abr.RunTraces(env, abr.PolicySelector(over.Tree.Predict), n)
 
 	ratio := func(x, y []float64) (p25, avg, p75 float64) {
 		var rs []float64
@@ -419,6 +411,7 @@ func Fig15a(f *Fixture) *Fig15aResult {
 	}
 	r.Algorithms = append(r.Algorithms, "Metis+Pensieve", "Pensieve")
 
+	n := scenarios.ABRScale(f.Scale).EvalTraces
 	for _, env := range []*abr.Env{f.EnvHSDPA(), f.EnvFCC()} {
 		var row []float64
 		for _, alg := range abr.Baselines() {
@@ -426,10 +419,10 @@ func Fig15a(f *Fixture) *Fig15aResult {
 				continue
 			}
 			alg.Reset()
-			row = append(row, stats.Mean(abr.RunTraces(env, abr.AlgorithmSelector(alg), f.Scale.EvalEpisodes)))
+			row = append(row, stats.Mean(abr.RunTraces(env, abr.AlgorithmSelector(alg), n)))
 		}
-		treeQ := stats.Mean(abr.RunTraces(env, TreePolicy(tree), f.Scale.EvalEpisodes))
-		dnnQ := stats.Mean(abr.RunTraces(env, agent.Selector(), f.Scale.EvalEpisodes))
+		treeQ := stats.Mean(abr.RunTraces(env, abr.PolicySelector(tree.Predict), n))
+		dnnQ := stats.Mean(abr.RunTraces(env, agent.Selector(), n))
 		row = append(row, treeQ, dnnQ)
 		r.QoE = append(r.QoE, row)
 		r.TreeGapPct = append(r.TreeGapPct, 100*(treeQ-dnnQ)/absf(dnnQ))
@@ -460,22 +453,15 @@ func Fig20(f *Fixture) *Fig20Result {
 	agent := f.Pensieve()
 	with := f.PensieveTree().Tree
 
-	without, err := dtree.DistillPolicy(env, agent, dtree.DistillConfig{
-		MaxLeaves:       f.Scale.TreeLeaves,
-		Iterations:      f.Scale.DistillIters,
-		EpisodesPerIter: f.Scale.DistillEps,
-		MaxSteps:        f.Scale.VideoChunks + 2,
-		Resample:        false,
-		FeatureNames:    abr.FeatureNames(),
-		Seed:            3,
-		Workers:         f.Workers,
-	})
+	cfg := scenarios.PensieveDistillConfig(scenarios.ABRScale(f.Scale), f.Workers)
+	cfg.Resample = false
+	without, err := dtree.DistillPolicy(env, agent, cfg)
 	if err != nil {
 		panic("experiments: fig20 distill: " + err.Error())
 	}
-	n := f.Scale.EvalEpisodes
-	qWith := abr.RunTraces(env, TreePolicy(with), n)
-	qWithout := abr.RunTraces(env, TreePolicy(without.Tree), n)
+	n := scenarios.ABRScale(f.Scale).EvalTraces
+	qWith := abr.RunTraces(env, abr.PolicySelector(with.Predict), n)
+	qWithout := abr.RunTraces(env, abr.PolicySelector(without.Tree.Predict), n)
 	r := &Fig20Result{}
 	improved := 0
 	for i := range qWith {

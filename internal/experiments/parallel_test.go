@@ -7,11 +7,12 @@ import (
 	"repro/internal/metis/mask"
 	"repro/internal/routenet"
 	"repro/internal/routing"
+	"repro/internal/scenarios"
 	"repro/internal/topo"
 )
 
 // TestMaskSearchRouteNetWorkerInvariant exercises the real concurrency added
-// by the parallel execution layer — RouteNetSystem clones sharing one
+// by the parallel execution layer — scenarios.RouteNetSystem clones sharing one
 // topo.Graph (lock-guarded candidate-path cache) and its Demands/Paths
 // slices — rather than a toy system, and must hold under -race. An untrained
 // model is used: PredictDelays runs the same forward passes either way, so
@@ -29,7 +30,7 @@ func TestMaskSearchRouteNetWorkerInvariant(t *testing.T) {
 		gg := topo.NSFNet(10)
 		o := &routenet.Optimizer{Model: model.Clone(), Graph: gg}
 		r := &routing.Routing{Demands: demands, Paths: append([]topo.Path(nil), rt.Paths...)}
-		sys := &RouteNetSystem{Opt: o, Routing: r}
+		sys := &scenarios.RouteNetSystem{Opt: o, Routing: r}
 		return mask.Search(sys, mask.Options{Iterations: 8, Seed: 3, Workers: workers})
 	}
 

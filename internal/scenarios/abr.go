@@ -11,16 +11,17 @@ import (
 	"repro/internal/stats"
 )
 
-// abrParams are the per-scale knobs of the abr scenario. The figure
-// harnesses train their Pensieve teacher through this scenario, so these
-// are its only training knobs.
-type abrParams struct {
+// ABRParams are the per-scale knobs of the abr scenario. The figure
+// harnesses train and distil their Pensieve teacher through this scenario
+// and size their ABR runs from the same table, so these are their only
+// ABR knobs.
+type ABRParams struct {
 	NumTraces, TraceSeconds, VideoChunks int
 	PretrainEps, FinetuneEps, EvalTraces int
 	DistillEps, DistillIters, TreeLeaves int
 }
 
-var abrScales = map[string]abrParams{
+var abrScales = map[string]ABRParams{
 	scenario.ScaleTiny: {
 		NumTraces: 4, TraceSeconds: 200, VideoChunks: 16,
 		PretrainEps: 40, FinetuneEps: 80, EvalTraces: 4,
@@ -38,13 +39,17 @@ var abrScales = map[string]abrParams{
 	},
 }
 
+// ABRScale returns the abr scenario's knobs at the named scale (the zero
+// value for an unknown scale).
+func ABRScale(scale string) ABRParams { return abrScales[scale] }
+
 // abrTeacher wraps the trained Pensieve agent plus the lazily built
 // environments the pipeline stages share (the pipeline drives stages
 // sequentially, so memoizing here avoids re-synthesizing the trace sets in
 // every stage).
 type abrTeacher struct {
 	agent  *pensieve.Agent
-	params abrParams
+	params ABRParams
 
 	trainEnv, heldoutEnv *abr.Env
 }
@@ -52,7 +57,7 @@ type abrTeacher struct {
 // train returns the memoized training environment.
 func (t *abrTeacher) train() *abr.Env {
 	if t.trainEnv == nil {
-		t.trainEnv = abrTrainEnv(t.params.NumTraces, t.params.TraceSeconds, t.params.VideoChunks)
+		t.trainEnv = abrTrainEnv(t.params)
 	}
 	return t.trainEnv
 }
@@ -60,7 +65,7 @@ func (t *abrTeacher) train() *abr.Env {
 // heldout returns the memoized held-out environment.
 func (t *abrTeacher) heldout() *abr.Env {
 	if t.heldoutEnv == nil {
-		t.heldoutEnv = abrHeldoutEnv(t.params.NumTraces, t.params.TraceSeconds, t.params.VideoChunks)
+		t.heldoutEnv = abrHeldoutEnv(t.params)
 	}
 	return t.heldoutEnv
 }
@@ -106,54 +111,76 @@ func (sc abrScenario) Train(cfg scenario.Config) (scenario.Teacher, error) {
 	return t, nil
 }
 
-func (sc abrScenario) Distill(cfg scenario.Config, t scenario.Teacher) (scenario.Student, error) {
+func (abrScenario) Distill(cfg scenario.Config, t scenario.Teacher) (scenario.Student, error) {
 	at, ok := t.(*abrTeacher)
 	if !ok {
 		return nil, fmt.Errorf("abr: teacher is %T, not an abr teacher", t)
 	}
-	p := at.params
-	dcfg := PensieveDistillConfig(p.TreeLeaves, p.DistillIters, p.DistillEps, p.VideoChunks+2, cfg.Workers)
-	const header = abrTreeHeader
-
-	// A cached corpus (the final DAgger aggregate with its fitting
-	// weights, stored as a dataset artifact) skips rollout collection
-	// entirely: refitting on the bit-identical table reproduces the final
-	// CART fit — and therefore the student — bit for bit.
-	if ds, ok := cfg.LoadCachedDataset("abr", sc.Fingerprint(cfg)); ok {
-		tree, err := dtree.FitTable(ds, dcfg)
-		if err != nil {
-			return nil, err
-		}
-		return &treeStudent{tree: tree, fidelity: dtree.TableFidelity(tree, ds), header: header}, nil
-	}
-	res, err := dtree.DistillPolicy(at.train(), at.agent, dcfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.SaveCachedDataset("abr", sc.Fingerprint(cfg), res.Data); err != nil {
-		return nil, err
-	}
-	return &treeStudent{tree: res.Tree, fidelity: res.Fidelity, header: header}, nil
+	return abrStudent(DistillPensieve(cfg, at.train(), at.agent))
 }
-
-// abrTreeHeader titles the bitrate tree's summary.
-const abrTreeHeader = "Metis+Pensieve bitrate tree"
 
 // Refit implements scenario.Refitter: one CART fit over the (possibly
 // drift-augmented) corpus with the scale's distillation knobs — no rollouts,
 // no teacher. On the unmodified cached corpus it reproduces the Distill
 // student bit for bit.
 func (abrScenario) Refit(cfg scenario.Config, ds *dataset.Table) (scenario.Student, error) {
+	return abrStudent(refitPensieve(cfg, ds))
+}
+
+// abrTreeHeader titles the bitrate tree's summary.
+const abrTreeHeader = "Metis+Pensieve bitrate tree"
+
+// abrStudent keeps a distillation's tree and fidelity as the scenario's
+// student; its corpus is not kept.
+func abrStudent(res *dtree.DistillResult, err error) (scenario.Student, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &treeStudent{tree: res.Tree, fidelity: res.Fidelity, header: abrTreeHeader}, nil
+}
+
+// DistillPensieve distils a Pensieve agent on env with the §3.2 recipe at
+// cfg's scale. It is the one abr distillation: the scenario's Distill
+// stage and the figure harnesses both call it, so they share the tree and
+// the corpus cached in cfg.CacheDir.
+//
+// A cached corpus (the final DAgger aggregate with its fitting weights,
+// stored as a dataset artifact) skips rollout collection entirely:
+// refitting on the bit-identical table reproduces the final CART fit, and
+// therefore the tree, bit for bit. Otherwise DAgger runs and its corpus is
+// saved.
+func DistillPensieve(cfg scenario.Config, env *abr.Env, agent *pensieve.Agent) (*dtree.DistillResult, error) {
+	fp := abrScenario{}.Fingerprint(cfg)
+	if ds, ok := cfg.LoadCachedDataset("abr", fp); ok {
+		return refitPensieve(cfg, ds)
+	}
 	p, ok := abrScales[cfg.Scale]
 	if !ok {
 		return nil, fmt.Errorf("abr: unknown scale %q", cfg.Scale)
 	}
-	dcfg := PensieveDistillConfig(p.TreeLeaves, p.DistillIters, p.DistillEps, p.VideoChunks+2, cfg.Workers)
-	tree, err := dtree.FitTable(ds, dcfg)
+	res, err := dtree.DistillPolicy(env, agent, PensieveDistillConfig(p, cfg.Workers))
 	if err != nil {
 		return nil, err
 	}
-	return &treeStudent{tree: tree, fidelity: dtree.TableFidelity(tree, ds), header: abrTreeHeader}, nil
+	if err := cfg.SaveCachedDataset("abr", fp, res.Data); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// refitPensieve is one CART fit of ds with the scale's distillation knobs.
+// The result carries the tree, its (unweighted) fidelity on ds — what
+// DistillPolicy reports — and ds itself as Data.
+func refitPensieve(cfg scenario.Config, ds *dataset.Table) (*dtree.DistillResult, error) {
+	p, ok := abrScales[cfg.Scale]
+	if !ok {
+		return nil, fmt.Errorf("abr: unknown scale %q", cfg.Scale)
+	}
+	tree, err := dtree.FitTable(ds, PensieveDistillConfig(p, cfg.Workers))
+	if err != nil {
+		return nil, err
+	}
+	return &dtree.DistillResult{Tree: tree, Fidelity: dtree.TableFidelity(tree, ds), DatasetSize: ds.Len(), Data: ds}, nil
 }
 
 func (abrScenario) Evaluate(cfg scenario.Config, t scenario.Teacher, s scenario.Student) ([]scenario.Metric, error) {

@@ -11,9 +11,10 @@ import (
 	"repro/internal/scenario"
 )
 
-// lrlaParams are the per-scale knobs of the auto-lrla scenario. The figure
-// harnesses take their lRLA teacher and tree from this scenario.
-type lrlaParams struct {
+// LRLAParams are the per-scale knobs of the auto-lrla scenario. The figure
+// harnesses take their lRLA teacher and tree from this scenario, and size
+// their fabric runs with its FlowsPerRun.
+type LRLAParams struct {
 	FlowsPerRun, Generations int
 	// DatasetRuns is how many teacher-in-the-loop fabric runs feed the
 	// distillation set.
@@ -23,11 +24,15 @@ type lrlaParams struct {
 	EvalFlows int
 }
 
-var lrlaScales = map[string]lrlaParams{
+var lrlaScales = map[string]LRLAParams{
 	scenario.ScaleTiny: {FlowsPerRun: 60, Generations: 2, DatasetRuns: 1, MaxLeaves: 200, EvalFlows: 120},
 	scenario.ScaleTest: {FlowsPerRun: 250, Generations: 6, DatasetRuns: 3, MaxLeaves: 2000, EvalFlows: 250},
 	scenario.ScaleFull: {FlowsPerRun: 600, Generations: 25, DatasetRuns: 8, MaxLeaves: 2000, EvalFlows: 600},
 }
+
+// LRLAScale returns the auto-lrla scenario's knobs at the named scale (the
+// zero value for an unknown scale).
+func LRLAScale(scale string) LRLAParams { return lrlaScales[scale] }
 
 // seedEvalFlows is the canonical workload seed for the head-to-head fabric
 // run that compares teacher and student.
@@ -36,7 +41,7 @@ const seedEvalFlows = 99
 // lrlaTeacher wraps the trained long-flow agent.
 type lrlaTeacher struct {
 	l      *auto.LRLA
-	params lrlaParams
+	params LRLAParams
 }
 
 // Query implements scenario.Teacher: the priority distribution.

@@ -47,31 +47,30 @@ const (
 )
 
 // abrTrainEnv builds the canonical HSDPA-like training environment.
-func abrTrainEnv(numTraces, traceSeconds, videoChunks int) *abr.Env {
+func abrTrainEnv(p ABRParams) *abr.Env {
 	return abr.NewEnv(abr.Config{
-		Video:  abr.StandardVideo(videoChunks, 1),
-		Traces: trace.HSDPA(numTraces, traceSeconds, seedHSDPATrain),
+		Video:  abr.StandardVideo(p.VideoChunks, 1),
+		Traces: trace.HSDPA(p.NumTraces, p.TraceSeconds, seedHSDPATrain),
 	})
 }
 
 // abrHeldoutEnv builds the canonical held-out HSDPA-like test environment.
-func abrHeldoutEnv(numTraces, traceSeconds, videoChunks int) *abr.Env {
+func abrHeldoutEnv(p ABRParams) *abr.Env {
 	return abr.NewEnv(abr.Config{
-		Video:  abr.StandardVideo(videoChunks, 1),
-		Traces: trace.HSDPA(numTraces, traceSeconds, seedHSDPAHeldout),
+		Video:  abr.StandardVideo(p.VideoChunks, 1),
+		Traces: trace.HSDPA(p.NumTraces, p.TraceSeconds, seedHSDPAHeldout),
 	})
 }
 
 // ABREnvs builds the canonical ABR environments: the HSDPA-like training
 // set, the FCC-like set, and a held-out HSDPA-like test set.
-func ABREnvs(numTraces, traceSeconds, videoChunks int) (train, fcc, heldout *abr.Env) {
-	train = abrTrainEnv(numTraces, traceSeconds, videoChunks)
+func ABREnvs(p ABRParams) (train, fcc, heldout *abr.Env) {
+	train = abrTrainEnv(p)
 	fcc = abr.NewEnv(abr.Config{
-		Video:  abr.StandardVideo(videoChunks, 1),
-		Traces: trace.FCC(numTraces, traceSeconds, seedFCC),
+		Video:  abr.StandardVideo(p.VideoChunks, 1),
+		Traces: trace.FCC(p.NumTraces, p.TraceSeconds, seedFCC),
 	})
-	heldout = abrHeldoutEnv(numTraces, traceSeconds, videoChunks)
-	return train, fcc, heldout
+	return train, fcc, abrHeldoutEnv(p)
 }
 
 // trainPensieve trains the Pensieve teacher with the canonical recipe:
@@ -87,13 +86,15 @@ func trainPensieve(env *abr.Env, pretrainEps, finetuneEps, maxSteps, workers int
 }
 
 // PensieveDistillConfig is the canonical §3.2 distillation configuration for
-// the Pensieve teacher (DAgger + Equation 1 resampling + CCP pruning).
-func PensieveDistillConfig(leaves, iters, epsPerIter, maxSteps, workers int) dtree.DistillConfig {
+// the Pensieve teacher (DAgger + Equation 1 resampling + CCP pruning) with
+// the abr knobs p. The figure ablations start from it and change only the
+// field they ablate.
+func PensieveDistillConfig(p ABRParams, workers int) dtree.DistillConfig {
 	return dtree.DistillConfig{
-		MaxLeaves:       leaves,
-		Iterations:      iters,
-		EpisodesPerIter: epsPerIter,
-		MaxSteps:        maxSteps,
+		MaxLeaves:       p.TreeLeaves,
+		Iterations:      p.DistillIters,
+		EpisodesPerIter: p.DistillEps,
+		MaxSteps:        p.VideoChunks + 2,
 		Resample:        true,
 		QHorizon:        5,
 		FeatureNames:    abr.FeatureNames(),

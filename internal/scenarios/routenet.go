@@ -67,16 +67,22 @@ func (s *RouteNetSystem) Hypergraph(g *topo.Graph) *hypergraph.Hypergraph {
 	return hypergraph.FromRouting(g, s.Routing.Paths, vols)
 }
 
-// routenetParams are the per-scale knobs of the routenet scenario.
-type routenetParams struct {
+// RouteNetParams are the per-scale knobs of the routenet scenario. The
+// figure harnesses size their traffic samples and mask searches with its
+// Demands and MaskIterations.
+type RouteNetParams struct {
 	Demands, Generations, MaskIterations int
 }
 
-var routenetScales = map[string]routenetParams{
+var routenetScales = map[string]RouteNetParams{
 	scenario.ScaleTiny: {Demands: 6, Generations: 8, MaskIterations: 30},
 	scenario.ScaleTest: {Demands: 10, Generations: 30, MaskIterations: 60},
 	scenario.ScaleFull: {Demands: 20, Generations: 150, MaskIterations: 150},
 }
+
+// RouteNetScale returns the routenet scenario's knobs at the named scale
+// (the zero value for an unknown scale).
+func RouteNetScale(scale string) RouteNetParams { return routenetScales[scale] }
 
 // seedRouteDemands is the canonical demand-sample seed (the same sample the
 // figure harness interprets first).

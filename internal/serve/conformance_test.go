@@ -181,7 +181,7 @@ func TestTransportConformance(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				cfg := base
-				cfg.MaxBatch, cfg.MaxInflight, cfg.TenantQueue, cfg.SHMDir = 4, 1, 1, t.TempDir()
+				cfg.MaxBatch, cfg.MaxInflight, cfg.SHMDir = 4, 1, t.TempDir()
 				e, err := NewEngine(dir, cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -173,10 +173,6 @@ type Config struct {
 	// unless Tenants is set). Without Tenants, calls beyond the cap fail fast
 	// with a *BusyError instead of queueing.
 	MaxInflight int
-	// DispatchWorkers sizes the per-connection decode/encode worker pool of
-	// the pipelined socket mode (0 = 2 workers, growing with cores up to 4).
-	// Distinct from Workers, which sizes the server-wide inference pool.
-	DispatchWorkers int
 	// SHMDir is where per-connection shared-memory segments are created
 	// ("" = /dev/shm when present, else the OS temp dir). Must be a
 	// filesystem both peers can reach.
@@ -194,12 +190,10 @@ type Config struct {
 	// set, the admission gate queues calls beyond MaxInflight (default 4 per
 	// core) per tenant and admits them by weight, instead of failing them
 	// fast. A request naming no tenant, or one outside the map, is keyed by
-	// its model name, at weight 1 unless the map names that model.
+	// its model name, at weight 1 unless the map names that model. Each
+	// tenant queues at most DefaultTenantQueue calls; arrivals beyond it
+	// fail with *BusyError carrying a computed Retry-After.
 	Tenants map[string]float64
-	// TenantQueue bounds each tenant's admission queue when Tenants is set
-	// (0 = 16). Arrivals beyond it fail with *BusyError carrying a computed
-	// Retry-After.
-	TenantQueue int
 }
 
 // Mirror receives a copy of every successful classification predict after
@@ -311,10 +305,7 @@ func NewEngine(dir string, cfg Config) (*Engine, error) {
 		// Without tenants nothing queues: a full gate fails fast.
 		queue := 0
 		if len(cfg.Tenants) > 0 {
-			queue = cfg.TenantQueue
-			if queue <= 0 {
-				queue = DefaultTenantQueue
-			}
+			queue = DefaultTenantQueue
 		}
 		e.gate = newFairGate(capacity, cfg.Tenants, queue)
 	}

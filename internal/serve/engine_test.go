@@ -155,7 +155,7 @@ func TestEngineTypedErrors(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg := base
-			cfg.MaxBatch, cfg.MaxInflight, cfg.TenantQueue = 4, 1, 1
+			cfg.MaxBatch, cfg.MaxInflight = 4, 1
 			e, err := NewEngine(dir, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -260,38 +260,15 @@ func TestShardedRetryAfterComputed(t *testing.T) {
 	dir, _ := shardFixtureDir(t, 2)
 	s, err := NewEngine(dir, Config{
 		Shards: 2, MaxInflight: 1,
-		Tenants: map[string]float64{"a": 1, "b": 1}, TenantQueue: 1,
+		Tenants: map[string]float64{"a": 1, "b": 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Saturate: hold the only admission token, then fill tenant "b"'s queue
-	// so the next call is rejected with a computed hint.
-	if err := s.gate.acquire("b"); err != nil {
-		t.Fatal(err)
-	}
-	queued := make(chan error, 1)
-	go func() {
-		err := s.gate.acquire("b")
-		if err == nil {
-			s.gate.release(0)
-		}
-		queued <- err
-	}()
-	// Wait until the queued acquire is parked.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s.gate.mu.Lock()
-		q := s.gate.queuedTotal
-		s.gate.mu.Unlock()
-		if q == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("second acquire never queued")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	// (DefaultTenantQueue places) so the next call is rejected with a
+	// computed hint.
+	release := holdGate(t, s, "b")
 
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -316,10 +293,7 @@ func TestShardedRetryAfterComputed(t *testing.T) {
 		t.Fatalf("Retry-After %q outside the clamp (parse err %v)", ra, err)
 	}
 
-	s.gate.release(0)
-	if err := <-queued; err != nil {
-		t.Fatalf("queued acquire: %v", err)
-	}
+	release()
 }
 
 // TestShardedEngineFlatStatsUnchanged pins the compatibility contract: a

@@ -84,7 +84,7 @@ type TenantStats struct {
 }
 
 // DefaultTenantQueue bounds each tenant's admission queue when
-// Config.TenantQueue is 0.
+// Config.Tenants is set.
 const DefaultTenantQueue = 16
 
 // tenantState is one tenant's scheduling state inside the gate. All fields

@@ -367,7 +367,7 @@ type udsV2Resp struct {
 // handshake, and a completed handshake drains this whole apparatus and hands
 // the connection to serveSHM.
 func (e *Engine) serveUDSPipelined(conn net.Conn, br *bufio.Reader, allowSHM bool) {
-	workers := e.dispatchWorkers()
+	workers := dispatchWorkers()
 	jobs := make(chan udsV2Job, udsPipelineQueue)
 	resps := make(chan udsV2Resp, udsPipelineQueue+workers)
 	writerDone := make(chan struct{})
@@ -626,16 +626,12 @@ func errorStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// dispatchWorkers resolves the per-connection decode/encode worker count:
-// Config.DispatchWorkers when set, else two workers growing with available
-// cores up to four — enough to overlap decode with inference without
-// drowning a small box in per-connection goroutines.
-func (e *Engine) dispatchWorkers() int {
-	if e.cfg.DispatchWorkers > 0 {
-		return e.cfg.DispatchWorkers
-	}
-	return max(2, min(4, runtime.GOMAXPROCS(0)))
-}
+// dispatchWorkers is the per-connection decode/encode worker count (distinct
+// from Config.Workers, which sizes the server-wide inference pool): two
+// workers growing with available cores up to four — enough to overlap
+// decode with inference without drowning a small box in per-connection
+// goroutines.
+func dispatchWorkers() int { return max(2, min(4, runtime.GOMAXPROCS(0))) }
 
 // appendErrorPayload encodes an "MTE1" payload into out.
 func appendErrorPayload(out []byte, status int, msg string) []byte {
