@@ -27,6 +27,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -49,9 +50,6 @@ type Client struct {
 	// rejected it once with 415 — old servers answer the per-model route
 	// only for JSON).
 	jsonOnly atomic.Bool
-	// replicas, when set (WithReplicas), routes each HTTP call to the
-	// least-loaded replica not currently shedding; base is then unused.
-	replicas *replicaSet
 }
 
 // Option customizes a Client.
@@ -144,68 +142,17 @@ type Prediction struct {
 	Values  [][]float64
 }
 
-// ModelInfo mirrors one row of GET /v2/models.
-type ModelInfo struct {
-	Name       string            `json:"name"`
-	Kind       string            `json:"kind"`
-	Scenario   string            `json:"scenario,omitempty"`
-	Nodes      int               `json:"nodes"`
-	Features   int               `json:"features"`
-	Classes    int               `json:"classes,omitempty"`
-	OutDim     int               `json:"out_dim,omitempty"`
-	Regression bool              `json:"regression"`
-	Meta       map[string]string `json:"meta,omitempty"`
-}
-
-// ModelStats are one model's live counters.
-type ModelStats struct {
-	Requests    int64 `json:"requests"`
-	Predictions int64 `json:"predictions"`
-	// Generation is the model's refit generation (0 = seed student); the
-	// server's shadow loop advances it on refit and reverts it on rollback.
-	Generation int64 `json:"generation"`
-	// Fidelity is the shadow loop's windowed teacher-agreement estimate,
-	// nil until the server shadows this model and its window fills.
-	Fidelity *float64 `json:"fidelity,omitempty"`
-}
-
-// ModelDetail is GET /v2/models/{name}: the registry row plus counters.
-type ModelDetail struct {
-	ModelInfo
-	Stats ModelStats `json:"stats"`
-}
-
-// ShadowStats is the continuous-distillation block of GET /v2/stats.
-type ShadowStats struct {
-	Enabled       bool  `json:"enabled"`
-	Sampled       int64 `json:"sampled"`
-	Dropped       int64 `json:"dropped"`
-	Scored        int64 `json:"scored"`
-	Disagreements int64 `json:"disagreements"`
-	Refits        int64 `json:"refits"`
-	Rollbacks     int64 `json:"rollbacks"`
-}
-
-// Stats is GET /v2/stats.
-type Stats struct {
-	UptimeSeconds float64               `json:"uptime_s"`
-	Requests      int64                 `json:"requests"`
-	Errors        int64                 `json:"errors"`
-	Reloads       int64                 `json:"reloads"`
-	Dir           string                `json:"dir"`
-	Models        map[string]ModelStats `json:"models"`
-	Shadow        ShadowStats           `json:"shadow"`
-	Runtime       RuntimeStats          `json:"runtime"`
-}
-
-// RuntimeStats is the runtime block of GET /v2/stats: the daemon process's
-// cumulative heap allocations and completed GC cycles. Each only grows, so
-// the difference between two reads is the cost of the work in between.
-type RuntimeStats struct {
-	HeapAllocBytes   uint64 `json:"heap_alloc_bytes"`
-	HeapAllocObjects uint64 `json:"heap_alloc_objects"`
-	GCCycles         uint64 `json:"gc_cycles"`
-}
+// The control documents are the daemon's own types, so the client decodes
+// exactly what the server writes: ModelInfo is one row of GET /v2/models,
+// ModelDetail is GET /v2/models/{name}, and Stats is GET /v2/stats.
+type (
+	ModelInfo    = serve.ModelInfo
+	ModelStats   = serve.ModelStats
+	ModelDetail  = serve.ModelDetail
+	ShadowStats  = serve.ShadowStats
+	Stats        = serve.Stats
+	RuntimeStats = serve.RuntimeStats
+)
 
 // do issues one request with 503-retry, returning the response body for a
 // 2xx status and *APIError otherwise. mkBody re-creates the request body
@@ -217,59 +164,30 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, mkBod
 		if mkBody != nil {
 			body = mkBody()
 		}
-		base := c.base
-		var rep *replica
-		if c.replicas != nil {
-			rep = c.replicas.pick(time.Now())
-			base = rep.base
-		}
-		req, err := http.NewRequestWithContext(ctx, method, base+path, body)
+		req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 		if err != nil {
 			return nil, fmt.Errorf("client: %w", err)
 		}
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)
 		}
-		if rep != nil {
-			rep.inflight.Add(1)
-		}
 		resp, err := c.hc.Do(req)
-		if rep != nil {
-			rep.inflight.Add(-1)
-		}
 		if err != nil {
-			if rep != nil && attempt < c.retries {
-				// An unreachable replica is shedding in the hardest way;
-				// bench it briefly and fail over.
-				rep.penalize(time.Now(), time.Second)
-				continue
-			}
 			return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 		}
 		if resp.StatusCode == http.StatusServiceUnavailable && attempt < c.retries {
 			// Admission control pushed back; drain and retry. The server's
-			// Retry-After (fractional seconds) overrides our blind backoff —
-			// and with replicas the sleep collapses to zero whenever another
-			// replica is ready now.
-			ra := parseRetryAfter(resp.Header)
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			// Retry-After (fractional seconds) overrides our blind backoff.
 			wait := backoff
-			if ra > 0 {
+			if ra := parseRetryAfter(resp.Header); ra > 0 {
 				wait = ra
 			}
-			if rep != nil {
-				if ra > 0 {
-					rep.penalize(time.Now(), ra)
-				}
-				wait = c.replicas.retryWait(time.Now())
-			}
-			if wait > 0 {
-				select {
-				case <-time.After(wait):
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			select {
+			case <-time.After(wait):
+			case <-ctx.Done():
+				return nil, ctx.Err()
 			}
 			backoff *= 2
 			continue
@@ -287,6 +205,21 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, mkBod
 		}
 		return resp, nil
 	}
+}
+
+// parseRetryAfter reads a Retry-After header as a (possibly fractional)
+// seconds count. Absent, unparsable, or negative values yield 0 — the caller
+// falls back to its own backoff.
+func parseRetryAfter(h http.Header) time.Duration {
+	v := h.Get("Retry-After")
+	if v == "" {
+		return 0
+	}
+	secs, err := strconv.ParseFloat(v, 64)
+	if err != nil || secs <= 0 {
+		return 0
+	}
+	return time.Duration(secs * float64(time.Second))
 }
 
 // getJSON fetches path into out.

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -295,12 +296,19 @@ func TestClientReload(t *testing.T) {
 
 // TestClientStatsRuntime: both transports' stats carry the daemon's
 // cumulative allocation and GC counters, which never decrease across
-// predicts.
+// predicts, and the latency and shared-memory blocks of the same document.
 func TestClientStatsRuntime(t *testing.T) {
-	ts, _, _ := testServer(t)
-	sock, _ := testUDSServer(t)
+	sock, e := testSHMServer(t, serve.Config{})
+	ts := httptest.NewServer(e.Handler())
+	defer ts.Close()
 	ctx := context.Background()
-	for _, c := range []*Client{New(ts.URL), New("unix://" + sock)} {
+	// The socket client's ring stays open after its first predict, so both
+	// transports report a live ring connection and a recorded latency.
+	ring := New("unix://"+sock, WithSharedMemory())
+	if _, err := ring.PredictBatch(ctx, "cls", [][]float64{{0.9, 0.1}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Client{ring, New(ts.URL)} {
 		// The engine runs in this process; one forced cycle makes the GC
 		// count non-zero however little the test has allocated so far.
 		runtime.GC()
@@ -318,9 +326,61 @@ func TestClientStatsRuntime(t *testing.T) {
 				t.Fatalf("runtime counters decreased: %+v after %+v", rt, prev)
 			}
 			prev = rt
+			if st.Latency.Count == 0 || st.SHM.Conns == 0 {
+				t.Fatalf("stats after a ring predict: latency %+v, shm %+v", st.Latency, st.SHM)
+			}
 			if _, err := c.PredictBatch(ctx, "cls", [][]float64{{0.9, 0.1}, {0.1, 0.9}}); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestRetryAfterSurfacedOnAPIError: a non-retried 503's fractional
+// Retry-After lands on the returned APIError.
+func TestRetryAfterSurfacedOnAPIError(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "0.250")
+		http.Error(w, `{"error":"busy"}`, http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	c := New(srv.URL, WithJSON(), WithRetries(0))
+	_, err := c.PredictBatch(context.Background(), "m", [][]float64{{1}})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) {
+		t.Fatalf("err = %v, want *APIError", err)
+	}
+	if apiErr.Status != http.StatusServiceUnavailable || apiErr.RetryAfter != 250*time.Millisecond {
+		t.Fatalf("APIError %+v, want 503 with RetryAfter 250ms", apiErr)
+	}
+}
+
+// TestRetryHonorsFractionalRetryAfter: a single-endpoint client waits the
+// server's fractional hint (not the default backoff) before the retry that
+// succeeds.
+func TestRetryHonorsFractionalRetryAfter(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			w.Header().Set("Retry-After", "0.100")
+			http.Error(w, `{"error":"busy"}`, http.StatusServiceUnavailable)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"actions":[1]}`))
+	}))
+	defer srv.Close()
+	// Default backoff would be 5s here; the 100ms hint must win.
+	c := New(srv.URL, WithJSON(), WithBackoff(5*time.Second))
+	start := time.Now()
+	if _, err := c.PredictBatch(context.Background(), "m", [][]float64{{1}}); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if elapsed < 90*time.Millisecond || elapsed > 2*time.Second {
+		t.Fatalf("retry waited %v, want ~100ms (the server's hint, not the 5s backoff)", elapsed)
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("server saw %d calls, want 2", calls.Load())
 	}
 }

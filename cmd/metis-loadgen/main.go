@@ -51,7 +51,6 @@ import (
 // config is the parsed command line.
 type config struct {
 	addr      string
-	replicas  string
 	transport string
 	models    string
 	rate      float64
@@ -71,8 +70,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	cfg := &config{}
 	fs.StringVar(&cfg.addr, "addr", "unix:///tmp/metis.sock",
 		"endpoint: unix:///path.sock for the framed socket, or an http:// base URL")
-	fs.StringVar(&cfg.replicas, "replicas", "",
-		"comma-separated http:// base URLs of equivalent replicas; requests go to the least-loaded one not currently shedding (overrides -addr; implies -transport http)")
 	fs.StringVar(&cfg.transport, "transport", "uds",
 		"socket transport: uds (pipelined frames) or shm (negotiate shared-memory rings; needs a unix:// -addr and a server started with -shm)")
 	fs.StringVar(&cfg.models, "models", "",
@@ -91,17 +88,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	}
 	if cfg.transport != "uds" && cfg.transport != "shm" {
 		return nil, fmt.Errorf("-transport must be uds or shm (got %q)", cfg.transport)
-	}
-	if cfg.replicas != "" {
-		for _, r := range strings.Split(cfg.replicas, ",") {
-			if r = strings.TrimSpace(r); !strings.HasPrefix(r, "http://") && !strings.HasPrefix(r, "https://") {
-				return nil, fmt.Errorf("-replicas entries must be http(s) base URLs (got %q)", r)
-			}
-		}
-		if cfg.transport == "shm" {
-			return nil, errors.New("-replicas is HTTP-only and cannot combine with -transport shm")
-		}
-		cfg.transport = "http"
 	}
 	if cfg.transport == "shm" && !strings.HasPrefix(cfg.addr, "unix://") {
 		return nil, errors.New("-transport shm requires a unix:// -addr (rings are negotiated over the socket)")
@@ -313,18 +299,7 @@ func run(ctx context.Context, cfg *config, out io.Writer) error {
 	if cfg.transport == "shm" {
 		opts = append(opts, client.WithSharedMemory())
 	}
-	addr := cfg.addr
-	if cfg.replicas != "" {
-		var bases []string
-		for _, r := range strings.Split(cfg.replicas, ",") {
-			if r = strings.TrimSpace(r); r != "" {
-				bases = append(bases, r)
-			}
-		}
-		addr = bases[0]
-		opts = append(opts, client.WithReplicas(bases))
-	}
-	c := client.New(addr, opts...)
+	c := client.New(cfg.addr, opts...)
 	rng := rand.New(rand.NewSource(cfg.seed))
 	mix, err := buildMix(ctx, c, cfg, rng)
 	if err != nil {

@@ -35,10 +35,6 @@ func TestParseFlags(t *testing.T) {
 		{"bad arrival", []string{"-arrival", "bursty"}, "-arrival must be poisson or fixed"},
 		{"zero duration", []string{"-duration", "0s"}, "-duration must be positive"},
 		{"zero batch", []string{"-batch", "0"}, "must be positive"},
-		{"replicas", []string{"-replicas", "http://a:9090, http://b:9090"}, ""},
-		{"replicas non-http", []string{"-replicas", "unix:///tmp/x.sock"}, "-replicas entries must be http(s)"},
-		{"replicas over shm", []string{"-addr", "unix:///tmp/x.sock", "-transport", "shm",
-			"-replicas", "http://a:9090"}, "-replicas is HTTP-only"},
 		{"stray positional", []string{"stray"}, "unexpected arguments"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

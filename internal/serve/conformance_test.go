@@ -22,6 +22,9 @@ type countingMirror struct{ observes atomic.Int64 }
 func (m *countingMirror) Observe(string, [][]float64, []int) { m.observes.Add(1) }
 func (m *countingMirror) Snapshot() MirrorSnapshot           { return MirrorSnapshot{} }
 
+// modelDetail is the model document the suite decodes.
+type modelDetail = ModelDetail
+
 // confCounters is the engine accounting the conformance suite compares.
 type confCounters struct{ requests, predictions, latency, errors, rejected, observes int64 }
 

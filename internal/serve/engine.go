@@ -13,9 +13,11 @@
 //     float64 batch format (application/x-metis-batch), with one request
 //     decoder for HTTP bodies, socket frames and ring slots, and a pooled
 //     scratch path for allocation-free serving loops.
-//   - http.go: the HTTP layer — the v2 route surface, the control documents
-//     (models, model, stats, reload) that every transport renders through
-//     Engine.control, and the Prometheus /metrics rendering.
+//   - http.go: the HTTP layer — the v2 route surface and Engine.control,
+//     which answers the control ops (models, model, stats, reload) for
+//     every transport.
+//   - stats.go: the control documents' types, the one stats snapshot, and
+//     the table /metrics renders that snapshot from.
 //   - uds.go: the framed unix-domain-socket transport — the same binary
 //     batch payloads without the HTTP machinery, for co-located clients
 //     that need the full in-process rate — and answer, the one frame
@@ -212,16 +214,11 @@ type Mirror interface {
 	Snapshot() MirrorSnapshot
 }
 
-// MirrorSnapshot is a point-in-time view of a Mirror's accounting.
+// MirrorSnapshot is a point-in-time view of a Mirror's accounting: its
+// totals, which the stats document reports as its shadow block (the engine
+// sets Enabled), and the per-model view.
 type MirrorSnapshot struct {
-	// Sampled counts batches copied to the shadow queue; Dropped counts
-	// sampled batches discarded because the queue was full (drop-and-count:
-	// mirroring never backpressures serving). Scored counts rows the shadow
-	// worker has compared against the teacher.
-	Sampled, Dropped, Scored int64
-	// Disagreements counts scored rows where teacher and student differ;
-	// Refits and Rollbacks count controller actions.
-	Disagreements, Refits, Rollbacks int64
+	ShadowStats
 	// Models holds the per-model view, keyed by serving name.
 	Models map[string]MirrorModelSnapshot
 }
@@ -421,9 +418,6 @@ func (e *Engine) Reload(dir string) error {
 // Dir returns the artifact directory backing the current registry
 // generation.
 func (e *Engine) Dir() string { return e.state.Load().dir }
-
-// LoadedAt returns when the current registry generation was loaded.
-func (e *Engine) LoadedAt() time.Time { return e.state.Load().loadedAt }
 
 // Reloads returns how many reloads and reshards have been applied.
 func (e *Engine) Reloads() int64 { return e.reloads.Load() }

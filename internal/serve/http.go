@@ -6,12 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime/metrics"
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/histo"
 )
 
 // maxJSONBody bounds a JSON request body; the binary codec bounds itself by
@@ -51,68 +48,6 @@ func (e *Engine) Handler() http.Handler {
 	return mux
 }
 
-// modelInfo is one models-listing row.
-type modelInfo struct {
-	Name string `json:"name"`
-	Kind string `json:"kind"`
-	// Scenario tags which pipeline domain produced the model (from the
-	// artifact's "scenario" metadata; empty for hand-saved artifacts).
-	Scenario   string            `json:"scenario,omitempty"`
-	Nodes      int               `json:"nodes"`
-	Features   int               `json:"features"`
-	Classes    int               `json:"classes,omitempty"`
-	OutDim     int               `json:"out_dim,omitempty"`
-	Regression bool              `json:"regression"`
-	Meta       map[string]string `json:"meta,omitempty"`
-}
-
-// info renders a model's registry row.
-func (m *Model) info() modelInfo {
-	return modelInfo{
-		Name: m.Name, Kind: m.Kind, Scenario: m.Meta["scenario"],
-		Nodes: m.NumNodes(), Features: m.NumFeatures(),
-		Classes: m.NumClasses(), OutDim: m.OutDim(),
-		Regression: m.IsRegression(), Meta: m.Meta,
-	}
-}
-
-// modelStats is one stats entry.
-type modelStats struct {
-	Requests    int64 `json:"requests"`
-	Predictions int64 `json:"predictions"`
-	// Generation is the model's refit generation (0 = seed student); it
-	// advances when the shadow loop refits and reverts on rollback, so an
-	// operator polling stats can watch a canary converge.
-	Generation int64 `json:"generation"`
-	// Fidelity is the shadow loop's windowed teacher-agreement estimate for
-	// this model; absent until a mirror is installed and its window fills.
-	Fidelity *float64 `json:"fidelity,omitempty"`
-}
-
-// statsFor renders one model's stats entry, folding in the mirror's
-// fidelity estimate when one is measuring this model.
-func statsFor(m *Model, snap *MirrorSnapshot) modelStats {
-	s := modelStats{
-		Requests:    m.requests.Load(),
-		Predictions: m.predictions.Load(),
-		Generation:  m.Generation,
-	}
-	if snap != nil {
-		if ms, ok := snap.Models[m.Name]; ok && ms.Fidelity >= 0 {
-			f := ms.Fidelity
-			s.Fidelity = &f
-		}
-	}
-	return s
-}
-
-// modelDetail is the models/{name} body: the registry row plus the model's
-// live counters.
-type modelDetail struct {
-	modelInfo
-	Stats modelStats `json:"stats"`
-}
-
 // statusError is a failure reported under an explicit HTTP status, on every
 // transport (see errorStatus).
 type statusError struct {
@@ -130,7 +65,7 @@ func (e *statusError) Error() string { return e.msg }
 func (e *Engine) control(req controlReq) (any, error) {
 	switch req.Op {
 	case "models":
-		infos := []modelInfo{}
+		infos := []ModelInfo{}
 		for _, m := range e.Models() {
 			infos = append(infos, m.info())
 		}
@@ -140,9 +75,9 @@ func (e *Engine) control(req controlReq) (any, error) {
 		if !ok {
 			return nil, &statusError{http.StatusNotFound, fmt.Sprintf("unknown model %q", req.Name)}
 		}
-		return modelDetail{modelInfo: m.info(), Stats: statsFor(m, e.mirrorSnapshot())}, nil
+		return ModelDetail{ModelInfo: m.info(), Stats: statsFor(m, e.mirrorSnapshot())}, nil
 	case "stats":
-		return e.statsBody(), nil
+		return e.stats(), nil
 	case "reload":
 		if err := e.Reload(req.Dir); err != nil {
 			return nil, &statusError{http.StatusConflict, err.Error()}
@@ -299,78 +234,6 @@ func (e *Engine) predictJSON(w http.ResponseWriter, r *http.Request, name string
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// latencyBody renders a latency histogram as the stats document's latency
-// block.
-func latencyBody(h *histo.Histogram) map[string]any {
-	return map[string]any{
-		"count":   h.Count(),
-		"mean_us": h.Mean() / 1e3,
-		"p50_us":  float64(h.Quantile(0.50)) / 1e3,
-		"p99_us":  float64(h.Quantile(0.99)) / 1e3,
-		"p999_us": float64(h.Quantile(0.999)) / 1e3,
-		"max_us":  float64(h.Max()) / 1e3,
-	}
-}
-
-// statsBody builds the stats document (control's "stats" op). A multi-shard
-// engine adds a "shards" block, and an admission gate a "tenants" block.
-func (e *Engine) statsBody() map[string]any {
-	snap := e.mirrorSnapshot()
-	per := map[string]modelStats{}
-	for _, m := range e.Models() {
-		per[m.Name] = statsFor(m, snap)
-	}
-	shadow := map[string]any{"enabled": snap != nil}
-	if snap != nil {
-		shadow["sampled"] = snap.Sampled
-		shadow["dropped"] = snap.Dropped
-		shadow["scored"] = snap.Scored
-		shadow["disagreements"] = snap.Disagreements
-		shadow["refits"] = snap.Refits
-		shadow["rollbacks"] = snap.Rollbacks
-	}
-	body := map[string]any{
-		"uptime_s":  time.Since(e.start).Seconds(),
-		"requests":  e.requestsTotal(),
-		"errors":    e.errors.Load(),
-		"reloads":   e.Reloads(),
-		"dir":       e.Dir(),
-		"loaded_at": e.LoadedAt().UTC().Format(time.RFC3339),
-		"models":    per,
-		"shadow":    shadow,
-		"shm": map[string]any{
-			"conns": e.shm.conns.Load(),
-			"wakes": e.shm.wakes.Load(),
-		},
-		"latency": latencyBody(e.Latency()),
-		"runtime": runtimeBody(),
-	}
-	if e.ShardCount() > 1 {
-		body["shards"] = e.shardStats()
-	}
-	if e.gate != nil {
-		body["tenants"] = e.gate.snapshot()
-	}
-	return body
-}
-
-// runtimeBody is the process's cumulative heap allocation and GC cycle
-// counts. They never decrease, so the difference between two reads is what
-// the process allocated and collected in between.
-func runtimeBody() map[string]uint64 {
-	samples := []metrics.Sample{
-		{Name: "/gc/heap/allocs:bytes"},
-		{Name: "/gc/heap/allocs:objects"},
-		{Name: "/gc/cycles/total:gc-cycles"},
-	}
-	metrics.Read(samples)
-	return map[string]uint64{
-		"heap_alloc_bytes":   samples[0].Value.Uint64(),
-		"heap_alloc_objects": samples[1].Value.Uint64(),
-		"gc_cycles":          samples[2].Value.Uint64(),
-	}
-}
-
 // handleReload reloads the artifact directory. The optional body is
 // {"dir": …}: a new directory to switch to; empty reloads the current one.
 func (e *Engine) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -387,61 +250,11 @@ func (e *Engine) handleReload(w http.ResponseWriter, r *http.Request) {
 	e.writeControl(w, controlReq{Op: "reload", Dir: req.Dir})
 }
 
-// handleMetrics renders the engine counters in the Prometheus text
-// exposition format — no client library, the format is four line shapes.
+// handleMetrics renders the stats snapshot as Prometheus text.
 func (e *Engine) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("metis_requests_total", "Predict calls admitted or rejected by the engine.", e.requestsTotal())
-	counter("metis_errors_total", "Requests that failed (any 4xx/5xx).", e.errors.Load())
-	counter("metis_reloads_total", "Registry hot reloads applied.", e.Reloads())
-	counter("metis_shm_wakes_total", "Doorbell frames written to parked ring clients (flat while rings stay busy).", e.shm.wakes.Load())
-	// Shadow-loop counters render as zeros until a mirror is installed, so
-	// scrapers see a stable metric set whether or not -shadow-rate is on.
-	var snap MirrorSnapshot
-	if s := e.mirrorSnapshot(); s != nil {
-		snap = *s
-	}
-	counter("metis_shadow_sampled_total", "Predict batches mirrored to the shadow-scoring queue.", snap.Sampled)
-	counter("metis_shadow_dropped_total", "Sampled batches dropped because the shadow queue was full.", snap.Dropped)
-	counter("metis_shadow_disagreements_total", "Shadow-scored rows where teacher and student disagreed.", snap.Disagreements)
-	counter("metis_shadow_refits_total", "Drift-triggered student refits applied by the shadow loop.", snap.Refits)
-	counter("metis_shadow_rollbacks_total", "Refits rolled back because the new student measured worse.", snap.Rollbacks)
-	fmt.Fprintf(&b, "# HELP metis_shm_conns Connections currently serving shared-memory ring traffic.\n# TYPE metis_shm_conns gauge\nmetis_shm_conns %d\n",
-		e.shm.conns.Load())
-	fmt.Fprintf(&b, "# HELP metis_uptime_seconds Engine uptime.\n# TYPE metis_uptime_seconds gauge\nmetis_uptime_seconds %.3f\n",
-		time.Since(e.start).Seconds())
-	models := e.Models() // already sorted by name
-	fmt.Fprintf(&b, "# HELP metis_models Servable models in the current registry generation.\n# TYPE metis_models gauge\nmetis_models %d\n", len(models))
-	if e.ShardCount() > 1 {
-		b.WriteString("# HELP metis_shard_requests_total Predict requests per engine shard.\n# TYPE metis_shard_requests_total counter\n")
-		for _, ss := range e.shardStats() {
-			fmt.Fprintf(&b, "metis_shard_requests_total{shard=\"%d\"} %d\n", ss.Shard, ss.Requests)
-		}
-	}
-	if e.gate != nil {
-		tenants := e.gate.snapshot()
-		b.WriteString("# HELP metis_tenant_admitted_total Predict calls admitted per tenant.\n# TYPE metis_tenant_admitted_total counter\n")
-		for name, ts := range tenants {
-			fmt.Fprintf(&b, "metis_tenant_admitted_total{tenant=%q} %d\n", name, ts.Admitted)
-		}
-		b.WriteString("# HELP metis_tenant_rejected_total Predict calls rejected or shed per tenant.\n# TYPE metis_tenant_rejected_total counter\n")
-		for name, ts := range tenants {
-			fmt.Fprintf(&b, "metis_tenant_rejected_total{tenant=%q} %d\n", name, ts.Rejected+ts.Shed)
-		}
-	}
-	b.WriteString("# HELP metis_model_requests_total Predict requests per model.\n# TYPE metis_model_requests_total counter\n")
-	for _, m := range models {
-		fmt.Fprintf(&b, "metis_model_requests_total{model=%q} %d\n", m.Name, m.requests.Load())
-	}
-	b.WriteString("# HELP metis_model_predictions_total Rows predicted per model.\n# TYPE metis_model_predictions_total counter\n")
-	for _, m := range models {
-		fmt.Fprintf(&b, "metis_model_predictions_total{model=%q} %d\n", m.Name, m.predictions.Load())
-	}
+	s := e.stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write([]byte(b.String()))
+	w.Write(appendMetrics(nil, &s))
 }
 
 // failErr renders an engine error under the status every transport maps it

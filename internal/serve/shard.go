@@ -119,29 +119,6 @@ func (e *Engine) Reshard(n int) error {
 	return nil
 }
 
-// ShardStats is one shard's block in the stats document of a multi-shard
-// engine.
-type ShardStats struct {
-	Shard       int   `json:"shard"`
-	Models      int   `json:"models"`
-	Requests    int64 `json:"requests"`
-	Predictions int64 `json:"predictions"`
-}
-
-// shardStats returns the per-shard stats blocks.
-func (e *Engine) shardStats() []ShardStats {
-	st := e.state.Load()
-	out := make([]ShardStats, len(st.shards))
-	for i, sh := range st.shards {
-		out[i] = ShardStats{Shard: i, Requests: sh.requests.Load()}
-	}
-	for name, idx := range st.assign {
-		out[idx].Models++
-		out[idx].Predictions += st.models[name].predictions.Load()
-	}
-	return out
-}
-
 // predictChunk is the per-task granularity of a shard's pool: single tree
 // evaluations cost nanoseconds, so work is handed out in blocks large
 // enough to amortize scheduling.

@@ -81,7 +81,7 @@ func TestShardedPredictParity(t *testing.T) {
 	// guaranteed by hashing in general, but pinned here to catch a routing
 	// regression that sends everything to shard 0.
 	nonEmpty := 0
-	for _, st := range s.shardStats() {
+	for _, st := range s.stats().Shards {
 		if st.Models > 0 {
 			nonEmpty++
 		}

@@ -164,7 +164,7 @@ func TestUDSControlOps(t *testing.T) {
 		t.Fatalf("frame kind %q, want %q", FrameKind(resp), jsonMagic)
 	}
 	var models struct {
-		Models []modelInfo `json:"models"`
+		Models []ModelInfo `json:"models"`
 	}
 	if err := json.Unmarshal(FrameBody(resp), &models); err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestUDSControlOps(t *testing.T) {
 
 	req, _ = ControlRequest("model", "abr", "")
 	resp = call(t, conn, br, req)
-	var detail modelDetail
+	var detail ModelDetail
 	if err := json.Unmarshal(FrameBody(resp), &detail); err != nil {
 		t.Fatal(err)
 	}
