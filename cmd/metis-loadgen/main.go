@@ -110,6 +110,16 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	return cfg, nil
 }
 
+// recordTransport names the transport the traffic rides: http for an
+// http:// or https:// -addr, where -transport (which picks between the
+// socket transports) does not apply, and -transport otherwise.
+func (c *config) recordTransport() string {
+	if strings.HasPrefix(c.addr, "http://") || strings.HasPrefix(c.addr, "https://") {
+		return "http"
+	}
+	return c.transport
+}
+
 // mixEntry is one model in the traffic mix with its pre-generated request
 // rows (shared read-only across workers) and live request count.
 type mixEntry struct {
@@ -270,7 +280,7 @@ func (r *report) writeJSON(path string) error {
 		"go":        runtime.Version(),
 		"benchtime": r.cfg.duration.String(),
 		"results": []map[string]any{{
-			"name":       "LoadgenPredictBatch/" + r.cfg.transport,
+			"name":       "LoadgenPredictBatch/" + r.cfg.recordTransport(),
 			"iterations": r.ok(),
 			"ns_per_op":  int64(h.Mean()),
 			"preds/s":    r.predsPerSec(),
@@ -282,7 +292,7 @@ func (r *report) writeJSON(path string) error {
 			"p999_us":    us(h.Quantile(0.999)),
 			"failed":     r.failed,
 			"dropped":    r.dropped,
-			"transport":  r.cfg.transport,
+			"transport":  r.cfg.recordTransport(),
 			"models":     models,
 		}},
 	}

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"io"
 	"math/rand"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -89,9 +90,12 @@ func reportValue(t *testing.T, report, key string) float64 {
 // TestRunAgainstLiveDaemon offers a short burst of open-loop load to a real
 // engine over the framed socket and checks the report: traffic flowed, the
 // quantiles are present and ordered, and the per-model counts add up.
-func TestRunAgainstLiveDaemon(t *testing.T) {
+// treeDir writes a two-feature abr tree, trained on rows drawn from seed,
+// into a fresh model directory.
+func treeDir(t *testing.T, seed int64) string {
+	t.Helper()
 	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(3))
+	rng := rand.New(rand.NewSource(seed))
 	ds := &dtree.Dataset{}
 	for i := 0; i < 200; i++ {
 		x := []float64{rng.Float64(), rng.Float64()}
@@ -109,6 +113,43 @@ func TestRunAgainstLiveDaemon(t *testing.T) {
 	if err := artifact.SaveModel(filepath.Join(dir, "abr.metis"), tree, map[string]string{"name": "abr"}); err != nil {
 		t.Fatal(err)
 	}
+	return dir
+}
+
+// loadgenResult is the one result row of a -json record.
+type loadgenResult struct {
+	Name       string           `json:"name"`
+	Iterations int64            `json:"iterations"`
+	NsPerOp    int64            `json:"ns_per_op"`
+	PredsPerS  float64          `json:"preds/s"`
+	Failed     int64            `json:"failed"`
+	Transport  string           `json:"transport"`
+	Models     map[string]int64 `json:"models"`
+}
+
+// readRecord decodes the -json record at path and returns its result row.
+func readRecord(t *testing.T, path string) loadgenResult {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Date    string          `json:"date"`
+		Go      string          `json:"go"`
+		Results []loadgenResult `json:"results"`
+	}
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatalf("-json record is not valid JSON: %v\n%s", err, data)
+	}
+	if rec.Date == "" || rec.Go == "" || len(rec.Results) != 1 {
+		t.Fatalf("record shape: %+v", rec)
+	}
+	return rec.Results[0]
+}
+
+func TestRunAgainstLiveDaemon(t *testing.T) {
+	dir := treeDir(t, 3)
 	e, err := serve.LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -185,25 +226,7 @@ func TestRunAgainstLiveDaemon(t *testing.T) {
 // live shm connection), nothing fails, and the JSON record matches the
 // benchmark-file schema with a positive preds/s.
 func TestRunSharedMemoryTransport(t *testing.T) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(5))
-	ds := &dtree.Dataset{}
-	for i := 0; i < 200; i++ {
-		x := []float64{rng.Float64(), rng.Float64()}
-		y := 0
-		if x[0] > x[1] {
-			y = 1
-		}
-		ds.X = append(ds.X, x)
-		ds.Y = append(ds.Y, y)
-	}
-	tree, err := dtree.Build(ds, dtree.BuildOptions{MaxLeaves: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := artifact.SaveModel(filepath.Join(dir, "abr.metis"), tree, map[string]string{"name": "abr"}); err != nil {
-		t.Fatal(err)
-	}
+	dir := treeDir(t, 5)
 	e, err := serve.NewEngine(dir, serve.Config{SHMDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -244,30 +267,7 @@ func TestRunSharedMemoryTransport(t *testing.T) {
 		t.Fatal("no shared-memory connection established — the loadgen fell back to frames")
 	}
 
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec struct {
-		Date    string `json:"date"`
-		Go      string `json:"go"`
-		Results []struct {
-			Name       string           `json:"name"`
-			Iterations int64            `json:"iterations"`
-			NsPerOp    int64            `json:"ns_per_op"`
-			PredsPerS  float64          `json:"preds/s"`
-			Failed     int64            `json:"failed"`
-			Transport  string           `json:"transport"`
-			Models     map[string]int64 `json:"models"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("-json record is not valid JSON: %v\n%s", err, data)
-	}
-	if rec.Date == "" || rec.Go == "" || len(rec.Results) != 1 {
-		t.Fatalf("record shape: %+v", rec)
-	}
-	res := rec.Results[0]
+	res := readRecord(t, jsonPath)
 	if res.Name != "LoadgenPredictBatch/shm" || res.Iterations < 100 ||
 		res.NsPerOp <= 0 || res.PredsPerS <= 0 || res.Failed != 0 {
 		t.Fatalf("record result: %+v", res)
@@ -279,5 +279,38 @@ func TestRunSharedMemoryTransport(t *testing.T) {
 	}
 	if res.Models["abr"] != res.Iterations {
 		t.Fatalf("record models = %v, want abr = %d", res.Models, res.Iterations)
+	}
+}
+
+// TestRunHTTPRecordsTransport drives an HTTP daemon with the default
+// -transport: the -json record must name http, which the -addr chose, not
+// the socket transport the flag defaults to.
+func TestRunHTTPRecordsTransport(t *testing.T) {
+	e, err := serve.LoadDir(treeDir(t, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(e.Handler())
+	defer ts.Close()
+
+	jsonPath := filepath.Join(t.TempDir(), "bench.json")
+	cfg, err := parseFlags([]string{"-addr", ts.URL, "-rate", "2000", "-duration", "300ms",
+		"-batch", "4", "-workers", "2", "-conns", "1", "-json", jsonPath}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run(context.Background(), cfg, &out); err != nil {
+		t.Fatal(err)
+	}
+	if failed := reportValue(t, out.String(), "requests_failed"); failed != 0 {
+		t.Fatalf("%g requests failed over http:\n%s", failed, out.String())
+	}
+	res := readRecord(t, jsonPath)
+	if res.Name != "LoadgenPredictBatch/http" || res.Transport != "http" {
+		t.Fatalf("record name %q, transport %q; want LoadgenPredictBatch/http, http", res.Name, res.Transport)
+	}
+	if res.Iterations < 100 || res.Models["abr"] != res.Iterations {
+		t.Fatalf("record result: %+v", res)
 	}
 }

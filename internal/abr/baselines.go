@@ -193,8 +193,10 @@ func (b *BOLA) Select(obs Observation) int {
 }
 
 // RobustMPC implements the robust model-predictive-control ABR (Yin et al.,
-// SIGCOMM 2015): exhaustive search over a 5-chunk horizon using a
-// conservatively discounted throughput prediction.
+// SIGCOMM 2015): exact search over a 5-chunk horizon using a
+// conservatively discounted throughput prediction. The search prunes
+// subtrees that cannot beat the best sequence so far; it returns what an
+// exhaustive walk would.
 type RobustMPC struct {
 	// Horizon is the lookahead in chunks (default 5).
 	Horizon int
@@ -275,11 +277,22 @@ func (m *RobustMPC) Select(obs Observation) int {
 		return buffer + ChunkSeconds, qoe + (rate[q] - rp*reb - smooth[q][last])
 	}
 
-	// Exhaustive depth-first enumeration of bitrate sequences over the
-	// horizon, in lexicographic order; the first sequence with the
-	// strictly highest QoE wins. Frame d holds the state before depth d's
-	// choice and the next quality to try there; the last depth is scored
-	// inline.
+	// A step's QoE term is rate[q] minus two penalties, each ≥ 0 when the
+	// penalty weights are, so it is ≤ rmax; rounding is monotone, so no
+	// sequence below a node beats its running QoE with rmax added once per
+	// step left. Ties keep the earliest sequence, so a node whose bound is
+	// ≤ the best QoE so far cannot change the answer and is skipped.
+	// Negative weights void the bound: then every sequence is walked.
+	rmax := rate[0]
+	for _, r := range rate[1:] {
+		rmax = math.Max(rmax, r)
+	}
+	prune := rp >= 0 && sp >= 0
+
+	// Depth-first enumeration of bitrate sequences over the horizon, in
+	// lexicographic order; the first sequence with the strictly highest
+	// QoE wins. Frame d holds the state before depth d's choice and the
+	// next quality to try there; the last depth is scored inline.
 	type frame struct {
 		buffer, qoe float64
 		last, next  int
@@ -309,6 +322,15 @@ func (m *RobustMPC) Select(obs Observation) int {
 		q := f.next
 		f.next++
 		buffer, qoe := step(q, f.last, f.buffer, f.qoe)
+		if prune {
+			bound := qoe
+			for left := horizon - d - 1; left > 0; left-- {
+				bound += rmax
+			}
+			if bound <= bestQoE {
+				continue
+			}
+		}
 		d++
 		stack[d] = frame{buffer: buffer, qoe: qoe, last: q}
 	}

@@ -1,6 +1,7 @@
 package abr
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -181,6 +182,93 @@ func TestRobustMPCMatchesReference(t *testing.T) {
 	if ties == 0 || truncated == 0 || noHistory == 0 {
 		t.Fatalf("coverage: %d ties, %d truncated horizons, %d without history", ties, truncated, noHistory)
 	}
+}
+
+// TestRobustMPCPrunedMatchesReference drives RobustMPC through sessions
+// where the pruned search skips most subtrees, or must not prune at all,
+// and checks every choice and state against the reference's full walk.
+func TestRobustMPCPrunedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	penalties := [][2]float64{{0, 0}, {1, 1}, {10, 3}, {0.5, 0.5}}
+	negative := [][2]float64{{-1, 1}, {4.3, -0.5}, {-4.3, -1}, {-0.25, 0}}
+	cases := []struct {
+		name      string
+		penalties [][2]float64
+		observe   func(obs *Observation, i int) []float64 // returns the history
+	}{
+		// Throughput collapses mid-session: the robust discount makes
+		// every high bitrate rebuffer.
+		{"collapse", penalties, func(obs *Observation, i int) []float64 {
+			if i < 4 {
+				return []float64{4000 + 500*float64(i), 5000, 6000}
+			}
+			obs.BufferSec = rng.Float64() * 8
+			return []float64{5000, 6000, 50 + 100*rng.Float64(), 60 + 10*float64(i)}
+		}},
+		// A full buffer: no sequence rebuffers, so the bound is tight.
+		{"full buffer", penalties, func(obs *Observation, i int) []float64 {
+			obs.BufferSec = 60
+			return []float64{1500 + 3000*rng.Float64(), 2000 + 3000*rng.Float64()}
+		}},
+		// The horizon clipped to the last one to three chunks.
+		{"last chunk", penalties, func(obs *Observation, i int) []float64 {
+			obs.ChunkIndex = obs.TotalChunks - 1 - i%3
+			return []float64{500 + 5000*rng.Float64()}
+		}},
+		// Tiny chunks under a full buffer: sequences tie exactly.
+		{"ties", penalties, func(obs *Observation, i int) []float64 {
+			obs.BufferSec = 60
+			obs.ChunkIndex = obs.TotalChunks - 1 - i%3
+			for q := range obs.NextChunkBits {
+				obs.NextChunkBits[q] = BitratesKbps[q] * 1000 * ChunkSeconds * 0.01
+			}
+			return []float64{3000}
+		}},
+		// Negative penalty weights void the bound: the full walk runs.
+		{"negative penalties", negative, func(obs *Observation, i int) []float64 {
+			return []float64{200 + 6000*rng.Float64(), 200 + 6000*rng.Float64()}
+		}},
+	}
+	for _, c := range cases {
+		caseTies := 0
+		for _, pen := range c.penalties {
+			for session := 0; session < 12; session++ {
+				got := &RobustMPC{RebufPenalty: pen[0], SmoothPenalty: pen[1]}
+				want := &refMPC{RebufPenalty: pen[0], SmoothPenalty: pen[1]}
+				for i := 0; i < 8; i++ {
+					obs := randomObservation(rng, nil)
+					if obs.ChunkIndex >= obs.TotalChunks {
+						obs.ChunkIndex = 0
+					}
+					obs.ThroughputKbps = c.observe(&obs, i)
+					where := fmt.Sprintf("%s %v session %d decision %d", c.name, pen, session, i)
+					if matchMPC(t, got, want, obs, where) {
+						caseTies++
+					}
+				}
+			}
+		}
+		if c.name == "ties" && caseTies == 0 {
+			t.Fatal("the ties case produced no exact tie")
+		}
+	}
+}
+
+// matchMPC runs one decision through got and the reference and fails the
+// test unless the choice and the tracked state match bit for bit. It
+// reports whether the reference saw sequences with different first
+// qualities tie exactly.
+func matchMPC(t *testing.T, got *RobustMPC, want *refMPC, obs Observation, where string) bool {
+	t.Helper()
+	before := want.ties
+	if g, w := got.Select(obs), want.Select(obs); g != w {
+		t.Fatalf("%s: Select = %d, reference %d (obs %+v)", where, g, w, obs)
+	}
+	if math.Float64bits(got.maxErr) != math.Float64bits(want.maxErr) ||
+		math.Float64bits(got.lastPred) != math.Float64bits(want.lastPred) {
+		t.Fatalf("%s: state (%v, %v), reference (%v, %v)", where, got.maxErr, got.lastPred, want.maxErr, want.lastPred)
+	}
+	return want.ties > before
 }
 
 // BenchmarkRobustMPCSelect times one default-horizon decision (6^5

@@ -10,13 +10,16 @@ import (
 )
 
 // The plain loops below are the kernels' reference: one accumulator per
-// output, terms added in ascending index, each rounded separately.
+// output, terms added in ascending index, each rounded separately. Their
+// sums and products go through add and mul, which pin the operand order
+// the assembly uses: the weight or scale first in a product, the
+// accumulator first in a sum.
 
 func naiveMulVec(m *Matrix, x, y []float64) {
 	for i := 0; i < m.Rows; i++ {
 		s := 0.0
 		for j := 0; j < m.Cols; j++ {
-			s += m.Data[i*m.Cols+j] * x[j]
+			s = add(s, mul(m.Data[i*m.Cols+j], x[j]))
 		}
 		y[i] = s
 	}
@@ -31,7 +34,7 @@ func naiveMulVecT(m *Matrix, x, y []float64) {
 			continue
 		}
 		for j := 0; j < m.Cols; j++ {
-			y[j] += m.Data[i*m.Cols+j] * x[i]
+			y[j] = add(y[j], mul(x[i], m.Data[i*m.Cols+j]))
 		}
 	}
 }
@@ -41,27 +44,78 @@ func naiveAddOuter(m *Matrix, a, b []float64, s float64) {
 		if a[i] == 0 {
 			continue
 		}
-		f := a[i] * s
+		f := mul(a[i], s)
 		for j := range b {
-			m.Data[i*m.Cols+j] += f * b[j]
+			m.Data[i*m.Cols+j] = add(m.Data[i*m.Cols+j], mul(f, b[j]))
 		}
 	}
 }
 
-// kernelValue draws mostly ordinary values, with zeros (both signs), NaN
-// and infinities mixed in so that skipped and propagated terms are covered.
+func naiveAxpy(s float64, x, y []float64) {
+	for i := range x {
+		y[i] = add(y[i], mul(s, x[i]))
+	}
+}
+
+// mul and add are a·b and a+b with the NaN rule of x86 SSE and AVX
+// arithmetic spelled out: a NaN first operand wins, else a NaN second
+// one, quieted either way. Go leaves the operand order of a*b to the
+// compiler, which picks it by register allocation.
+func mul(a, b float64) float64 {
+	if n, ok := firstNaN(a, b); ok {
+		return n
+	}
+	return a * b
+}
+
+func add(a, b float64) float64 {
+	if n, ok := firstNaN(a, b); ok {
+		return n
+	}
+	return a + b
+}
+
+func firstNaN(a, b float64) (float64, bool) {
+	const quiet = 1 << 51
+	switch {
+	case math.IsNaN(a):
+		return math.Float64frombits(math.Float64bits(a) | quiet), true
+	case math.IsNaN(b):
+		return math.Float64frombits(math.Float64bits(b) | quiet), true
+	}
+	return 0, false
+}
+
+// Two quiet NaNs with different payloads and signs: which one a sum or a
+// product keeps shows the operand order.
+var (
+	nanA = math.Float64frombits(0x7ff8000000000001)
+	nanB = math.Float64frombits(0xfff800000000beef)
+)
+
+// kernelValue draws mostly ordinary values, with zeros of both signs,
+// infinities, subnormals and the two NaNs mixed in, so that skipped,
+// propagated and gradually underflowing terms are all covered.
 func kernelValue(rng *rand.Rand) float64 {
-	switch rng.Intn(40) {
+	switch rng.Intn(48) {
 	case 0:
-		return math.NaN()
+		return nanA
 	case 1:
-		return math.Inf(1)
+		return nanB
 	case 2:
-		return math.Inf(-1)
+		return math.Inf(1)
 	case 3:
+		return math.Inf(-1)
+	case 4:
 		return math.Copysign(0, -1)
-	case 4, 5, 6:
+	case 5, 6, 7:
 		return 0
+	case 8:
+		return math.SmallestNonzeroFloat64 * float64(rng.Intn(1000)+1)
+	case 9:
+		return -math.Float64frombits(rng.Uint64() & (1<<52 - 1)) // subnormal
+	case 10:
+		return 0x1p-1020 * (rng.Float64() + 0.5) // products underflow
 	}
 	return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
 }
@@ -74,15 +128,14 @@ func kernelVec(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// sameBits reports whether a and b are bit-identical, except that any NaN
-// matches any NaN: which operand's payload an x86 add or multiply keeps
-// depends on the compiler's operand order, which no Go expression pins.
-func sameBits(a, b []float64) bool {
+// sameBits reports whether a and b are bit-identical. With anyNaN set, any
+// NaN matches any NaN.
+func sameBits(a, b []float64, anyNaN bool) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if math.IsNaN(a[i]) && math.IsNaN(b[i]) {
+		if anyNaN && math.IsNaN(a[i]) && math.IsNaN(b[i]) {
 			continue
 		}
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
@@ -94,16 +147,42 @@ func sameBits(a, b []float64) bool {
 
 func kernelShapes() [][2]int {
 	var shapes [][2]int
-	for r := 0; r <= 9; r++ {
-		for c := 0; c <= 9; c++ {
+	for r := 0; r <= 17; r++ {
+		for c := 0; c <= 17; c++ {
 			shapes = append(shapes, [2]int{r, c})
 		}
 	}
-	return append(shapes, [2]int{64, 25}, [2]int{64, 64}, [2]int{6, 64}, [2]int{256, 256}, [2]int{65, 66}, [2]int{11, 256})
+	return append(shapes, [2]int{64, 25}, [2]int{64, 64}, [2]int{6, 64}, [2]int{256, 256}, [2]int{65, 66}, [2]int{11, 256}, [2]int{33, 31})
 }
 
+// TestKernelsMatchNaiveLoops checks MulVec, MulVecT, AddOuter and Axpy
+// against the plain loops bit for bit, on the AVX path where the CPU has it
+// and on the Go loops. The assembly pins every operand order, so there NaN
+// payloads must match too; on the Go loops the compiler picks the order, so
+// any NaN matches any NaN.
 func TestKernelsMatchNaiveLoops(t *testing.T) {
+	avx := useAVX
+	defer func() { useAVX = avx }()
+	if !avx {
+		t.Log("no AVX on this CPU: only the Go loops run")
+	}
+	for _, path := range []struct {
+		name string
+		avx  bool
+	}{{"go", false}, {"avx", true}} {
+		if path.avx && !avx {
+			continue
+		}
+		t.Run(path.name, func(t *testing.T) {
+			useAVX = path.avx
+			checkKernels(t, !path.avx)
+		})
+	}
+}
+
+func checkKernels(t *testing.T, anyNaN bool) {
 	rng := rand.New(rand.NewSource(1))
+	nans := 0
 	for _, sh := range kernelShapes() {
 		rows, cols := sh[0], sh[1]
 		for trial := 0; trial < 4; trial++ {
@@ -123,26 +202,49 @@ func TestKernelsMatchNaiveLoops(t *testing.T) {
 			got, want := make([]float64, rows), make([]float64, rows)
 			m.MulVec(x, got)
 			naiveMulVec(m, x, want)
-			if !sameBits(got, want) {
+			if !sameBits(got, want, anyNaN) {
 				t.Fatalf("MulVec %dx%d trial %d: %v, want %v", rows, cols, trial, got, want)
 			}
 
 			gotT, wantT := kernelVec(rng, cols), make([]float64, cols)
 			m.MulVecT(xt, gotT)
 			naiveMulVecT(m, xt, wantT)
-			if !sameBits(gotT, wantT) {
+			if !sameBits(gotT, wantT, anyNaN) {
 				t.Fatalf("MulVecT %dx%d trial %d: %v, want %v", rows, cols, trial, gotT, wantT)
 			}
 
+			// AddOuter forms a[i]·s in Go, whose operand order the
+			// compiler picks, so with a NaN s any NaN matches any NaN. A
+			// NaN s must still reach every row with a non-zero a[i] and
+			// leave the others alone.
 			s := kernelValue(rng)
 			gm := &Matrix{Rows: rows, Cols: cols, Data: kernelVec(rng, rows*cols)}
 			wm := gm.Clone()
 			gm.AddOuter(xt, x, s)
 			naiveAddOuter(wm, xt, x, s)
-			if !sameBits(gm.Data, wm.Data) {
+			if !sameBits(gm.Data, wm.Data, anyNaN || math.IsNaN(s)) {
 				t.Fatalf("AddOuter %dx%d trial %d: %v, want %v", rows, cols, trial, gm.Data, wm.Data)
 			}
+
+			a := kernelValue(rng)
+			gy := kernelVec(rng, cols)
+			wy := append([]float64(nil), gy...)
+			Axpy(a, x, gy)
+			naiveAxpy(a, x, wy)
+			if !sameBits(gy, wy, anyNaN) {
+				t.Fatalf("Axpy %d trial %d: %v, want %v", cols, trial, gy, wy)
+			}
+			for _, v := range [][]float64{want, wantT, wm.Data, wy} {
+				for _, f := range v {
+					if math.IsNaN(f) {
+						nans++
+					}
+				}
+			}
 		}
+	}
+	if nans == 0 {
+		t.Fatal("no output was NaN: the payload order went unchecked")
 	}
 }
 

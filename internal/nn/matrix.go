@@ -14,8 +14,17 @@
 // next call; Forward and Backward allocate nothing: each layer keeps its own
 // scratch. The dense kernels may work on several rows at once, but each
 // output keeps the same float operations in the same order as a plain loop
-// (no reassociation, no explicit FMA), so a faster kernel never changes a
-// trained network's bits.
+// (no reassociation, no FMA), so a faster kernel never changes a trained
+// network's bits.
+//
+// On amd64 the kernels are assembly (kernel_amd64.s): MulVec, and one axpy
+// that MulVecT, AddOuter and Axpy share. They use AVX when CPUID reports it
+// and XGETBV shows the OS saving the YMM registers, checked once at start-up
+// the way golang.org/x/sys/cpu does; otherwise, and on other architectures,
+// the Go loops run. The assembly fixes the operand order as well: the
+// weight or scale is a product's first operand and the accumulator a sum's,
+// which decides the payload a NaN result keeps. Go leaves that order to the
+// compiler, so only NaN payloads can differ between the two paths.
 package nn
 
 import (
@@ -63,14 +72,19 @@ func (m *Matrix) Zero() {
 
 // MulVec computes y = M·x for a vector x of length Cols.
 //
-// Four rows share each pass over x, each with its own accumulator; every
+// Several rows share each pass over x, each with its own accumulator; every
 // y[i] is still the sum of w·x[j] in ascending j, one rounding per term, so
-// the result is bit-identical to a plain row-by-row loop.
+// the result is bit-identical to a plain row-by-row loop. With AVX the
+// assembly does the same in blocks of 8 and 4 rows.
 func (m *Matrix) MulVec(x, y []float64) {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic(fmt.Sprintf("nn: MulVec shape mismatch: %dx%d by %d into %d", m.Rows, m.Cols, len(x), len(y)))
 	}
 	n := len(x)
+	if useAVX {
+		mulVecAVX(m.Data[:len(y)*n], x, y)
+		return
+	}
 	i := 0
 	for ; i+4 <= len(y); i += 4 {
 		r0 := m.Data[i*n : i*n+n]
@@ -97,11 +111,9 @@ func (m *Matrix) MulVec(x, y []float64) {
 	}
 }
 
-// MulVecT computes y = Mᵀ·x for a vector x of length Rows.
-//
-// Each pass over a row updates four entries of y, for the reason AddOuter
-// gives; every y[j] still sums w·x[i] in ascending i, so the result is
-// bit-identical.
+// MulVecT computes y = Mᵀ·x for a vector x of length Rows: y is zeroed,
+// then each row with a non-zero x[i] adds x[i]·row through axpy, so every
+// y[j] sums x[i]·w in ascending i.
 func (m *Matrix) MulVecT(x, y []float64) {
 	if len(x) != m.Rows || len(y) != m.Cols {
 		panic(fmt.Sprintf("nn: MulVecT shape mismatch: %dx%d by %d into %d", m.Rows, m.Cols, len(x), len(y)))
@@ -109,33 +121,16 @@ func (m *Matrix) MulVecT(x, y []float64) {
 	for j := range y {
 		y[j] = 0
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols][:len(y)]
-		xi := x[i]
+	for i, xi := range x {
 		if xi == 0 {
 			continue
 		}
-		j := 0
-		for ; j+4 <= len(y); j += 4 {
-			w, yj := row[j:j+4:j+4], y[j:j+4:j+4]
-			yj[0] += w[0] * xi
-			yj[1] += w[1] * xi
-			yj[2] += w[2] * xi
-			yj[3] += w[3] * xi
-		}
-		for ; j < len(y); j++ {
-			y[j] += row[j] * xi
-		}
+		axpy(xi, m.Data[i*m.Cols:(i+1)*m.Cols], y)
 	}
 }
 
-// AddOuter accumulates the outer product a·bᵀ scaled by s into the matrix.
-//
-// Each pass updates four columns. Every element still gets the one product
-// and one sum a one-column loop gives it, so the result is bit-identical.
-// The one-column loops here and in MulVecT were 32 bytes of code whose
-// speed depended on where the linker put them: shifted across a 64-byte
-// line, they made cold distillation sweeps over 10% slower.
+// AddOuter accumulates the outer product a·bᵀ scaled by s into the matrix:
+// each row with a non-zero a[i] adds (a[i]·s)·b through axpy.
 func (m *Matrix) AddOuter(a, b []float64, s float64) {
 	if len(a) != m.Rows || len(b) != m.Cols {
 		panic("nn: AddOuter shape mismatch")
@@ -144,19 +139,32 @@ func (m *Matrix) AddOuter(a, b []float64, s float64) {
 		if ai == 0 {
 			continue
 		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols][:len(b)]
-		f := ai * s
-		j := 0
-		for ; j+4 <= len(b); j += 4 {
-			r, bj := row[j:j+4:j+4], b[j:j+4:j+4]
-			r[0] += f * bj[0]
-			r[1] += f * bj[1]
-			r[2] += f * bj[2]
-			r[3] += f * bj[3]
-		}
-		for ; j < len(b); j++ {
-			row[j] += f * b[j]
-		}
+		axpy(ai*s, b, m.Data[i*m.Cols:(i+1)*m.Cols])
+	}
+}
+
+// axpy computes y[j] += a·x[j] for every j < len(x), the one update
+// MulVecT, AddOuter and Axpy share; y may be longer than x. Each entry gets
+// one product and one sum. Without AVX it updates four entries a pass: a
+// one-entry loop is 32 bytes of code whose speed depends on where the
+// linker puts it (shifted across a 64-byte line, it made cold distillation
+// sweeps over 10% slower).
+func axpy(a float64, x, y []float64) {
+	y = y[:len(x)]
+	if useAVX {
+		axpyAVX(a, x, y)
+		return
+	}
+	j := 0
+	for ; j+4 <= len(x); j += 4 {
+		xj, yj := x[j:j+4:j+4], y[j:j+4:j+4]
+		yj[0] += a * xj[0]
+		yj[1] += a * xj[1]
+		yj[2] += a * xj[2]
+		yj[3] += a * xj[3]
+	}
+	for ; j < len(x); j++ {
+		y[j] += a * x[j]
 	}
 }
 
@@ -177,9 +185,7 @@ func Axpy(s float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("nn: Axpy length mismatch")
 	}
-	for i, xv := range x {
-		y[i] += s * xv
-	}
+	axpy(s, x, y)
 }
 
 // Scale multiplies every element of x by s in place.

@@ -100,15 +100,20 @@ func NumConnections(paths []topo.Path) int {
 // how Metis masks input structure (Equation 9's gating applies upstream).
 func (m *Model) PredictDelays(g *topo.Graph, demands []routing.Demand, paths []topo.Path, mask []float64) []float64 {
 	numLinks := len(g.Links)
+	in := make([]float64, 1)
 	hL := make([][]float64, numLinks)
+	hLData := make([]float64, numLinks*EmbedDim)
 	for i, l := range g.Links {
-		out := m.LinkInit.Forward([]float64{l.CapMbps / 100})
-		hL[i] = append([]float64(nil), out...)
+		in[0] = l.CapMbps / 100
+		hL[i] = vec(hLData, i)
+		copy(hL[i], m.LinkInit.Forward(in))
 	}
 	hP := make([][]float64, len(paths))
+	hPData := make([]float64, len(paths)*EmbedDim)
 	for i := range paths {
-		out := m.PathInit.Forward([]float64{demands[i].VolumeMbps / 10})
-		hP[i] = append([]float64(nil), out...)
+		in[0] = demands[i].VolumeMbps / 10
+		hP[i] = vec(hPData, i)
+		copy(hP[i], m.PathInit.Forward(in))
 	}
 	off := ConnectionOffsets(paths)
 	weight := func(pathIdx, pos int) float64 {
@@ -119,6 +124,7 @@ func (m *Model) PredictDelays(g *topo.Graph, demands []routing.Demand, paths []t
 	}
 
 	buf := make([]float64, 2*EmbedDim)
+	aggData := make([]float64, numLinks*EmbedDim)
 	for round := 0; round < Rounds; round++ {
 		// Path update: sequentially absorb link states along the path.
 		for pi, p := range paths {
@@ -132,33 +138,36 @@ func (m *Model) PredictDelays(g *topo.Graph, demands []routing.Demand, paths []t
 				}
 			}
 		}
-		// Link aggregation: sum masked messages from covering paths.
-		agg := make([][]float64, numLinks)
-		for i := range agg {
-			agg[i] = make([]float64, EmbedDim)
+		if round == Rounds-1 {
+			// The readout reads only path states: the last round's
+			// messages and link updates would go unread.
+			break
 		}
+		// Link aggregation: sum masked messages from covering paths.
+		clear(aggData)
 		for pi, p := range paths {
 			for pos, id := range p {
 				copy(buf[:EmbedDim], hP[pi])
 				copy(buf[EmbedDim:], hL[id])
 				msg := m.Message.Forward(buf)
 				w := weight(pi, pos)
+				agg := vec(aggData, id)
 				for k := range msg {
-					agg[id][k] += w * msg[k]
+					agg[k] += w * msg[k]
 				}
 			}
 		}
 		// Link update.
 		for i := range hL {
 			copy(buf[:EmbedDim], hL[i])
-			copy(buf[EmbedDim:], agg[i])
+			copy(buf[EmbedDim:], vec(aggData, i))
 			out := m.LinkUpd.Forward(buf)
 			copy(hL[i], out)
 		}
 	}
 	delays := make([]float64, len(paths))
 	conns := int64(NumConnections(paths))
-	denseEvals.Add(int64(numLinks+2*len(paths)) + Rounds*(2*conns+int64(numLinks)))
+	denseEvals.Add(int64(numLinks+2*len(paths)) + Rounds*conns + (Rounds-1)*(conns+int64(numLinks)))
 	for pi := range paths {
 		raw := m.Readout.Forward(hP[pi])[0]
 		// Softplus keeps predictions positive; scale to milliseconds.
@@ -213,18 +222,37 @@ func randomRouting(g *topo.Graph, demands []routing.Demand, seed int64) *routing
 	return r
 }
 
-// Loss returns the model's RMSE in log-delay space over a batch of labeled
-// random routings; used both for training and for reporting fit quality.
-func (m *Model) Loss(g *topo.Graph, cfg TrainConfig, seed int64) float64 {
-	cfg.defaults()
-	se, n := 0.0, 0
-	for s := 0; s < cfg.Samples; s++ {
+// lossSample is one labeled routing: the demands, their paths, and the
+// delay oracle's answer as log1p(ms).
+type lossSample struct {
+	demands  []routing.Demand
+	paths    []topo.Path
+	logTruth []float64
+}
+
+// lossSamples draws and labels the batch Loss scores for a seed. It does
+// not depend on the model, so Train builds each seed's batch once.
+func lossSamples(g *topo.Graph, cfg TrainConfig, seed int64) []lossSample {
+	out := make([]lossSample, cfg.Samples)
+	for s := range out {
 		demands := routing.RandomDemands(g, cfg.Demands, cfg.VolumeLo, cfg.VolumeHi, seed+int64(s)*977)
 		r := randomRouting(g, demands, seed+int64(s))
 		truth := cfg.Delay.Evaluate(g, r)
-		pred := m.PredictDelays(g, demands, r.Paths, nil)
-		for i := range truth {
-			d := math.Log1p(pred[i]) - math.Log1p(truth[i])
+		for i, d := range truth {
+			truth[i] = math.Log1p(d)
+		}
+		out[s] = lossSample{demands: demands, paths: r.Paths, logTruth: truth}
+	}
+	return out
+}
+
+// lossOn returns the model's RMSE in log-delay space over labeled samples.
+func (m *Model) lossOn(g *topo.Graph, samples []lossSample) float64 {
+	se, n := 0.0, 0
+	for _, smp := range samples {
+		pred := m.PredictDelays(g, smp.demands, smp.paths, nil)
+		for i, lt := range smp.logTruth {
+			d := math.Log1p(pred[i]) - lt
 			se += d * d
 			n++
 		}
@@ -232,8 +260,16 @@ func (m *Model) Loss(g *topo.Graph, cfg TrainConfig, seed int64) float64 {
 	return math.Sqrt(se / float64(n))
 }
 
+// Loss returns the model's RMSE in log-delay space over a batch of labeled
+// random routings; used both for training and for reporting fit quality.
+func (m *Model) Loss(g *topo.Graph, cfg TrainConfig, seed int64) float64 {
+	cfg.defaults()
+	return m.lossOn(g, lossSamples(g, cfg, seed))
+}
+
 // Train fits the model with evolution strategies and returns per-generation
-// best scores (negative RMSE).
+// best scores (negative RMSE). ES scores candidates on 17 batches (its
+// seed mod 17); each is drawn and labeled once.
 func (m *Model) Train(g *topo.Graph, cfg TrainConfig) []float64 {
 	cfg.defaults()
 	es := rl.NewES()
@@ -241,7 +277,16 @@ func (m *Model) Train(g *topo.Graph, cfg TrainConfig) []float64 {
 	es.Sigma = 0.08
 	es.LR = 0.1
 	es.Evals = 1
-	eval := func(seed int64) float64 { return -m.Loss(g, cfg, seed%17) }
+	batches := map[int64][]lossSample{}
+	eval := func(seed int64) float64 {
+		key := seed % 17
+		b, ok := batches[key]
+		if !ok {
+			b = lossSamples(g, cfg, key)
+			batches[key] = b
+		}
+		return -m.lossOn(g, b)
+	}
 	return es.TrainParams(m.Params(), eval, cfg.Generations, cfg.Seed)
 }
 
